@@ -180,11 +180,25 @@ def _load_json(path):
         raise DatasetFormatError(f"invalid JSON in {path}: {exc}") from exc
 
 
+def _floats(values, key) -> np.ndarray:
+    """A list of JSON numbers as floats; booleans and overflowing literals fail."""
+    # type(), not isinstance: JSON true/false load as bool, a subclass of int
+    if not all(type(v) in (int, float) for v in values):
+        raise DatasetFormatError(f"field {key!r} must hold numbers only")
+    try:
+        arr = np.asarray(values, dtype=float)
+        if np.all(np.isfinite(arr)):  # a float literal such as 1e400 loads as inf
+            return arr
+    except OverflowError:  # an integer literal such as 10**400
+        pass
+    raise DatasetFormatError(f"field {key!r} holds a number beyond the float range")
+
+
 def _number_array(doc, key, length=None):
     values = doc.get(key)
-    if not isinstance(values, list) or not all(isinstance(v, (int, float)) for v in values):
+    if not isinstance(values, list):
         raise DatasetFormatError(f"field {key!r} must be a numeric array")
-    arr = np.asarray(values, dtype=float)
+    arr = _floats(values, key)
     if length is not None and arr.shape != (length,):
         raise DatasetFormatError(f"field {key!r} has the wrong length")
     return arr
@@ -195,21 +209,20 @@ def _patch_from_doc(doc) -> BoundaryPatch:
         raise DatasetFormatError("patch object must carry exactly the patch fields")
     if doc["orientation"] not in ORIENTATIONS:
         raise DatasetFormatError("patch orientation must be 'below' or 'above'")
-    if not isinstance(doc["frame_angle"], (int, float)) or not isinstance(doc["h"], (int, float)):
-        raise DatasetFormatError("frame_angle and h must be numbers")
+    frame_angle, h = (float(_floats([doc[key]], key)[0]) for key in ("frame_angle", "h"))
     x1 = _number_array(doc, "x1_nodes")
     n = x1.shape[0]
     if n < 2:
         raise DatasetFormatError("patch needs at least 2 nodes")
     patch = BoundaryPatch(
-        float(doc["frame_angle"]),
+        frame_angle,
         x1,
         _number_array(doc, "gamma", n),
         _number_array(doc, "gamma_prime", n),
         _number_array(doc, "mu", n),
         doc["orientation"],
     )
-    if not math.isclose(patch.h, float(doc["h"]), rel_tol=1e-12, abs_tol=0.0):
+    if not math.isclose(patch.h, h, rel_tol=1e-12, abs_tol=0.0):
         raise DatasetFormatError("stored spacing h disagrees with the x1 grid")
     return patch
 

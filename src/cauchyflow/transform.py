@@ -16,9 +16,14 @@ where (g, h) is the velocity trace, (t1, t2) the traction, theta the
 metric factor sqrt(1 + gamma'^2) and "g'." abbreviates gamma'. The
 determinant is -mu (1 + gamma'^2)^2, never zero for positive viscosity,
 so the two data formats (u, dnu u, p) and (u, sigma nu) determine each
-other node by node. Patches with the domain above the graph are handled
-by the mirror map x2 -> -x2, which flips gamma, gamma' and every second
-vector component, and is undone on output.
+other node by node. Both directions eliminate by hand (see also
+gradient_from_dn); assemble_system and solve_system are only the reference
+they are checked against. From the traction, row 3 plus gamma' times row 4
+leaves mu theta^4 = |det| on f3, the sole pivot; rows 1 and 2 give f1, f2,
+and gamma' times row 3 minus row 4 (the normal traction) gives f4 over
+theta^2 >= 1. Patches with the domain above the graph are handled by the
+mirror map x2 -> -x2, which flips gamma' and every second vector
+component in one place, and is undone on output.
 
 All operations broadcast over per-node arrays and are pure functions.
 """
@@ -187,22 +192,16 @@ def solve_system(gamma_prime, mu, rhs) -> np.ndarray:
     return np.linalg.solve(a, b[..., None])[..., 0]
 
 
-def gradient_from_dn(g_prime, h_prime, dnu, gamma_prime, orientation: str = "below"):
+def gradient_from_dn(g_prime, h_prime, dnu, gamma_prime):
     """Recover (f1, f2, f3) from trace slopes and the normal derivative.
 
-    Returns (f1, f2, f3, residual). Three of the four boundary relations
-    fix the unknowns through pivots bounded below by theta^2 >= 1; the
-    leftover relation is reported as a data-consistency residual, zero
-    exactly when the input is compatible with a divergence-free field.
+    Works in the domain-below frame. Returns (f1, f2, f3, residual). Three
+    of the four boundary relations fix the unknowns through pivots bounded
+    below by theta^2 >= 1; the leftover relation is reported as a
+    data-consistency residual, zero exactly when the input is compatible
+    with a divergence-free field.
     """
-    if orientation == "above":
-        n1 = -np.asarray(dnu[0], dtype=float)
-        n2 = -np.asarray(dnu[1], dtype=float)
-    elif orientation == "below":
-        n1 = np.asarray(dnu[0], dtype=float)
-        n2 = np.asarray(dnu[1], dtype=float)
-    else:
-        raise ValueError("orientation must be 'below' or 'above'")
+    n1, n2 = (np.asarray(v, dtype=float) for v in dnu)
     gp = np.asarray(gamma_prime, dtype=float)
     gpr = np.asarray(g_prime, dtype=float)
     hpr = np.asarray(h_prime, dtype=float)
@@ -226,40 +225,29 @@ def stress_to_dn(data: CauchyStress, patch: BoundaryPatch, u_prime=None):
     Trace slopes g', h' come from the 5-point stencil unless `u_prime`
     supplies closed-form d/dx1 values of both velocity components on the
     full patch grid. Output traces live on the interior nodes, i.e. on
-    patch.interior(). Returns (CauchyDN, solve residual), the residual
-    being the max norm of A f - rhs over the interior nodes.
+    patch.interior(). Returns (CauchyDN, 0.0): traction data satisfy no
+    redundant relation, so this direction has no consistency residual and
+    the 0.0 only keeps the return shape of dn_to_stress.
     """
-    _check_grid(data, patch)
-    patch.validate()
-    flip = patch.orientation == "above"
-
-    u1 = data.u.c1.values
-    u2 = -data.u.c2.values if flip else data.u.c2.values
-    t1 = data.traction.c1.values
-    t2 = -data.traction.c2.values if flip else data.traction.c2.values
-    gp = -patch.gamma_prime if flip else patch.gamma_prime
-
-    gpr, hpr = _trace_slopes(u1, u2, patch.h, u_prime, flip)
-    cut = slice(MARGIN, -MARGIN)
-    gpi, mui = gp[cut], patch.mu[cut]
-    th = theta(gpi)
-    rhs = np.stack([gpr, hpr, th * t1[cut], th * t2[cut]], axis=-1)
-    f = solve_system(gpi, mui, rhs)
-    a = assemble_system(gpi, mui)
-    solve_residual = float(np.max(np.abs((a @ f[..., None])[..., 0] - rhs)))
-
-    grad = GradientTrace(f[..., 0], f[..., 1], f[..., 2], f[..., 3])
-    d1, d2 = normal_derivative_from_gradient(grad, gpi, "below")
-    u_out2 = data.u.c2.values[cut]
-    if flip:
-        d2 = -d2
+    s, cut, gp, mu, gpr, hpr = _local_slopes(data, patch, u_prime)
+    t1 = data.traction.c1.values[cut]
+    t2 = s * data.traction.c2.values[cut]
+    th = theta(gp)
+    th2 = 1.0 + gp * gp
+    f3 = (th * (t1 + gp * t2) + 4.0 * mu * gp * gpr
+          - mu * (1.0 - gp * gp) * (hpr + gp * gpr)) / (mu * th2 * th2)
+    f1 = gpr - gp * f3
+    f2 = hpr + gp * f1
+    # p = 2 mu eps_nn - t . nu (row 3 times gamma' minus row 4); row 4 alone
+    # cancels terms of size mu gamma'^3 |f| and loses digits at steep slopes
+    f4 = (th * (gp * t1 - t2) - 2.0 * mu * ((1.0 - gp * gp) * f1 + gp * (f2 + f3))) / th2
+    d1, d2 = normal_derivative_from_gradient(GradientTrace(f1, f2, f3, f4), gp)
     h = patch.h
-    dn = CauchyDN(
-        VectorTrace.from_arrays(u1[cut], u_out2, h),
-        VectorTrace.from_arrays(d1, d2, h),
-        ScalarTrace(f[..., 3], h),
-    )
-    return dn, solve_residual
+    return CauchyDN(
+        VectorTrace.from_arrays(data.u.c1.values[cut], data.u.c2.values[cut], h),
+        VectorTrace.from_arrays(d1, s * d2, h),
+        ScalarTrace(f4, h),
+    ), 0.0
 
 
 def dn_to_stress(data: CauchyDN, patch: BoundaryPatch, u_prime=None):
@@ -270,51 +258,39 @@ def dn_to_stress(data: CauchyDN, patch: BoundaryPatch, u_prime=None):
     the redundant boundary relation; large values flag data that no
     divergence-free velocity field can produce.
     """
-    _check_grid(data, patch)
-    patch.validate()
-    flip = patch.orientation == "above"
-
-    u1 = data.u.c1.values
-    u2 = -data.u.c2.values if flip else data.u.c2.values
-    n1 = data.dnu.c1.values
-    n2 = -data.dnu.c2.values if flip else data.dnu.c2.values
-    gp = -patch.gamma_prime if flip else patch.gamma_prime
-
-    gpr, hpr = _trace_slopes(u1, u2, patch.h, u_prime, flip)
-    cut = slice(MARGIN, -MARGIN)
-    gpi, mui = gp[cut], patch.mu[cut]
-    f1, f2, f3, residual = gradient_from_dn(gpr, hpr, (n1[cut], n2[cut]), gpi, "below")
-    grad = GradientTrace(f1, f2, f3, data.p.values[cut])
-    t1, t2 = traction_from_gradient(grad, gpi, mui)
-    if flip:
-        t2 = -t2
+    s, cut, gp, mu, gpr, hpr = _local_slopes(data, patch, u_prime)
+    dnu = (data.dnu.c1.values[cut], s * data.dnu.c2.values[cut])
+    f1, f2, f3, residual = gradient_from_dn(gpr, hpr, dnu, gp)
+    t1, t2 = traction_from_gradient(GradientTrace(f1, f2, f3, data.p.values[cut]), gp, mu)
     h = patch.h
-    stress = CauchyStress(
-        VectorTrace.from_arrays(u1[cut], data.u.c2.values[cut], h),
-        VectorTrace.from_arrays(t1, t2, h),
-    )
-    return stress, float(np.max(residual))
+    return CauchyStress(
+        VectorTrace.from_arrays(data.u.c1.values[cut], data.u.c2.values[cut], h),
+        VectorTrace.from_arrays(t1, s * t2, h),
+    ), float(np.max(residual))
 
 
-def _trace_slopes(u1, u2, h, u_prime, flip):
-    """Interior-node d/dx1 of the (possibly mirrored) velocity trace."""
-    if u_prime is None:
-        gpr = tangential_derivative(ScalarTrace(u1, h)).values
-        hpr = tangential_derivative(ScalarTrace(u2, h)).values
-        return gpr, hpr
-    p1 = np.asarray(u_prime[0], dtype=float)
-    p2 = np.asarray(u_prime[1], dtype=float)
-    if p1.shape != u1.shape or p2.shape != u1.shape:
-        raise ValueError("u_prime arrays must match the full patch grid")
-    if flip:
-        p2 = -p2
-    return p1[MARGIN:-MARGIN], p2[MARGIN:-MARGIN]
+def _local_slopes(data, patch: BoundaryPatch, u_prime):
+    """Checked interior-node inputs of a conversion in the domain-below frame.
 
-
-def _check_grid(data, patch: BoundaryPatch):
+    Returns (s, cut, gamma', mu, g', h'), where s is -1.0 on a domain-above
+    patch and 1.0 otherwise, and gamma' and h' already carry the mirror.
+    Callers multiply the second component of their input and output by s.
+    """
     if data.n != patch.n:
         raise ValueError("data grid does not match the patch grid")
     if abs(data.h - patch.h) > 1e-12 * abs(patch.h):
         raise ValueError("data grid spacing does not match the patch")
     if patch.n < 2 * MARGIN + 1:
         raise ValueError("patch too short for stencil differentiation")
+    patch.validate()
+    s = -1.0 if patch.orientation == "above" else 1.0
+    cut = slice(MARGIN, -MARGIN)
+    if u_prime is None:
+        gpr = tangential_derivative(ScalarTrace(data.u.c1.values, patch.h)).values
+        hpr = tangential_derivative(ScalarTrace(data.u.c2.values, patch.h)).values
+    else:
+        p1, p2 = (np.asarray(v, dtype=float) for v in u_prime)
+        if p1.shape != (patch.n,) or p2.shape != (patch.n,):
+            raise ValueError("u_prime arrays must match the full patch grid")
+        gpr, hpr = p1[cut], p2[cut]
+    return s, cut, s * patch.gamma_prime[cut], patch.mu[cut], gpr, s * hpr

@@ -129,6 +129,16 @@ def test_convert_malformed_file(tmp_path):
                 "--out", tmp_path / "y.json"]) == 3
 
 
+def test_convert_rejects_boolean_and_out_of_range_numbers(tmp_path):
+    src = generate_couette(tmp_path)
+    for name, literal in [("bool.json", "true"), ("huge.json", "1" + "0" * 400)]:
+        doc = json.loads(src.read_text())
+        doc["t1"][3] = "VALUE"
+        bad = tmp_path / name
+        bad.write_text(json.dumps(doc).replace('"VALUE"', literal))
+        assert run(["convert", "stress-to-dn", "--in", bad, "--out", tmp_path / "o.json"]) == 3
+
+
 def test_convert_minimal_patch_too_short_to_restrict(tmp_path):
     src = generate_couette(tmp_path, name="five.json", nodes=5)
     # the 1-node interior cannot carry a grid spacing, so this is malformed
@@ -188,6 +198,17 @@ def test_verify_perturbed_slope_fails_cross_format(tmp_path, capsys):
     assert code == 4
     assert "determinant identity" in printed and "pass" in printed
     assert "FAIL" in printed
+
+
+def test_verify_reports_skipped_checks_on_short_patch(tmp_path, capsys):
+    patch = flat_patch(4)
+    z = np.zeros(4)
+    src = tmp_path / "short.json"
+    write_dataset(src, Dataset(patch=patch, data_kind="both", u1=z, u2=z,
+                               dnu1=z, dnu2=z, p=z, t1=z, t2=z))
+    assert run(["verify", src]) == 0
+    printed = capsys.readouterr().out
+    assert "consistency and cross-format checks: skipped (4 nodes" in printed
 
 
 def test_verify_malformed(tmp_path):

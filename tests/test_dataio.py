@@ -111,6 +111,29 @@ def test_nan_rejected_on_read(tmp_path):
         read_dataset(bad)
 
 
+@pytest.mark.parametrize("literal, message", [
+    ("true", "numbers only"), ("1" + "0" * 400, "float range"), ("-1e400", "float range"),
+], ids=["bool", "int", "float"])
+def test_non_float_literals_rejected(tmp_path, literal, message):
+    def in_array(doc):
+        doc["u1"][0] = "VALUE"
+
+    def in_patch_array(doc):
+        doc["patch"]["gamma"][1] = "VALUE"
+
+    def as_angle(doc):
+        doc["patch"]["frame_angle"] = "VALUE"
+
+    def as_spacing(doc):
+        doc["patch"]["h"] = "VALUE"
+
+    for k, mutate in enumerate((in_array, in_patch_array, as_angle, as_spacing)):
+        bad = _corrupt(tmp_path, f"v{k}.json", mutate)
+        bad.write_text(bad.read_text().replace('"VALUE"', literal))
+        with pytest.raises(DatasetFormatError, match=message):
+            read_dataset(bad)
+
+
 def test_nonfinite_rejected_on_write(tmp_path):
     patch = sine_patch(8)
     z = np.zeros(8)

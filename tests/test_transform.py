@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cauchyflow import (CauchyDN, CauchyStress, GradientTrace, ScalarTrace,
-                        VectorTrace, analytic_trace_slopes, assemble_system,
+from cauchyflow import (BoundaryPatch, CauchyDN, CauchyStress, GradientTrace,
+                        ScalarTrace, VectorTrace, analytic_trace_slopes,
+                        assemble_system, theta, uniform_grid,
                         determinant, dn_to_stress, evaluate_traces,
                         gradient_from_dn, normal_at,
                         normal_derivative_from_gradient, rigid_motion,
                         solve_system, stress_to_dn, traction_from_gradient,
                         FLOWS, PRESSURES, VISCOSITIES)
+from cauchyflow import transform
 from helpers import (flat_patch, rotated_field, rotated_flow, sine_patch,
                      traction_oracle)
 
@@ -96,12 +98,18 @@ def test_traction_two_paths_agree(f1, f2, f3, p, gp, mu):
     assert abs(t1 - o1) <= 1e-13 and abs(t2 - o2) <= 1e-13
 
 
-# subnormals excluded: scaling by powers of two is only exact in the
-# normal range, products like mu * 5e-324 underflow
-normal_entry = st.floats(-3, 3, allow_subnormal=False)
+def _zero_or_at_least(tiny, bound):
+    return st.one_of(st.just(0.0), st.floats(tiny, bound), st.floats(-bound, -tiny))
 
 
-@given(f1=normal_entry, f2=normal_entry, f3=normal_entry, gp=slope, mu=viscosity)
+# scaling by powers of two is only exact while every product stays in the
+# normal range: nonzero inputs as small as gp = f3 = 3.93e-161 make gp * f3
+# subnormal, so each value here is 0 or at least 1e-100 in magnitude
+normal_entry = _zero_or_at_least(1e-100, 3.0)
+
+
+@given(f1=normal_entry, f2=normal_entry, f3=normal_entry,
+       gp=_zero_or_at_least(1e-100, 5.0), mu=viscosity)
 def test_traction_viscosity_scaling(f1, f2, f3, gp, mu):
     grad = GradientTrace(f1, f2, f3, 0.0)
     base = traction_from_gradient(grad, gp, mu)
@@ -172,13 +180,12 @@ def test_gradient_from_dn_examples():
     assert r == 1.0  # flags n2 != -g' incompatibility
 
 
-@given(f1=entry, f2=entry, f3=entry, gp=slope,
-       orientation=st.sampled_from(["below", "above"]))
-def test_gradient_from_dn_inverts_forward_formulas(f1, f2, f3, gp, orientation):
+@given(f1=entry, f2=entry, f3=entry, gp=slope)
+def test_gradient_from_dn_inverts_forward_formulas(f1, f2, f3, gp):
     grad = GradientTrace(f1, f2, f3, 0.0)
     gpr, hpr = analytic_trace_slopes(grad, gp)
-    dnu = normal_derivative_from_gradient(grad, gp, orientation)
-    r1, r2, r3, res = gradient_from_dn(gpr, hpr, dnu, gp, orientation)
+    dnu = normal_derivative_from_gradient(grad, gp)
+    r1, r2, r3, res = gradient_from_dn(gpr, hpr, dnu, gp)
     scale = max(1.0, abs(f1), abs(f2), abs(f3))
     assert max(abs(r1 - f1), abs(r2 - f2), abs(r3 - f3)) <= 1e-12 * scale
     assert res <= 1e-12 * scale
@@ -246,6 +253,50 @@ def test_dn_to_stress_inverts_examples():
     assert residual2 <= 1e-12
     assert np.max(np.abs(stress2.traction.c1.values - 1.0)) <= 1e-13
     assert np.max(np.abs(stress2.traction.c2.values)) <= 1e-13
+
+
+@pytest.mark.parametrize("orientation", ["below", "above"])
+def test_stress_to_dn_matches_generic_solver(orientation):
+    # reference: the generic 4x4 solve in the physical frame, where a
+    # domain-above patch reverses the normal and so negates rows 3 and 4
+    rng = np.random.default_rng(17)
+    n = 2000
+    x1, _ = uniform_grid(-1.0, 1.0, n)
+    gp = rng.uniform(-5.0, 5.0, n)
+    patch = BoundaryPatch(0.0, x1, np.zeros(n), gp, rng.uniform(0.1, 10.0, n), orientation)
+    u1, u2, t1, t2, p1, p2 = rng.uniform(-10.0, 10.0, (6, n))
+    data = CauchyStress(VectorTrace.from_arrays(u1, u2, patch.h),
+                        VectorTrace.from_arrays(t1, t2, patch.h))
+    dn, residual = stress_to_dn(data, patch, u_prime=(p1, p2))
+
+    inner = patch.interior()
+    g, cut = inner.gamma_prime, slice(2, -2)
+    side = -1.0 if orientation == "above" else 1.0
+    scaled = side * theta(g)
+    rhs = np.stack([p1[cut], p2[cut], scaled * t1[cut], scaled * t2[cut]], axis=-1)
+    f = solve_system(g, inner.mu, rhs)
+    d1, d2 = normal_derivative_from_gradient(GradientTrace(*f.T), g, orientation)
+    want = np.stack([d1, d2, f[:, 3]], axis=-1)
+    got = np.stack([dn.dnu.c1.values, dn.dnu.c2.values, dn.p.values], axis=-1)
+    scale = np.max(np.abs(want), axis=-1)
+    assert residual == 0.0
+    assert np.all(np.max(np.abs(got - want), axis=-1) <= 1e-12 * scale)
+    assert np.array_equal(dn.u.c2.values, u2[cut])
+
+
+def test_conversions_bypass_generic_solver(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("conversion reached the generic 4x4 solver")
+
+    for name in ("solve_system", "assemble_system"):
+        monkeypatch.setattr(transform, name, forbidden)
+    monkeypatch.setattr(np.linalg, "solve", forbidden)
+    flow, pres, visc = FLOWS["trig"], PRESSURES["linear"], VISCOSITIES["variable"]
+    for orientation in ("below", "above"):
+        patch = sine_patch(40, mu=visc.value, orientation=orientation)
+        dn, stress, _ = evaluate_traces(flow, pres, visc, patch)
+        assert stress_to_dn(stress, patch)[1] == 0.0
+        dn_to_stress(dn, patch)
 
 
 def test_grid_mismatch_rejected():
