@@ -7,6 +7,14 @@ apply everywhere a converted quantity is reported. Grids are snapped onto
 a dyadic raster, which makes consecutive node differences bitwise equal to
 the stored spacing.
 
+Patch nodes are found by inverting the curve's local abscissa x(t) for all
+grid targets at once: a dense table of x brackets each target, and a
+vectorized Newton iteration (slope from the curve velocity, bisection when
+a step leaves its bracket) refines every node to the float that fits best.
+A target outside the tabulated window, or a node that does not converge,
+raises ValueError. Curves given by samples use a periodic cubic spline on
+uniform knots whose circulant system is solved with one FFT.
+
 Conventions:
   * orientation "below" means the fluid domain lies locally under the
     graph, so the outward normal is (-gamma', 1)/theta; "above" negates it.
@@ -25,8 +33,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
 
 from .traces import MARGIN, VectorTrace
 
@@ -36,6 +42,12 @@ CURVE_KINDS = ("analytic-closed-form", "sampled-periodic", "open")
 # fraction of the slope cone the partitioner actually budgets per patch,
 # leaving headroom for between-sample tangent excursions
 _CONE_SAFETY = 0.95
+
+_EPS = float(np.finfo(float).eps)
+# Newton from a dense-table bracket converges in a few steps; the cap leaves
+# room for the bisections a noisy or flat abscissa forces (a bracket of
+# 1e-5 halves to roundoff in about 40)
+_INVERT_MAX_STEPS = 100
 
 
 def theta(gamma_prime):
@@ -208,21 +220,42 @@ class ParametricCurve:
 
     @classmethod
     def from_samples(cls, points) -> "ParametricCurve":
-        """Closed curve through sample points via periodic cubic splines."""
+        """Closed curve through sample points via a periodic cubic spline.
+
+        Point i sits at t = i/m on a uniform knot grid of spacing h = 1/m.
+        The knot second derivatives M solve the circulant system
+        M[i-1] + 4 M[i] + M[i+1] = 6 (P[i-1] - 2 P[i] + P[i+1]) / h^2, whose
+        eigenvalues 4 + 2 cos(2 pi k / m) lie in [2, 6]; one real FFT solves
+        it. Each segment is then the closed-form cubic in its local
+        coordinate a in [0, 1).
+        """
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 4:
             raise ValueError("need an (m, 2) array with at least 4 sample points")
-        knots = np.linspace(0.0, 1.0, pts.shape[0] + 1)
-        wrapped = np.vstack([pts, pts[:1]])
-        spline = CubicSpline(knots, wrapped, bc_type="periodic")
-        dspline = spline.derivative()
+        m = pts.shape[0]
+        h = 1.0 / m
+        nxt = np.roll(pts, -1, axis=0)
+        rhs = 6.0 * (np.roll(pts, 1, axis=0) - 2.0 * pts + nxt) / (h * h)
+        eig = 4.0 + 2.0 * np.cos(2.0 * np.pi * np.arange(m // 2 + 1) / m)
+        moments = np.fft.irfft(np.fft.rfft(rhs, axis=0) / eig[:, None], n=m, axis=0)
+        m_nxt = np.roll(moments, -1, axis=0)
+
+        def segment(t):
+            u = (np.asarray(t, dtype=float) % 1.0) * m
+            i = np.minimum(np.floor(u).astype(np.intp), m - 1)
+            a = (u - i)[..., None]
+            return i, a, 1.0 - a
 
         def position(t):
-            q = spline(np.asarray(t, dtype=float) % 1.0)
+            i, a, b = segment(t)
+            q = (b * pts[i] + a * nxt[i]
+                 + (h * h / 6.0) * ((b ** 3 - b) * moments[i] + (a ** 3 - a) * m_nxt[i]))
             return q[..., 0], q[..., 1]
 
         def velocity(t):
-            q = dspline(np.asarray(t, dtype=float) % 1.0)
+            i, a, b = segment(t)
+            q = ((nxt[i] - pts[i]) / h
+                 + (h / 6.0) * ((1.0 - 3.0 * b * b) * moments[i] + (3.0 * a * a - 1.0) * m_nxt[i]))
             return q[..., 0], q[..., 1]
 
         return cls(position, velocity, kind="sampled-periodic")
@@ -348,7 +381,8 @@ def partition_curve(curve: ParametricCurve, max_slope: float = 1.0,
 
     # windows: (arc start, arc end, frame angle or None for "use phi midrange")
     if curve.closed:
-        area = 0.5 * float(np.trapezoid(x * vy - y * vx, tt))
+        w = x * vy - y * vx
+        area = 0.5 * float(np.sum(0.5 * (w[1:] + w[:-1]) * np.diff(tt)))
         orientation = "above" if area > 0 else "below"
         s_ext = np.concatenate((s, s[1:] + arc_len))
         phi_ext = np.concatenate((phi, phi[1:] + (phi[-1] - phi[0])))
@@ -470,7 +504,11 @@ def _build_patch(curve, frame, t_a, t_b, n_nodes, mu, orientation, max_slope, st
         targets = x1
         t_lo, t_hi = t_a, t_b
 
-    t_nodes = _invert_monotone(local_x, t_lo, t_hi, targets)
+    def local_dx(t):
+        wx, wy = curve.velocity(t)
+        return c * np.asarray(wx, dtype=float) + s_ * np.asarray(wy, dtype=float)
+
+    t_nodes = _invert_monotone(local_x, local_dx, t_lo, t_hi, targets)
 
     if stencil_slope:
         g_ext = local_y(t_nodes)
@@ -490,20 +528,54 @@ def _build_patch(curve, frame, t_a, t_b, n_nodes, mu, orientation, max_slope, st
     return BoundaryPatch(frame, x1, gamma, gp, mu_vals, orientation)
 
 
-def _invert_monotone(fn, t_lo, t_hi, targets):
-    """Solve fn(t) = target for each target; fn must be increasing on [t_lo, t_hi]."""
+def _invert_monotone(fn, dfn, t_lo, t_hi, targets):
+    """Solve fn(t) = target for all targets at once; fn must increase on [t_lo, t_hi].
+
+    A dense table of fn brackets each target between two neighbouring
+    samples. Newton steps with slope dfn then run on every target together;
+    a node whose step would leave its bracket, or would not halve the
+    previous step, is bisected instead. A node is done once the move it
+    makes is below 4 eps max(1, |t|): a Newton step at roundoff, or a
+    bracket that has shrunk to that width where fn is noisy. The move is
+    still taken, and the result is whichever of it and its two neighbouring
+    floats fits best. Raises ValueError for a target outside the tabulated
+    range and for a node not converged after _INVERT_MAX_STEPS steps.
+    """
     dense = np.linspace(t_lo, t_hi, max(1024, 8 * len(targets)))
     vals = np.asarray(fn(dense), dtype=float)
     if np.any(np.diff(vals) <= 0):
         raise ValueError("local abscissa is not monotone over the patch window")
-    out = np.empty(len(targets))
-    for i, g in enumerate(np.asarray(targets, dtype=float)):
-        if g <= vals[0]:
-            out[i] = dense[0]
-        elif g >= vals[-1]:
-            out[i] = dense[-1]
-        else:
-            idx = int(np.searchsorted(vals, g))
-            out[i] = brentq(lambda t: float(fn(t)) - g, dense[idx - 1], dense[idx],
-                            xtol=1e-15, rtol=8.9e-16)
-    return out
+    g = np.asarray(targets, dtype=float)
+    outside = int(np.count_nonzero((g < vals[0]) | (g > vals[-1])))
+    if outside:
+        raise ValueError(f"{outside} of {g.size} node abscissae fall outside the "
+                         "patch window's local abscissa range")
+
+    # vals[k - 1] < g <= vals[k]; the start point interpolates linearly
+    k = np.clip(np.searchsorted(vals, g), 1, dense.size - 1)
+    lo, hi = dense[k - 1], dense[k]
+    t = lo + (hi - lo) * ((g - vals[k - 1]) / (vals[k] - vals[k - 1]))
+    last_step = hi - lo
+    done = np.zeros(g.shape, dtype=bool)
+    for _ in range(_INVERT_MAX_STEPS):
+        f = np.asarray(fn(t), dtype=float) - g
+        lo = np.where(f < 0, t, lo)
+        hi = np.where(f > 0, t, hi)
+        step = f / np.asarray(dfn(t), dtype=float)
+        newton = t - step
+        tol = 4.0 * _EPS * np.maximum(1.0, np.abs(t))
+        keep = (np.abs(step) <= tol) | ((newton > lo) & (newton < hi)
+                                        & (np.abs(step) <= 0.5 * last_step))
+        t_next = np.where(keep, newton, 0.5 * (lo + hi))
+        last_step = np.abs(t_next - t)
+        converged = last_step <= tol
+        t = np.where(done, t, t_next)
+        done |= converged
+        if done.all():
+            # the last step rests on a residual that carries roundoff, so it
+            # can land one float off the best fit; keep the best neighbour
+            near = np.stack([t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf)])
+            miss = np.abs(np.asarray(fn(near.ravel()), dtype=float).reshape(near.shape) - g)
+            return np.take_along_axis(near, np.argmin(miss, axis=0)[None], axis=0)[0]
+    raise ValueError(f"curve inversion did not converge at {int(np.count_nonzero(~done))} "
+                     f"of {g.size} nodes within {_INVERT_MAX_STEPS} steps")

@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -272,3 +276,24 @@ def test_csv_export(tmp_path):
     assert code == 0
     header = csv_path.read_text().splitlines()[0]
     assert header == "x1,gamma,gamma_prime,mu,u1,u2,dnu1,dnu2,p,t1,t2"
+
+
+HELP_RUN = """
+import runpy, sys
+sys.argv = ["cauchyflow", "--help"]
+try:
+    runpy.run_module("cauchyflow", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+"""
+
+
+@pytest.mark.parametrize("code", ["import cauchyflow", HELP_RUN], ids=["import", "help"])
+def test_startup_loads_no_scipy(code):
+    # numpy is the only runtime dependency; scipy would triple startup time
+    probe = code + "\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+    env = os.environ | {"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.strip().splitlines()[-1]) == []

@@ -4,11 +4,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cauchyflow import (BoundaryPatch, FrameRotation, ParametricCurve,
-                        VectorTrace, circle, ellipse, graph_patch, normal_at,
-                        partition_curve, polynomial_graph, rotate_vector_trace,
-                        theta, uniform_grid)
+                        VectorTrace, circle, ellipse, geometry, graph_patch,
+                        normal_at, partition_curve, polynomial_graph,
+                        rotate_vector_trace, theta, uniform_grid)
 
 finite_slope = st.floats(-20, 20, allow_nan=False)
+EPS = np.finfo(float).eps
 
 
 def test_normal_flat_below():
@@ -269,3 +270,98 @@ def test_sampled_periodic_curve_partitions():
         p.validate(max_slope=1.0)
         # gamma' from the sampled-curve stencil still matches the circle shape
         assert np.max(np.abs(p.gamma_prime)) <= 1.0 + 1e-10
+
+
+def sampled_circle():
+    ang = np.linspace(0.0, 2 * np.pi, 256, endpoint=False)
+    return ParametricCurve.from_samples(np.stack([np.cos(ang), np.sin(ang)], axis=-1))
+
+
+INVERSION_CURVES = {
+    "circle": lambda: circle(1.0),
+    "ellipse": lambda: ellipse(2.0, 1.0),
+    "cubic-graph": lambda: polynomial_graph([0.1, 0.3, -0.2, 0.25], -1.0, 1.0),
+    "sampled-circle": sampled_circle,
+}
+
+
+@pytest.mark.parametrize("nodes", [64, 1024, 4096])
+@pytest.mark.parametrize("name", sorted(INVERSION_CURVES))
+def test_node_inversion_accuracy(monkeypatch, name, nodes):
+    solves = []
+    invert = geometry._invert_monotone
+
+    def recording(fn, dfn, t_lo, t_hi, targets):
+        t = invert(fn, dfn, t_lo, t_hi, targets)
+        solves.append((fn, dfn, np.asarray(targets), t))
+        return t
+
+    monkeypatch.setattr(geometry, "_invert_monotone", recording)
+    curve = INVERSION_CURVES[name]()
+    first = partition_curve(curve, nodes_per_patch=nodes)
+    second = partition_curve(curve, nodes_per_patch=nodes)
+
+    assert len(solves) == len(first) + len(second)
+    for fn, dfn, target, t in solves:
+        miss = np.abs(fn(t) - target)
+        # roundoff in local_x, plus half a float step in t: on ellipse(2,1)
+        # one step moves local_x by up to 6.3 eps, so no t does better
+        bound = 4 * EPS * np.maximum(1.0, np.abs(target)) + 0.5 * np.abs(dfn(t)) * np.spacing(t)
+        assert np.all(miss <= bound)
+
+    assert len(first) == len(second)
+    for pa, pb in zip(first, second):
+        assert pa.frame_angle == pb.frame_angle
+        for field in ("x1", "gamma", "gamma_prime", "mu"):
+            assert getattr(pa, field).tobytes() == getattr(pb, field).tobytes()
+
+
+def test_inversion_rejects_target_outside_window():
+    with pytest.raises(ValueError, match="1 of 3"):
+        geometry._invert_monotone(lambda t: t, np.ones_like, 0.0, 1.0, [0.25, 0.5, 1.5])
+
+
+def test_inversion_raises_when_not_converged(monkeypatch):
+    monkeypatch.setattr(geometry, "_INVERT_MAX_STEPS", 1)
+    with pytest.raises(ValueError, match="did not converge at 2 of 2"):
+        geometry._invert_monotone(np.exp, np.exp, 0.0, 1.0, np.exp([0.3, 0.6]))
+
+
+def sampled_shape(m):
+    ang = 2 * np.pi * np.arange(m) / m
+    return np.stack([2 * np.cos(ang) + 0.3 * np.cos(3 * ang),
+                     np.sin(ang) + 0.2 * np.sin(2 * ang)], axis=-1)
+
+
+@pytest.mark.parametrize("m", [4, 7, 64])
+def test_periodic_spline_interpolates_and_closes(m):
+    pts = sampled_shape(m)
+    curve = ParametricCurve.from_samples(pts)
+    at_knots = np.stack(curve.position(np.arange(m) / m), axis=-1)
+    assert np.max(np.abs(at_knots - pts)) <= 1e-15
+
+    def vel(t):
+        return np.stack(curve.velocity(np.asarray(t, dtype=float)), axis=-1)
+
+    end = np.nextafter(1.0, 0.0)
+    assert np.max(np.abs(np.subtract(curve.position(end), curve.position(0.0)))) <= 1e-12
+    assert np.max(np.abs(vel(end) - vel(0.0))) <= 1e-12
+    # velocity is quadratic on a segment, so three samples on the first and
+    # on the last segment give the second derivative at each end; the
+    # differencing multiplies roundoff by about 8 m, hence m <= 64 here
+    h = 1.0 / m
+    acc_end = (3 * vel(1.0) - 4 * vel(1.0 - h / 2) + vel(1.0 - h)) / h
+    acc_start = (-3 * vel(0.0) + 4 * vel(h / 2) - vel(h)) / h
+    assert np.max(np.abs(acc_end - acc_start)) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [4, 7, 64, 256])
+def test_periodic_spline_matches_scipy(m):
+    interpolate = pytest.importorskip("scipy.interpolate")
+    pts = sampled_shape(m)
+    ref = interpolate.CubicSpline(np.linspace(0.0, 1.0, m + 1), np.vstack([pts, pts[:1]]),
+                                  bc_type="periodic")
+    curve = ParametricCurve.from_samples(pts)
+    t = np.linspace(-1.0, 2.0, 3001)
+    assert np.max(np.abs(np.stack(curve.position(t), axis=-1) - ref(t % 1.0))) <= 1e-13
+    assert np.max(np.abs(np.stack(curve.velocity(t), axis=-1) - ref(t % 1.0, 1))) <= 1e-13
