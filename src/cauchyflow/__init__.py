@@ -19,8 +19,7 @@ from .manufactured import (FLOWS, PRESSURES, VISCOSITIES, AnalyticFlow,
                            AnalyticScalarField, CatalogTriple,
                            analytic_trace_slopes, builtin_catalog,
                            evaluate_traces, rigid_motion)
-from .traces import (ScalarTrace, VectorTrace, restrict_to_interior,
-                     tangential_derivative)
+from .traces import ScalarTrace, VectorTrace, tangential_derivative
 from .transform import (CauchyDN, CauchyStress, GradientTrace,
                         assemble_system, default_residual_tol, determinant,
                         dn_to_stress, gradient_from_dn,

@@ -77,6 +77,15 @@ def _numbered_paths(out_path: str, count: int) -> list[Path]:
     return [out.with_name(f"{out.stem}-p{k:02d}{out.suffix}") for k in range(count)]
 
 
+def _limit_error(residual_tol, max_slope=None) -> str | None:
+    """Why a --residual-tol or --max-slope value cannot be used; None if it can."""
+    if residual_tol is not None and not residual_tol >= 0:
+        return f"--residual-tol must be a non-negative number, got {residual_tol}"
+    if max_slope is not None and not max_slope > 0:
+        return f"--max-slope must be a positive number, got {max_slope}"
+    return None
+
+
 def _data_scale(arrays) -> float:
     return max(float(np.max(np.abs(a))) for a in arrays)
 
@@ -117,6 +126,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_convert(args) -> int:
+    if bad := _limit_error(args.residual_tol):
+        return _fail(EXIT_MALFORMED, bad)
     try:
         ds = dataio.read_dataset(args.input)
     except dataio.DatasetFormatError as exc:
@@ -163,6 +174,8 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if bad := _limit_error(args.residual_tol, args.max_slope):
+        return _fail(EXIT_MALFORMED, bad)
     try:
         ds = dataio.read_dataset(args.input)
     except dataio.DatasetFormatError as exc:

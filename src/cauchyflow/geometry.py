@@ -12,8 +12,11 @@ grid targets at once: a dense table of x brackets each target, and a
 vectorized Newton iteration (slope from the curve velocity, bisection when
 a step leaves its bracket) refines every node to the float that fits best.
 A target outside the tabulated window, or a node that does not converge,
-raises ValueError. Curves given by samples use a periodic cubic spline on
-uniform knots whose circulant system is solved with one FFT.
+raises ValueError. Every curve then gives gamma and gamma' at a node from
+its own position and velocity there, so no patch differentiates gamma
+numerically. Curves given by samples use a periodic cubic spline on
+uniform knots whose circulant system is solved with one FFT, and its
+velocity is the spline's exact derivative.
 
 Conventions:
   * orientation "below" means the fluid domain lies locally under the
@@ -141,10 +144,6 @@ class BoundaryPatch:
     @property
     def h(self) -> float:
         return float(self.x1[1] - self.x1[0])
-
-    @property
-    def theta(self) -> np.ndarray:
-        return theta(self.gamma_prime)
 
     @property
     def rotation(self) -> FrameRotation:
@@ -405,7 +404,6 @@ def partition_curve(curve: ParametricCurve, max_slope: float = 1.0,
         else:
             windows = _greedy_open_windows(s, phi, budget, ovl)
 
-    stencil_slope = curve.kind == "sampled-periodic"
     patches = []
     for sa, sb, frame in windows:
         ja = max(int(np.searchsorted(s_ext, sa, side="right")) - 1, 0)
@@ -416,7 +414,7 @@ def partition_curve(curve: ParametricCurve, max_slope: float = 1.0,
         t_a = float(np.interp(sa, s_ext, tt_ext))
         t_b = float(np.interp(sb, s_ext, tt_ext))
         patches.append(_build_patch(curve, frame, t_a, t_b, nodes_per_patch, mu,
-                                    orientation, max_slope, stencil_slope))
+                                    orientation, max_slope))
     return patches
 
 
@@ -480,44 +478,23 @@ def _greedy_open_windows(s, phi, budget, ovl):
         a_idx = min(max(nxt, a_idx + 1), last - 1)
 
 
-def _build_patch(curve, frame, t_a, t_b, n_nodes, mu, orientation, max_slope, stencil_slope):
+def _build_patch(curve, frame, t_a, t_b, n_nodes, mu, orientation, max_slope):
     c, s_ = math.cos(frame), math.sin(frame)
 
     def local_x(t):
         px, py = curve.position(t)
         return c * np.asarray(px, dtype=float) + s_ * np.asarray(py, dtype=float)
 
-    def local_y(t):
-        px, py = curve.position(t)
-        return -s_ * np.asarray(px, dtype=float) + c * np.asarray(py, dtype=float)
-
-    xa, xb = float(local_x(t_a)), float(local_x(t_b))
-    x1, h = uniform_grid(xa, xb, n_nodes)
-
-    if stencil_slope:
-        # sample two extra dyadic nodes per side so the slope stencil covers
-        # the whole stored grid; only closed curves reach this path
-        targets = x1[0] + h * np.arange(-MARGIN, n_nodes + MARGIN)
-        pad = (t_b - t_a) * (3.0 * MARGIN * h / max(xb - xa, h))
-        t_lo, t_hi = t_a - pad, t_b + pad
-    else:
-        targets = x1
-        t_lo, t_hi = t_a, t_b
-
     def local_dx(t):
         wx, wy = curve.velocity(t)
         return c * np.asarray(wx, dtype=float) + s_ * np.asarray(wy, dtype=float)
 
-    t_nodes = _invert_monotone(local_x, local_dx, t_lo, t_hi, targets)
-
-    if stencil_slope:
-        g_ext = local_y(t_nodes)
-        gamma = g_ext[MARGIN:-MARGIN]
-        gp = (g_ext[:-4] - 8.0 * g_ext[1:-3] + 8.0 * g_ext[3:-1] - g_ext[4:]) / (12.0 * h)
-    else:
-        gamma = local_y(t_nodes)
-        wx, wy = (np.asarray(v, dtype=float) for v in curve.velocity(t_nodes))
-        gp = (-s_ * wx + c * wy) / (c * wx + s_ * wy)
+    x1, _ = uniform_grid(float(local_x(t_a)), float(local_x(t_b)), n_nodes)
+    t_nodes = _invert_monotone(local_x, local_dx, t_a, t_b, x1)
+    px, py = (np.asarray(v, dtype=float) for v in curve.position(t_nodes))
+    wx, wy = (np.asarray(v, dtype=float) for v in curve.velocity(t_nodes))
+    gamma = -s_ * px + c * py
+    gp = (-s_ * wx + c * wy) / (c * wx + s_ * wy)
 
     if np.max(np.abs(gp)) > max_slope:
         raise ValueError("patch slope bound exceeded; increase samples or reduce max_slope")

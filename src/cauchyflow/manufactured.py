@@ -41,12 +41,10 @@ class AnalyticFlow:
 
 @dataclass(frozen=True)
 class AnalyticScalarField:
-    """Scalar field (pressure or viscosity) with closed-form first partials."""
+    """Scalar field (pressure or viscosity) given by its closed-form value."""
 
     name: str
     value: Callable
-    d1: Callable
-    d2: Callable
 
 
 def _const_field(c):
@@ -113,29 +111,17 @@ FLOWS = {
 }
 
 PRESSURES = {
-    "zero": AnalyticScalarField("zero", _const_field(0.0), _const_field(0.0), _const_field(0.0)),
+    "zero": AnalyticScalarField("zero", _const_field(0.0)),
     "linear": AnalyticScalarField(
         "linear",
         lambda x1, x2: np.asarray(x1, dtype=float) + 2.0 * np.asarray(x2, dtype=float),
-        _const_field(1.0),
-        _const_field(2.0),
     ),
-    "trig": AnalyticScalarField(
-        "trig",
-        lambda x1, x2: np.sin(x1 + x2),
-        lambda x1, x2: np.cos(x1 + x2),
-        lambda x1, x2: np.cos(x1 + x2),
-    ),
+    "trig": AnalyticScalarField("trig", lambda x1, x2: np.sin(x1 + x2)),
 }
 
 VISCOSITIES = {
-    "unit": AnalyticScalarField("unit", _const_field(1.0), _const_field(0.0), _const_field(0.0)),
-    "variable": AnalyticScalarField(
-        "variable",
-        lambda x1, x2: 2.0 + np.sin(x1) * np.cos(x2),
-        lambda x1, x2: np.cos(x1) * np.cos(x2),
-        lambda x1, x2: -np.sin(x1) * np.sin(x2),
-    ),
+    "unit": AnalyticScalarField("unit", _const_field(1.0)),
+    "variable": AnalyticScalarField("variable", lambda x1, x2: 2.0 + np.sin(x1) * np.cos(x2)),
 }
 
 
@@ -191,10 +177,11 @@ def evaluate_traces(flow: AnalyticFlow, pressure: AnalyticScalarField,
 
     u_local = np.stack([ug1, ug2], axis=-1) @ rot  # equals (rot.T @ u) per node
 
-    d1, d2 = normal_derivative_from_gradient(grad, patch.gamma_prime, patch.orientation)
+    d1, d2 = normal_derivative_from_gradient(grad, patch.gamma_prime)
     t1, t2 = traction_from_gradient(grad, patch.gamma_prime, mu_vals)
     if patch.orientation == "above":
-        t1, t2 = -t1, -t2
+        # the outward normal is reversed, and both quantities are linear in it
+        d1, d2, t1, t2 = -d1, -d2, -t1, -t2
 
     h = patch.h
     u_trace = VectorTrace.from_arrays(u_local[:, 0], u_local[:, 1], h)

@@ -82,11 +82,3 @@ def tangential_derivative(trace: ScalarTrace) -> ScalarTrace:
     d = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / (12.0 * trace.h)
     return ScalarTrace(d, trace.h)
 
-
-def restrict_to_interior(trace):
-    """Drop the two margin nodes at each end of a scalar or vector trace."""
-    if isinstance(trace, VectorTrace):
-        return VectorTrace(restrict_to_interior(trace.c1), restrict_to_interior(trace.c2))
-    if trace.n < 2 * MARGIN + 1:
-        raise ValueError("trace too short to restrict: needs at least 5 nodes")
-    return ScalarTrace(trace.values[MARGIN:-MARGIN], trace.h)

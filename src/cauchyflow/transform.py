@@ -166,16 +166,16 @@ def traction_from_gradient(grad: GradientTrace, gamma_prime, mu):
     return q1 / th, q2 / th
 
 
-def normal_derivative_from_gradient(grad: GradientTrace, gamma_prime, orientation: str = "below"):
-    """Normal derivative (nu . grad) u as (d1, d2), using d2 u2 = -f1."""
+def normal_derivative_from_gradient(grad: GradientTrace, gamma_prime):
+    """Normal derivative (nu . grad) u for a domain-below graph, as (d1, d2).
+
+    Uses d2 u2 = -f1. Callers with a domain-above patch negate the result,
+    as for traction_from_gradient.
+    """
     gp = np.asarray(gamma_prime, dtype=float)
     th = theta(gp)
     d1 = (-gp * grad.f1 + grad.f3) / th
     d2 = (-gp * grad.f2 - grad.f1) / th
-    if orientation == "above":
-        return -d1, -d2
-    if orientation != "below":
-        raise ValueError("orientation must be 'below' or 'above'")
     return d1, d2
 
 

@@ -102,20 +102,10 @@ def rotated_flow(flow, angle):
 
 def rotated_field(field, angle):
     """Scalar field carried along by a global rotation."""
-    rot = FrameRotation(angle)
+    back = FrameRotation(-angle)
 
-    def back(x1, x2):
-        q = rot.inverse().apply(np.stack(np.broadcast_arrays(x1, x2), axis=-1))
-        return q[..., 0], q[..., 1]
+    def value(x1, x2):
+        q = back.apply(np.stack(np.broadcast_arrays(x1, x2), axis=-1))
+        return field.value(q[..., 0], q[..., 1])
 
-    def grad(x1, x2):
-        q1, q2 = back(x1, x2)
-        g = np.stack(np.broadcast_arrays(field.d1(q1, q2), field.d2(q1, q2)), axis=-1)
-        return rot.apply(g)
-
-    return AnalyticScalarField(
-        name=f"{field.name}@{angle:g}",
-        value=lambda x1, x2: field.value(*back(x1, x2)),
-        d1=lambda x1, x2: grad(x1, x2)[..., 0],
-        d2=lambda x1, x2: grad(x1, x2)[..., 1],
-    )
+    return AnalyticScalarField(name=f"{field.name}@{angle:g}", value=value)

@@ -215,6 +215,27 @@ def test_verify_reports_skipped_checks_on_short_patch(tmp_path, capsys):
     assert "consistency and cross-format checks: skipped (4 nodes" in printed
 
 
+@pytest.mark.parametrize("command,option,value", [
+    ("convert", "--residual-tol", "nan"),
+    ("convert", "--residual-tol", "-1"),
+    ("verify", "--residual-tol", "nan"),
+    ("verify", "--residual-tol", "-1"),
+    ("verify", "--max-slope", "nan"),
+    ("verify", "--max-slope", "0"),
+    ("verify", "--max-slope", "-1"),
+])
+def test_malformed_limits_exit_3(tmp_path, capsys, command, option, value):
+    src = generate_couette(tmp_path)
+    if command == "convert":
+        args = ["convert", "dn-to-stress", "--in", src, "--out", tmp_path / "out.json"]
+    else:
+        args = ["verify", src]
+    capsys.readouterr()
+    assert run([*args, f"{option}={value}"]) == 3
+    assert option in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_verify_malformed(tmp_path):
     bad = tmp_path / "junk.json"
     bad.write_text("[1, 2, 3]")

@@ -268,13 +268,33 @@ def test_sampled_periodic_curve_partitions():
     assert len(patches) >= 4
     for p in patches:
         p.validate(max_slope=1.0)
-        # gamma' from the sampled-curve stencil still matches the circle shape
+        # gamma' from the spline velocity still matches the circle shape
         assert np.max(np.abs(p.gamma_prime)) <= 1.0 + 1e-10
 
 
-def sampled_circle():
-    ang = np.linspace(0.0, 2 * np.pi, 256, endpoint=False)
+def sampled_circle(w=0.0, m=256):
+    """Unit circle through m spline knots at angles 2 pi (u + w sin 2 pi u), u = k/m.
+
+    A nonzero w spaces the samples unevenly, so the spline's parameter runs
+    at a varying speed along the circle.
+    """
+    u = np.arange(m) / m
+    ang = 2 * np.pi * (u + w * np.sin(2 * np.pi * u))
     return ParametricCurve.from_samples(np.stack([np.cos(ang), np.sin(ang)], axis=-1))
+
+
+@pytest.mark.parametrize("nodes", [8, 16, 64, 256])
+@pytest.mark.parametrize("w", [0.0, 0.15])
+def test_sampled_circle_slope_from_velocity(w, nodes):
+    patches = partition_curve(sampled_circle(w), nodes_per_patch=nodes)
+    assert len(patches) >= 4
+    for p in patches:
+        p.validate(max_slope=1.0)
+        # the unit circle's tangent at a node's polar angle a is (-sin a,
+        # cos a); in the patch frame its slope is what gamma' should be
+        nodes_xy = p.nodes_global()
+        ang = np.arctan2(nodes_xy[:, 1], nodes_xy[:, 0]) - p.frame_angle
+        assert np.max(np.abs(p.gamma_prime + 1.0 / np.tan(ang))) <= 1e-5
 
 
 INVERSION_CURVES = {
@@ -282,6 +302,7 @@ INVERSION_CURVES = {
     "ellipse": lambda: ellipse(2.0, 1.0),
     "cubic-graph": lambda: polynomial_graph([0.1, 0.3, -0.2, 0.25], -1.0, 1.0),
     "sampled-circle": sampled_circle,
+    "warped-sampled-circle": lambda: sampled_circle(0.15),
 }
 
 

@@ -121,8 +121,7 @@ def test_rigid_motion_constructor():
 
 
 def test_nonpositive_viscosity_rejected():
-    bad = VISCOSITIES["unit"].__class__("bad", lambda x1, x2: 0.0 * x1 - 1.0,
-                                        lambda x1, x2: 0.0 * x1, lambda x1, x2: 0.0 * x1)
+    bad = VISCOSITIES["unit"].__class__("bad", lambda x1, x2: 0.0 * x1 - 1.0)
     patch = sine_patch(16)
     with pytest.raises(ValueError):
         evaluate_traces(FLOWS["couette"], PRESSURES["zero"], bad, patch)

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cauchyflow import (ScalarTrace, VectorTrace, restrict_to_interior,
-                        tangential_derivative, uniform_grid)
+from cauchyflow import (ScalarTrace, VectorTrace, tangential_derivative,
+                        uniform_grid)
 
 
 def trace_on(lo, hi, n, fn):
@@ -70,21 +70,6 @@ def test_too_short_rejected():
     t = ScalarTrace(np.zeros(4), 0.1)
     with pytest.raises(ValueError):
         tangential_derivative(t)
-    with pytest.raises(ValueError):
-        restrict_to_interior(t)
-
-
-def test_restrict_lengths():
-    assert restrict_to_interior(ScalarTrace(np.arange(9.0), 1.0)).n == 5
-    assert restrict_to_interior(ScalarTrace(np.arange(5.0), 1.0)).n == 1
-
-
-def test_restrict_vector_trace():
-    v = VectorTrace.from_arrays(np.arange(7.0), np.arange(7.0) ** 2, 0.5)
-    r = restrict_to_interior(v)
-    assert r.n == 3
-    assert np.array_equal(r.c1.values, [2.0, 3.0, 4.0])
-    assert np.array_equal(r.c2.values, [4.0, 9.0, 16.0])
 
 
 def test_vector_trace_requires_matching_grids():
