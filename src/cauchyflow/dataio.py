@@ -130,7 +130,11 @@ def _fmt(value) -> str:
 
 
 def _fmt_array(values) -> str:
-    return "[" + ", ".join(_fmt(v) for v in np.asarray(values, dtype=float)) + "]"
+    # one %-template for the whole array; "%.17g" prints exactly what _fmt does
+    arr = np.asarray(values, dtype=float)
+    if not np.isfinite(arr).all():
+        raise DatasetFormatError("cannot serialize non-finite value")
+    return "[" + ", ".join(["%.17g"] * arr.size) % tuple(arr.tolist()) + "]"
 
 
 def _patch_text(patch: BoundaryPatch, indent: str) -> str:
@@ -183,7 +187,7 @@ def _load_json(path):
 def _floats(values, key) -> np.ndarray:
     """A list of JSON numbers as floats; booleans and overflowing literals fail."""
     # type(), not isinstance: JSON true/false load as bool, a subclass of int
-    if not all(type(v) in (int, float) for v in values):
+    if not set(map(type, values)) <= {int, float}:
         raise DatasetFormatError(f"field {key!r} must hold numbers only")
     try:
         arr = np.asarray(values, dtype=float)

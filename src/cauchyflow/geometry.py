@@ -262,8 +262,8 @@ class ParametricCurve:
 
 def circle(radius: float) -> ParametricCurve:
     """Counterclockwise circle of the given radius, centered at the origin."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not 0 < radius < math.inf:
+        raise ValueError(f"radius must be a positive finite number, not {radius!r}")
     r = float(radius)
     two_pi = 2.0 * np.pi
 
@@ -280,8 +280,9 @@ def circle(radius: float) -> ParametricCurve:
 
 def ellipse(a: float, b: float) -> ParametricCurve:
     """Counterclockwise axis-aligned ellipse with semi-axes a and b."""
-    if a <= 0 or b <= 0:
-        raise ValueError("semi-axes must be positive")
+    for name, value in (("a", a), ("b", b)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"semi-axis {name} must be a positive finite number, not {value!r}")
     a, b = float(a), float(b)
     two_pi = 2.0 * np.pi
 
@@ -364,7 +365,8 @@ def partition_curve(curve: ParametricCurve, max_slope: float = 1.0,
     speed = np.hypot(vx, vy)
     if np.min(speed) <= 1e-12 * max(np.max(speed), 1.0):
         raise ValueError("curve is not regular: velocity vanishes at a sample node")
-    if curve.closed and math.hypot(x[0] - x[-1], y[0] - y[-1]) > 1e-12:
+    extent = max(1.0, float(np.max(np.abs(x))), float(np.max(np.abs(y))))
+    if curve.closed and math.hypot(x[0] - x[-1], y[0] - y[-1]) > 1e-12 * extent:
         raise ValueError("curve marked closed does not close up")
 
     phi = np.unwrap(np.arctan2(vy, vx))

@@ -149,9 +149,11 @@ def evaluate_traces(flow: AnalyticFlow, pressure: AnalyticScalarField,
     """Exact boundary data of an analytic flow on a patch.
 
     Evaluates velocity, velocity gradient, pressure and viscosity at the
-    patch nodes in the global frame, rotates them into the patch frame,
-    and derives the normal derivative and the traction through the
-    gradient-based boundary formulas. Returns mutually consistent
+    patch nodes in the global frame and rotates them into the patch frame;
+    the gradient is rotated entry by entry, forming only the three local
+    entries (f1, f2, f3) the boundary formulas read. It then derives the
+    normal derivative and the traction through the gradient-based
+    boundary formulas. Returns mutually consistent
     (CauchyDN, CauchyStress, GradientTrace); viscosity values come from
     the field, which should agree with patch.mu for later conversions.
     """
@@ -166,14 +168,14 @@ def evaluate_traces(flow: AnalyticFlow, pressure: AnalyticScalarField,
     ug1, ug2 = (np.asarray(v, dtype=float) * np.ones_like(xg) for v in flow.velocity(xg, yg))
     g11, g21, g12 = (np.asarray(v, dtype=float) * np.ones_like(xg) for v in flow.gradient(xg, yg))
 
-    jac = np.empty((patch.n, 2, 2))
-    jac[:, 0, 0] = g11
-    jac[:, 0, 1] = g12
-    jac[:, 1, 0] = g21
-    jac[:, 1, 1] = -g11
+    jac = ((g11, g12), (g21, -g11))
     rot = patch.rotation.matrix
-    jac_local = np.einsum("ij,njk,kl->nil", rot.T, jac, rot)
-    grad = GradientTrace(jac_local[:, 0, 0], jac_local[:, 1, 0], jac_local[:, 0, 1], p_vals)
+    # entry (i, l) of rot.T @ J @ rot, summed from 0, j-major, left to right:
+    # the rounding, signed zeros included, of a batched 3-operand contraction,
+    # so generated files keep their bytes
+    f1, f2, f3 = (sum(rot[j, i] * jac[j][k] * rot[k, l] for j in (0, 1) for k in (0, 1))
+                  for i, l in ((0, 0), (1, 0), (0, 1)))
+    grad = GradientTrace(f1, f2, f3, p_vals)
 
     u_local = np.stack([ug1, ug2], axis=-1) @ rot  # equals (rot.T @ u) per node
 

@@ -271,6 +271,20 @@ def test_partition_ellipse_cli(tmp_path):
     assert run(["partition", "--curve", "ellipse:2.0,1.0", "--out", out]) == 0
 
 
+@pytest.mark.parametrize("spec", ["circle:10000", "ellipse:1e5,1e4"])
+def test_partition_large_closed_curves(tmp_path, spec):
+    assert run(["partition", "--curve", spec, "--nodes", 16, "--out", tmp_path / "p.json"]) == 0
+
+
+@pytest.mark.parametrize("spec, name", [
+    ("circle:nan", "radius"), ("circle:inf", "radius"),
+    ("ellipse:2,nan", "semi-axis b"), ("ellipse:inf,1", "semi-axis a"),
+])
+def test_partition_rejects_nonfinite_size(tmp_path, capsys, spec, name):
+    assert run(["partition", "--curve", spec, "--out", tmp_path / "p.json"]) == 3
+    assert name in capsys.readouterr().err
+
+
 def test_partition_invalid_slope(tmp_path):
     code = run(["partition", "--curve", "circle:1.0", "--max-slope", 0,
                 "--out", tmp_path / "p.json"])

@@ -258,6 +258,13 @@ def test_partition_rejects_open_curve_marked_closed():
         kind="analytic-closed-form")
     with pytest.raises(ValueError, match="close"):
         partition_curve(broken, nodes_per_patch=16)
+    # the closure tolerance scales with the curve's extent, but stays tight:
+    # a radius-1e4 circle whose end misses its start by about 6e-6
+    ring = circle(1e4)
+    shrunk = ParametricCurve(lambda t: ring.position((1 - 1e-10) * np.asarray(t, dtype=float)),
+                             lambda t: ring.velocity((1 - 1e-10) * np.asarray(t, dtype=float)))
+    with pytest.raises(ValueError, match="close"):
+        partition_curve(shrunk, nodes_per_patch=16)
 
 
 def test_sampled_periodic_curve_partitions():

@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from cauchyflow import (FLOWS, PRESSURES, VISCOSITIES, ScalarTrace,
-                        analytic_trace_slopes, builtin_catalog,
-                        evaluate_traces, normal_at, rigid_motion,
-                        stress_to_dn, tangential_derivative)
+                        analytic_trace_slopes, builtin_catalog, circle,
+                        ellipse, evaluate_traces, normal_at,
+                        partition_curve, rigid_motion, stress_to_dn,
+                        tangential_derivative)
 from helpers import flat_patch, sine_patch
 
 
@@ -125,3 +128,34 @@ def test_nonpositive_viscosity_rejected():
     patch = sine_patch(16)
     with pytest.raises(ValueError):
         evaluate_traces(FLOWS["couette"], PRESSURES["zero"], bad, patch)
+
+
+@pytest.mark.parametrize("orientation", ["below", "above"])
+@pytest.mark.parametrize("curve", [circle(1.0), ellipse(2.0, 1.0)], ids=["circle:1", "ellipse:2,1"])
+def test_gradient_rotation_on_rotated_patches(curve, orientation):
+    # reference: stack the global Jacobian and rotate it with matmul
+    eps = np.finfo(float).eps
+    patches = partition_curve(curve, nodes_per_patch=32)
+    assert sum(p.frame_angle != 0.0 for p in patches) >= 3
+    for patch in patches:
+        patch = dataclasses.replace(patch, orientation=orientation)
+        xg, yg = patch.nodes_global().T
+        rot = patch.rotation.matrix
+        for flow in FLOWS.values():
+            _, _, grad = evaluate_traces(flow, PRESSURES["zero"], VISCOSITIES["unit"], patch)
+            g11, g21, g12 = (np.broadcast_to(v, xg.shape) for v in flow.gradient(xg, yg))
+            jac = np.stack([np.stack([g11, g12], axis=-1), np.stack([g21, -g11], axis=-1)], axis=-2)
+            ref = np.matmul(np.matmul(rot.T, jac), rot)
+            tol = 4 * eps * np.max(np.abs(jac))
+            for got, (i, l) in ((grad.f1, (0, 0)), (grad.f2, (1, 0)), (grad.f3, (0, 1))):
+                assert np.max(np.abs(got - ref[:, i, l])) <= tol, (flow.name, i, l)
+
+
+def test_oracle_rotates_without_einsum(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("oracle reached np.einsum")
+
+    monkeypatch.setattr(np, "einsum", forbidden)
+    flow, pres, visc = FLOWS["trig"], PRESSURES["trig"], VISCOSITIES["variable"]
+    for patch in partition_curve(ellipse(2.0, 1.0), nodes_per_patch=16):
+        evaluate_traces(flow, pres, visc, patch)
