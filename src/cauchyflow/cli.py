@@ -115,12 +115,15 @@ def _cmd_generate(args) -> int:
     paths = _numbered_paths(args.out, len(patches))
     csv_paths = _numbered_paths(args.csv, len(patches)) if args.csv else None
     for k, (patch, path) in enumerate(zip(patches, paths)):
-        dn, stress, _ = manufactured.evaluate_traces(flow, pressure, viscosity, patch)
-        ds = dataio.dataset_from_traces(patch, dn=dn, stress=stress,
-                                        provenance=provenance | {"patch_index": str(k)})
-        dataio.write_dataset(path, ds)
-        if csv_paths:
-            dataio.write_csv(csv_paths[k], ds)
+        try:
+            dn, stress, _ = manufactured.evaluate_traces(flow, pressure, viscosity, patch)
+            ds = dataio.dataset_from_traces(patch, dn=dn, stress=stress,
+                                            provenance=provenance | {"patch_index": str(k)})
+            dataio.write_dataset(path, ds)
+            if csv_paths:
+                dataio.write_csv(csv_paths[k], ds)
+        except ValueError as exc:  # DatasetFormatError included: non-finite oracle values
+            return _fail(EXIT_MALFORMED, f"patch {k}: {exc}")
         print(f"wrote {path} ({patch.n} nodes, data_kind=both)")
     return EXIT_OK
 

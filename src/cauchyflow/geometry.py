@@ -109,6 +109,16 @@ def uniform_grid(lo: float, hi: float, n: int) -> tuple[np.ndarray, float]:
     return x, h
 
 
+def on_grid(values, x) -> np.ndarray:
+    """`values` as a float array shaped like the grid `x`.
+
+    Constants and other lower-rank values are broadcast into a new array;
+    values already of the grid's shape are returned as they are.
+    """
+    values = np.asarray(values, dtype=float)
+    return values if values.shape == x.shape else np.broadcast_to(values, x.shape).copy()
+
+
 @dataclass(frozen=True, eq=False)
 class BoundaryPatch:
     """Boundary arc x2 = gamma(x1) sampled in a rotated local frame.
@@ -329,9 +339,9 @@ def graph_patch(gamma, gamma_prime, lo: float, hi: float, n: int, *,
     be a constant or a callable of the global coordinates.
     """
     x, _ = uniform_grid(lo, hi, n)
-    g = np.asarray(gamma(x) if callable(gamma) else gamma, dtype=float) * np.ones_like(x)
-    gp = np.asarray(gamma_prime(x) if callable(gamma_prime) else gamma_prime, dtype=float) * np.ones_like(x)
-    mu_vals = np.asarray(mu(x, g) if callable(mu) else mu, dtype=float) * np.ones_like(x)
+    g = on_grid(gamma(x) if callable(gamma) else gamma, x)
+    gp = on_grid(gamma_prime(x) if callable(gamma_prime) else gamma_prime, x)
+    mu_vals = on_grid(mu(x, g) if callable(mu) else mu, x)
     return BoundaryPatch(0.0, x, g, gp, mu_vals, orientation)
 
 
@@ -503,7 +513,7 @@ def _build_patch(curve, frame, t_a, t_b, n_nodes, mu, orientation, max_slope):
 
     xg = c * x1 - s_ * gamma
     yg = s_ * x1 + c * gamma
-    mu_vals = np.asarray(mu(xg, yg) if callable(mu) else mu, dtype=float) * np.ones_like(x1)
+    mu_vals = on_grid(mu(xg, yg) if callable(mu) else mu, x1)
     return BoundaryPatch(frame, x1, gamma, gp, mu_vals, orientation)
 
 

@@ -1,9 +1,9 @@
 """Analytic divergence-free flows with exact boundary traces.
 
 Every flow is built from a stream function psi, so u = (d2 psi, -d1 psi)
-is divergence free by construction rather than by assertion. Partials are
-hand-coded per entry, keeping the oracle independent of the numerical
-differentiation it is used to test.
+is divergence free by construction rather than by assertion. Velocity and
+its partials are hand-coded in one closed form per flow, keeping the oracle
+independent of the numerical differentiation it is used to test.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import BoundaryPatch
+from .geometry import BoundaryPatch, on_grid
 from .traces import ScalarTrace, VectorTrace
 from .transform import CauchyDN, CauchyStress, GradientTrace, \
     normal_derivative_from_gradient, traction_from_gradient
@@ -21,22 +21,22 @@ from .transform import CauchyDN, CauchyStress, GradientTrace, \
 
 @dataclass(frozen=True)
 class AnalyticFlow:
-    """Velocity field u = (d2 psi, -d1 psi) with closed-form psi partials."""
+    """Velocity field u = (d2 psi, -d1 psi) evaluated in one closed form.
+
+    `fields(x1, x2)` returns (u1, u2, d1 u1, d1 u2, d2 u1) as float arrays
+    of the node shape, computing shared subexpressions once; d2 u2 = -d1 u1.
+    """
 
     name: str
     psi: Callable
-    psi_1: Callable
-    psi_2: Callable
-    psi_11: Callable
-    psi_12: Callable
-    psi_22: Callable
+    fields: Callable
 
     def velocity(self, x1, x2):
-        return self.psi_2(x1, x2), -self.psi_1(x1, x2)
+        return self.fields(x1, x2)[:2]
 
     def gradient(self, x1, x2):
         """Velocity-gradient entries (d1 u1, d1 u2, d2 u1); d2 u2 = -d1 u1."""
-        return self.psi_12(x1, x2), -self.psi_11(x1, x2), self.psi_22(x1, x2)
+        return self.fields(x1, x2)[2:]
 
 
 @dataclass(frozen=True)
@@ -56,58 +56,55 @@ def _const_field(c):
     return f
 
 
+def _floats(x1, x2):
+    return np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
+
+
+def _full(x, *values):
+    return tuple(np.full_like(x, v) for v in values)
+
+
 def rigid_motion(a: float = 0.0, b: float = 0.0, omega: float = 1.0,
                  name: str = "rigid-motion") -> AnalyticFlow:
     """Translation plus rotation u = (a + omega x2, b - omega x1); zero strain."""
+    c = float(omega)
+
+    def fields(x1, x2):
+        x1, x2 = _floats(x1, x2)
+        return a + omega * x2, -(-b + omega * x1), *_full(x1, 0.0, -c, c)
+
     return AnalyticFlow(
-        name=name,
-        psi=lambda x1, x2: a * x2 - b * x1 + 0.5 * omega * (x1 ** 2 + x2 ** 2),
-        psi_1=lambda x1, x2: -b + omega * np.asarray(x1, dtype=float),
-        psi_2=lambda x1, x2: a + omega * np.asarray(x2, dtype=float),
-        psi_11=_const_field(omega),
-        psi_12=_const_field(0.0),
-        psi_22=_const_field(omega),
-    )
+        name, lambda x1, x2: a * x2 - b * x1 + 0.5 * omega * (x1 ** 2 + x2 ** 2), fields)
+
+
+def _couette(x1, x2):
+    x1, x2 = _floats(x1, x2)
+    return x2, *_full(x1, -0.0, 0.0, -0.0, 1.0)
+
+
+def _stagnation(x1, x2):
+    x1, x2 = _floats(x1, x2)
+    return x1, -x2, *_full(x1, 1.0, -0.0, 0.0)
+
+
+def _cubic(x1, x2):
+    x1, x2 = _floats(x1, x2)
+    d1u1 = 2.0 * x1
+    return x1 ** 2, -(d1u1 * x2), d1u1, -(2.0 * x2), *_full(x1, 0.0)
+
+
+def _trig(x1, x2):
+    s1, c1, s2, c2 = np.sin(x1), np.cos(x1), np.sin(x2), np.cos(x2)
+    d1u2 = s1 * c2
+    return -(s1 * s2), -(c1 * c2), -(c1 * s2), d1u2, -d1u2
 
 
 FLOWS = {
     "rigid-rotation": rigid_motion(name="rigid-rotation"),
-    "couette": AnalyticFlow(
-        name="couette",
-        psi=lambda x1, x2: 0.5 * x2 ** 2,
-        psi_1=_const_field(0.0),
-        psi_2=lambda x1, x2: np.asarray(x2, dtype=float),
-        psi_11=_const_field(0.0),
-        psi_12=_const_field(0.0),
-        psi_22=_const_field(1.0),
-    ),
-    "stagnation": AnalyticFlow(
-        name="stagnation",
-        psi=lambda x1, x2: x1 * x2,
-        psi_1=lambda x1, x2: np.asarray(x2, dtype=float),
-        psi_2=lambda x1, x2: np.asarray(x1, dtype=float),
-        psi_11=_const_field(0.0),
-        psi_12=_const_field(1.0),
-        psi_22=_const_field(0.0),
-    ),
-    "cubic": AnalyticFlow(
-        name="cubic",
-        psi=lambda x1, x2: x1 ** 2 * x2,
-        psi_1=lambda x1, x2: 2.0 * x1 * x2,
-        psi_2=lambda x1, x2: np.asarray(x1, dtype=float) ** 2,
-        psi_11=lambda x1, x2: 2.0 * np.asarray(x2, dtype=float),
-        psi_12=lambda x1, x2: 2.0 * np.asarray(x1, dtype=float),
-        psi_22=_const_field(0.0),
-    ),
-    "trig": AnalyticFlow(
-        name="trig",
-        psi=lambda x1, x2: np.sin(x1) * np.cos(x2),
-        psi_1=lambda x1, x2: np.cos(x1) * np.cos(x2),
-        psi_2=lambda x1, x2: -np.sin(x1) * np.sin(x2),
-        psi_11=lambda x1, x2: -np.sin(x1) * np.cos(x2),
-        psi_12=lambda x1, x2: -np.cos(x1) * np.sin(x2),
-        psi_22=lambda x1, x2: -np.sin(x1) * np.cos(x2),
-    ),
+    "couette": AnalyticFlow("couette", lambda x1, x2: 0.5 * x2 ** 2, _couette),
+    "stagnation": AnalyticFlow("stagnation", lambda x1, x2: x1 * x2, _stagnation),
+    "cubic": AnalyticFlow("cubic", lambda x1, x2: x1 ** 2 * x2, _cubic),
+    "trig": AnalyticFlow("trig", lambda x1, x2: np.sin(x1) * np.cos(x2), _trig),
 }
 
 PRESSURES = {
@@ -160,13 +157,12 @@ def evaluate_traces(flow: AnalyticFlow, pressure: AnalyticScalarField,
     nodes = patch.nodes_global()
     xg, yg = nodes[:, 0], nodes[:, 1]
 
-    mu_vals = np.asarray(viscosity.value(xg, yg), dtype=float) * np.ones_like(xg)
-    if np.any(mu_vals <= 0):
+    mu_vals = on_grid(viscosity.value(xg, yg), xg)
+    if not np.all(mu_vals > 0):
         raise ValueError("viscosity field is not positive on the patch")
-    p_vals = np.asarray(pressure.value(xg, yg), dtype=float) * np.ones_like(xg)
+    p_vals = on_grid(pressure.value(xg, yg), xg)
 
-    ug1, ug2 = (np.asarray(v, dtype=float) * np.ones_like(xg) for v in flow.velocity(xg, yg))
-    g11, g21, g12 = (np.asarray(v, dtype=float) * np.ones_like(xg) for v in flow.gradient(xg, yg))
+    ug1, ug2, g11, g21, g12 = (on_grid(v, xg) for v in flow.fields(xg, yg))
 
     jac = ((g11, g12), (g21, -g11))
     rot = patch.rotation.matrix

@@ -68,7 +68,10 @@ def local_poly_interp(x_nodes, y_nodes, x, k=8):
 
 
 def rotated_flow(flow, angle):
-    """The flow carried along by a global rotation: u'(x) = R u(R^T x)."""
+    """The flow carried along by a global rotation: u'(x) = R u(R^T x).
+
+    Its Jacobian is R J(R^T x) R^T, with J built from the base flow's fields.
+    """
     rot = FrameRotation(angle)
     r = rot.matrix
 
@@ -76,28 +79,14 @@ def rotated_flow(flow, angle):
         q = rot.inverse().apply(np.stack(np.broadcast_arrays(x1, x2), axis=-1))
         return q[..., 0], q[..., 1]
 
-    def hess(x1, x2):
-        q1, q2 = back(x1, x2)
-        h = np.empty(np.shape(q1) + (2, 2))
-        h[..., 0, 0] = flow.psi_11(q1, q2)
-        h[..., 0, 1] = h[..., 1, 0] = flow.psi_12(q1, q2)
-        h[..., 1, 1] = flow.psi_22(q1, q2)
-        return np.einsum("ij,...jk,lk->...il", r, h, r)
+    def fields(x1, x2):
+        u1, u2, g11, g21, g12 = np.broadcast_arrays(*flow.fields(*back(x1, x2)))
+        u = rot.apply(np.stack([u1, u2], axis=-1))
+        jac = np.stack([np.stack([g11, g12], axis=-1), np.stack([g21, -g11], axis=-1)], axis=-2)
+        jac = r @ jac @ r.T
+        return u[..., 0], u[..., 1], jac[..., 0, 0], jac[..., 1, 0], jac[..., 0, 1]
 
-    def grad(x1, x2):
-        q1, q2 = back(x1, x2)
-        g = np.stack(np.broadcast_arrays(flow.psi_1(q1, q2), flow.psi_2(q1, q2)), axis=-1)
-        return rot.apply(g)
-
-    return AnalyticFlow(
-        name=f"{flow.name}@{angle:g}",
-        psi=lambda x1, x2: flow.psi(*back(x1, x2)),
-        psi_1=lambda x1, x2: grad(x1, x2)[..., 0],
-        psi_2=lambda x1, x2: grad(x1, x2)[..., 1],
-        psi_11=lambda x1, x2: hess(x1, x2)[..., 0, 0],
-        psi_12=lambda x1, x2: hess(x1, x2)[..., 0, 1],
-        psi_22=lambda x1, x2: hess(x1, x2)[..., 1, 1],
-    )
+    return AnalyticFlow(f"{flow.name}@{angle:g}", lambda x1, x2: flow.psi(*back(x1, x2)), fields)
 
 
 def rotated_field(field, angle):

@@ -65,6 +65,20 @@ def test_generate_malformed_curve(tmp_path):
         assert code == 3, spec
 
 
+def test_generate_overflow_exits_3_without_traceback(tmp_path):
+    # the cubic flow overflows on a radius-1e200 circle; the writer refuses inf
+    env = os.environ | {"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", "cauchyflow", "generate", "--flow", "cubic",
+         "--pressure", "linear", "--viscosity", "unit", "--curve", "circle:1e200",
+         "--nodes", "16", "--out", str(tmp_path / "x.json")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 3, done.stderr
+    assert "Traceback" not in done.stderr
+    assert "error: patch 0: cannot serialize non-finite value" in done.stderr
+    assert not list(tmp_path.iterdir())
+
+
 def test_generate_circle_writes_one_file_per_patch(tmp_path):
     out = tmp_path / "ring.json"
     code = run(["generate", "--flow", "stagnation", "--pressure", "linear",

@@ -1,13 +1,15 @@
+import collections
 import dataclasses
 
 import numpy as np
 import pytest
 
-from cauchyflow import (FLOWS, PRESSURES, VISCOSITIES, ScalarTrace,
-                        analytic_trace_slopes, builtin_catalog, circle,
+from cauchyflow import (FLOWS, PRESSURES, VISCOSITIES, AnalyticScalarField,
+                        ScalarTrace, analytic_trace_slopes, builtin_catalog, circle,
                         ellipse, evaluate_traces, normal_at,
                         partition_curve, rigid_motion, stress_to_dn,
                         tangential_derivative)
+from cauchyflow import manufactured
 from helpers import flat_patch, sine_patch
 
 
@@ -128,6 +130,85 @@ def test_nonpositive_viscosity_rejected():
     patch = sine_patch(16)
     with pytest.raises(ValueError):
         evaluate_traces(FLOWS["couette"], PRESSURES["zero"], bad, patch)
+
+
+def test_nan_viscosity_rejected():
+    bad = AnalyticScalarField("nan", lambda x1, x2: np.where(x1 > 0.5, np.nan, 1.0))
+    with pytest.raises(ValueError, match="not positive"):
+        evaluate_traces(FLOWS["couette"], PRESSURES["zero"], bad, sine_patch(16))
+
+
+def _const(c):
+    return lambda x1, x2: np.full_like(np.asarray(x1, dtype=float), c)
+
+
+def _rigid_partials(a, b, omega):
+    return (lambda x1, x2: -b + omega * np.asarray(x1, dtype=float),
+            lambda x1, x2: a + omega * np.asarray(x2, dtype=float),
+            _const(omega), _const(0.0), _const(omega))
+
+
+# Each flow's stream-function partials (psi_1, psi_2, psi_11, psi_12, psi_22),
+# evaluated one by one: the definition `fields` must reproduce bit for bit.
+PSI_PARTIALS = {
+    "rigid-rotation": _rigid_partials(0.0, 0.0, 1.0),
+    "couette": (_const(0.0), lambda x1, x2: np.asarray(x2, dtype=float),
+                _const(0.0), _const(0.0), _const(1.0)),
+    "stagnation": (lambda x1, x2: np.asarray(x2, dtype=float),
+                   lambda x1, x2: np.asarray(x1, dtype=float),
+                   _const(0.0), _const(1.0), _const(0.0)),
+    "cubic": (lambda x1, x2: 2.0 * x1 * x2,
+              lambda x1, x2: np.asarray(x1, dtype=float) ** 2,
+              lambda x1, x2: 2.0 * np.asarray(x2, dtype=float),
+              lambda x1, x2: 2.0 * np.asarray(x1, dtype=float),
+              _const(0.0)),
+    "trig": (lambda x1, x2: np.cos(x1) * np.cos(x2),
+             lambda x1, x2: -np.sin(x1) * np.sin(x2),
+             lambda x1, x2: -np.sin(x1) * np.cos(x2),
+             lambda x1, x2: -np.cos(x1) * np.sin(x2),
+             lambda x1, x2: -np.sin(x1) * np.cos(x2)),
+}
+
+
+@pytest.mark.parametrize("flow, partials", [
+    *(pytest.param(FLOWS[name], PSI_PARTIALS[name], id=name) for name in sorted(FLOWS)),
+    pytest.param(rigid_motion(1.0, 3.0, 2.0), _rigid_partials(1.0, 3.0, 2.0), id="rigid:1,3,2"),
+    pytest.param(rigid_motion(0.0, -0.0, -1.0), _rigid_partials(0.0, -0.0, -1.0), id="rigid:0,-0,-1"),
+])
+def test_fields_bitwise_equal_to_psi_partials(flow, partials):
+    axis = np.array([-0.0, 0.0, 5e-324, -1e-300, 0.5, -0.75, 1.0, -2.0, np.pi, -np.pi / 2, 3e5])
+    x1, x2 = (a.ravel() for a in np.meshgrid(axis, axis))
+    psi_1, psi_2, psi_11, psi_12, psi_22 = (f(x1, x2) for f in partials)
+    want = (psi_2, -psi_1, psi_12, -psi_11, psi_22)
+    got = flow.fields(x1, x2)
+    assert len(got) == 5
+    for k, (g, w) in enumerate(zip(got, want)):
+        assert g.dtype == np.float64 and g.shape == x1.shape, k
+        assert np.array_equal(g, w), k
+        assert np.array_equal(np.signbit(g), np.signbit(w)), k
+    assert all(np.array_equal(g, w) for g, w in zip(flow.velocity(x1, x2), want[:2]))
+    assert all(np.array_equal(g, w) for g, w in zip(flow.gradient(x1, x2), want[2:]))
+
+
+def test_trig_fields_evaluate_sin_and_cos_once_per_coordinate(monkeypatch):
+    calls = collections.Counter()
+
+    class CountingNumpy:
+        def __getattr__(self, attr):
+            value = getattr(np, attr)
+            if attr not in ("sin", "cos"):
+                return value
+
+            def counted(*args, **kwargs):
+                calls[attr] += 1
+                return value(*args, **kwargs)
+
+            return counted
+
+    monkeypatch.setattr(manufactured, "np", CountingNumpy())
+    x = np.linspace(-2.0, 2.0, 9)
+    FLOWS["trig"].fields(x, x[::-1])
+    assert calls == {"sin": 2, "cos": 2}
 
 
 @pytest.mark.parametrize("orientation", ["below", "above"])
