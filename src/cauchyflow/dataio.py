@@ -22,7 +22,6 @@ Dataset schema (format_version 1):
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -269,20 +268,18 @@ def read_patch_set(path) -> list[BoundaryPatch]:
 
 
 def write_csv(path, ds: Dataset) -> None:
-    """Flat export with one row per node; absent columns stay empty."""
-    present = ds.arrays
+    """Flat export with one row per node; absent columns stay empty.
+
+    Rows end in CRLF, as the csv module writes them.
+    """
+    present = ds.arrays | {"x1": ds.patch.x1, "gamma": ds.patch.gamma,
+                           "gamma_prime": ds.patch.gamma_prime, "mu": ds.patch.mu}
+    columns = [present.get(name) for name in _CSV_COLUMNS]
+    values = np.stack([c for c in columns if c is not None], axis=-1)
+    if not np.isfinite(values).all():
+        raise DatasetFormatError("cannot serialize non-finite value")
+    # one %-template per row, as in _fmt_array; "%.17g" prints what _fmt does
+    row = ",".join("" if c is None else "%.17g" for c in columns) + "\r\n"
+    text = ",".join(_CSV_COLUMNS) + "\r\n" + (row * ds.patch.n) % tuple(values.ravel().tolist())
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_CSV_COLUMNS)
-        patch_cols = {"x1": ds.patch.x1, "gamma": ds.patch.gamma,
-                      "gamma_prime": ds.patch.gamma_prime, "mu": ds.patch.mu}
-        for i in range(ds.patch.n):
-            row = []
-            for name in _CSV_COLUMNS:
-                if name in patch_cols:
-                    row.append(_fmt(patch_cols[name][i]))
-                elif name in present:
-                    row.append(_fmt(present[name][i]))
-                else:
-                    row.append("")
-            writer.writerow(row)
+        handle.write(text)

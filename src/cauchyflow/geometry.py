@@ -392,9 +392,11 @@ def partition_curve(curve: ParametricCurve, max_slope: float = 1.0,
 
     # windows: (arc start, arc end, frame angle or None for "use phi midrange")
     if curve.closed:
-        w = x * vy - y * vx
-        area = 0.5 * float(np.sum(0.5 * (w[1:] + w[:-1]) * np.diff(tt)))
-        orientation = "above" if area > 0 else "below"
+        # the signed area's sign, from positions and velocities scaled by
+        # powers of two: exact, and the products can no longer overflow
+        (px, py), (wx, wy) = _unit_scaled(x, y), _unit_scaled(vx, vy)
+        w = px * wy - py * wx
+        orientation = "above" if np.sum(0.5 * (w[1:] + w[:-1]) * np.diff(tt)) > 0 else "below"
         s_ext = np.concatenate((s, s[1:] + arc_len))
         phi_ext = np.concatenate((phi, phi[1:] + (phi[-1] - phi[0])))
         tt_ext = np.concatenate((tt, tt[1:] + 1.0))
@@ -428,6 +430,13 @@ def partition_curve(curve: ParametricCurve, max_slope: float = 1.0,
         patches.append(_build_patch(curve, frame, t_a, t_b, nodes_per_patch, mu,
                                     orientation, max_slope))
     return patches
+
+
+def _unit_scaled(a, b):
+    """a and b times the power of two that brings max(|a|, |b|) into [0.5, 1)."""
+    peak = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))))
+    scale = math.ldexp(1.0, -math.frexp(peak)[1])
+    return a * scale, b * scale
 
 
 def _max_window_lengths(s, phi, budget, n_starts, cap):

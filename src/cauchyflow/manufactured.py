@@ -4,6 +4,10 @@ Every flow is built from a stream function psi, so u = (d2 psi, -d1 psi)
 is divergence free by construction rather than by assertion. Velocity and
 its partials are hand-coded in one closed form per flow, keeping the oracle
 independent of the numerical differentiation it is used to test.
+
+Every field is pointwise, so `evaluate_traces` evaluates a patch in
+cache-sized node blocks on all available CPUs (traces.blockwise); its
+output does not depend on the block size or the CPU count.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import BoundaryPatch, on_grid
-from .traces import ScalarTrace, VectorTrace
+from .traces import ScalarTrace, VectorTrace, blockwise
 from .transform import CauchyDN, CauchyStress, GradientTrace, \
     normal_derivative_from_gradient, traction_from_gradient
 
@@ -25,6 +29,8 @@ class AnalyticFlow:
 
     `fields(x1, x2)` returns (u1, u2, d1 u1, d1 u2, d2 u1) as float arrays
     of the node shape, computing shared subexpressions once; d2 u2 = -d1 u1.
+    It must be pointwise in (x1, x2): each node's values depend on that
+    node's coordinates alone, as the oracle evaluates nodes in blocks.
     """
 
     name: str
@@ -41,7 +47,10 @@ class AnalyticFlow:
 
 @dataclass(frozen=True)
 class AnalyticScalarField:
-    """Scalar field (pressure or viscosity) given by its closed-form value."""
+    """Scalar field (pressure or viscosity) given by its closed-form value.
+
+    `value(x1, x2)` must be pointwise in (x1, x2), as for AnalyticFlow.
+    """
 
     name: str
     value: Callable
@@ -141,6 +150,9 @@ def builtin_catalog() -> list[CatalogTriple]:
     return triples
 
 
+_ORACLE_OUTPUTS = ("u1", "u2", "dnu1", "dnu2", "p", "t1", "t2", "f1", "f2", "f3")
+
+
 def evaluate_traces(flow: AnalyticFlow, pressure: AnalyticScalarField,
                     viscosity: AnalyticScalarField, patch: BoundaryPatch):
     """Exact boundary data of an analytic flow on a patch.
@@ -153,39 +165,54 @@ def evaluate_traces(flow: AnalyticFlow, pressure: AnalyticScalarField,
     boundary formulas. Returns mutually consistent
     (CauchyDN, CauchyStress, GradientTrace); viscosity values come from
     the field, which should agree with patch.mu for later conversions.
+
+    The nodes are evaluated in blocks (see traces.blockwise). Raises
+    ValueError if the viscosity is not positive, or naming the first
+    output that is not finite, e.g. where the fields overflow.
     """
-    nodes = patch.nodes_global()
-    xg, yg = nodes[:, 0], nodes[:, 1]
+    rotation = patch.rotation
+    rot = rotation.matrix
+    above = patch.orientation == "above"
 
-    mu_vals = on_grid(viscosity.value(xg, yg), xg)
-    if not np.all(mu_vals > 0):
-        raise ValueError("viscosity field is not positive on the patch")
-    p_vals = on_grid(pressure.value(xg, yg), xg)
+    def kernel(x1, gamma, gamma_prime):
+        with np.errstate(over="ignore", invalid="ignore"):
+            nodes = rotation.apply(np.stack([x1, gamma], axis=-1))  # patch.nodes_global()
+            xg, yg = nodes[:, 0], nodes[:, 1]
+            mu_vals = on_grid(viscosity.value(xg, yg), xg)
+            if not np.all(mu_vals > 0):
+                raise ValueError("viscosity field is not positive on the patch")
+            p_vals = on_grid(pressure.value(xg, yg), xg)
+            ug1, ug2, g11, g21, g12 = (on_grid(v, xg) for v in flow.fields(xg, yg))
 
-    ug1, ug2, g11, g21, g12 = (on_grid(v, xg) for v in flow.fields(xg, yg))
+            jac = ((g11, g12), (g21, -g11))
+            # entry (i, l) of rot.T @ J @ rot, summed from 0, j-major, left to
+            # right: the rounding, signed zeros included, of a batched 3-operand
+            # contraction, so generated files keep their bytes
+            f1, f2, f3 = (sum(rot[j, i] * jac[j][k] * rot[k, l] for j in (0, 1) for k in (0, 1))
+                          for i, l in ((0, 0), (1, 0), (0, 1)))
+            grad = GradientTrace(f1, f2, f3, p_vals)
+            u_local = np.stack([ug1, ug2], axis=-1) @ rot  # equals (rot.T @ u) per node
 
-    jac = ((g11, g12), (g21, -g11))
-    rot = patch.rotation.matrix
-    # entry (i, l) of rot.T @ J @ rot, summed from 0, j-major, left to right:
-    # the rounding, signed zeros included, of a batched 3-operand contraction,
-    # so generated files keep their bytes
-    f1, f2, f3 = (sum(rot[j, i] * jac[j][k] * rot[k, l] for j in (0, 1) for k in (0, 1))
-                  for i, l in ((0, 0), (1, 0), (0, 1)))
-    grad = GradientTrace(f1, f2, f3, p_vals)
+            d1, d2 = normal_derivative_from_gradient(grad, gamma_prime)
+            t1, t2 = traction_from_gradient(grad, gamma_prime, mu_vals)
+        if above:
+            # the outward normal is reversed, and both quantities are linear in it
+            d1, d2, t1, t2 = -d1, -d2, -t1, -t2
+        values = (u_local[:, 0], u_local[:, 1], d1, d2, p_vals, t1, t2, f1, f2, f3)
+        for name, v in zip(_ORACLE_OUTPUTS, values):
+            if not np.isfinite(v).all():
+                # the wording of the writer, which refuses the same values
+                raise ValueError(f"cannot serialize non-finite value: oracle value {name} "
+                                 "is not finite on the patch")
+        return values
 
-    u_local = np.stack([ug1, ug2], axis=-1) @ rot  # equals (rot.T @ u) per node
-
-    d1, d2 = normal_derivative_from_gradient(grad, patch.gamma_prime)
-    t1, t2 = traction_from_gradient(grad, patch.gamma_prime, mu_vals)
-    if patch.orientation == "above":
-        # the outward normal is reversed, and both quantities are linear in it
-        d1, d2, t1, t2 = -d1, -d2, -t1, -t2
-
+    u1, u2, d1, d2, p_vals, t1, t2, f1, f2, f3 = blockwise(
+        kernel, patch.x1, patch.gamma, patch.gamma_prime)
     h = patch.h
-    u_trace = VectorTrace.from_arrays(u_local[:, 0], u_local[:, 1], h)
+    u_trace = VectorTrace.from_arrays(u1, u2, h)
     dn = CauchyDN(u_trace, VectorTrace.from_arrays(d1, d2, h), ScalarTrace(p_vals, h))
     stress = CauchyStress(u_trace, VectorTrace.from_arrays(t1, t2, h))
-    return dn, stress, grad
+    return dn, stress, GradientTrace(f1, f2, f3, p_vals)
 
 
 def analytic_trace_slopes(grad: GradientTrace, gamma_prime):

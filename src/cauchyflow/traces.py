@@ -4,16 +4,93 @@ A trace is a quantity restricted to a graph patch and sampled at the patch
 nodes. Differentiation uses the 5-point, 4th-order central stencil on the
 interior nodes only; the two margin nodes at each patch end exist so that
 no one-sided formula is ever needed.
+
+Every per-node formula of the package runs through `blockwise`, which cuts
+the node arrays into cache-sized blocks and spreads them over all
+available CPUs. No node depends on another, so the output does not depend
+on the block size or the CPU count.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 #: margin nodes at each end of a patch grid, matching the stencil half-width
 MARGIN = 2
+
+# nodes per block: the few dozen temporaries of one block's formulas stay in
+# L2, where whole-array passes would stream each one through memory
+_BLOCK_NODES = 1 << 14
+# the CPUs this process may run on
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1)
+
+
+def blockwise(kernel, *arrays):
+    """Apply a per-node `kernel` to aligned 1-d node arrays, block by block.
+
+    `kernel(*blocks)` receives the same slice of every array and returns a
+    tuple of per-node float arrays. The results are gathered into full-length
+    outputs and returned as a tuple. A single block is one direct call.
+    Otherwise the calling thread runs the first block and allocates the
+    outputs (memory a worker thread allocates stays in that thread's malloc
+    arena, where the caller's later allocations cannot reuse it). The other
+    blocks run on min(available CPUs, blocks left) threads, the calling
+    thread included, each in a copy of the caller's context so that numpy's
+    error state carries over. If blocks raise, the exception of the
+    lowest-numbered one is re-raised once all threads have stopped.
+    """
+    n = arrays[0].shape[0]
+    bounds = list(range(0, n, _BLOCK_NODES)) + [n]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        # numpy hands a one-row matmul to another BLAS routine, which rounds
+        # differently, so no block is a single node
+        del bounds[-2]
+    blocks = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+    if len(blocks) < 2:
+        return tuple(kernel(*arrays))
+
+    def store(k, result):
+        for out, value in zip(outputs, result):
+            out[blocks[k]] = value
+
+    def work():
+        while True:
+            with lock:
+                k = None if failed else next(todo, None)
+            if k is None:
+                return
+            try:
+                result = kernel(*(a[blocks[k]] for a in arrays))
+            except BaseException as exc:  # re-raised by the caller below
+                with lock:
+                    failed[k] = exc
+                return
+            store(k, result)
+
+    first = kernel(*(a[blocks[0]] for a in arrays))
+    outputs = [np.empty(n) for _ in first]
+    store(0, first)
+    del first
+    todo = iter(range(1, len(blocks)))
+    failed: dict = {}
+    lock = threading.Lock()
+    threads = [threading.Thread(target=contextvars.copy_context().run, args=(work,))
+               for _ in range(min(_WORKERS, len(blocks) - 1) - 1)]
+    for t in threads:
+        t.start()
+    try:
+        work()
+    finally:
+        for t in threads:
+            t.join()
+    if failed:
+        raise failed[min(failed)]
+    return tuple(outputs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,6 +156,15 @@ def tangential_derivative(trace: ScalarTrace) -> ScalarTrace:
     v = trace.values
     if v.shape[0] < 2 * MARGIN + 1:
         raise ValueError("tangential derivative needs at least 5 nodes")
-    d = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / (12.0 * trace.h)
-    return ScalarTrace(d, trace.h)
+    return ScalarTrace(stencil_slope(*stencil_neighbours(v), trace.h), trace.h)
+
+
+def stencil_neighbours(v):
+    """Values t[i-2], t[i-1], t[i+1], t[i+2] for every interior node i, as views."""
+    return v[:-4], v[1:-3], v[3:-1], v[4:]
+
+
+def stencil_slope(left2, left1, right1, right2, h):
+    """The 5-point slope from a node's four neighbours; used by tangential_derivative."""
+    return (left2 - 8.0 * left1 + 8.0 * right1 - right2) / (12.0 * h)
 

@@ -26,6 +26,9 @@ mirror map x2 -> -x2, which flips gamma' and every second vector
 component in one place, and is undone on output.
 
 All operations broadcast over per-node arrays and are pure functions.
+The two conversions run their per-node formulas, stencil slopes included,
+in cache-sized node blocks on all available CPUs (traces.blockwise); the
+output does not depend on the block size or the CPU count.
 """
 
 from __future__ import annotations
@@ -35,7 +38,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import BoundaryPatch, theta
-from .traces import MARGIN, ScalarTrace, VectorTrace, tangential_derivative
+from .traces import MARGIN, ScalarTrace, VectorTrace, blockwise, stencil_neighbours, \
+    stencil_slope
+# perfbench/tracing.py wraps transform.tangential_derivative by name; the
+# conversions themselves apply the stencil inside their blocks
+from .traces import tangential_derivative  # noqa: F401
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,25 +236,10 @@ def stress_to_dn(data: CauchyStress, patch: BoundaryPatch, u_prime=None):
     redundant relation, so this direction has no consistency residual and
     the 0.0 only keeps the return shape of dn_to_stress.
     """
-    s, cut, gp, mu, gpr, hpr = _local_slopes(data, patch, u_prime)
-    t1 = data.traction.c1.values[cut]
-    t2 = s * data.traction.c2.values[cut]
-    th = theta(gp)
-    th2 = 1.0 + gp * gp
-    f3 = (th * (t1 + gp * t2) + 4.0 * mu * gp * gpr
-          - mu * (1.0 - gp * gp) * (hpr + gp * gpr)) / (mu * th2 * th2)
-    f1 = gpr - gp * f3
-    f2 = hpr + gp * f1
-    # p = 2 mu eps_nn - t . nu (row 3 times gamma' minus row 4); row 4 alone
-    # cancels terms of size mu gamma'^3 |f| and loses digits at steep slopes
-    f4 = (th * (gp * t1 - t2) - 2.0 * mu * ((1.0 - gp * gp) * f1 + gp * (f2 + f3))) / th2
-    d1, d2 = normal_derivative_from_gradient(GradientTrace(f1, f2, f3, f4), gp)
-    h = patch.h
-    return CauchyDN(
-        VectorTrace.from_arrays(data.u.c1.values[cut], data.u.c2.values[cut], h),
-        VectorTrace.from_arrays(d1, s * d2, h),
-        ScalarTrace(f4, h),
-    ), 0.0
+    d1, d2, p = _per_node(_dn_from_stress, data, patch, u_prime,
+                          data.traction.c1.values, data.traction.c2.values)
+    return CauchyDN(_interior_u(data, patch), VectorTrace.from_arrays(d1, d2, patch.h),
+                    ScalarTrace(p, patch.h)), 0.0
 
 
 def dn_to_stress(data: CauchyDN, patch: BoundaryPatch, u_prime=None):
@@ -258,23 +250,47 @@ def dn_to_stress(data: CauchyDN, patch: BoundaryPatch, u_prime=None):
     the redundant boundary relation; large values flag data that no
     divergence-free velocity field can produce.
     """
-    s, cut, gp, mu, gpr, hpr = _local_slopes(data, patch, u_prime)
-    dnu = (data.dnu.c1.values[cut], s * data.dnu.c2.values[cut])
-    f1, f2, f3, residual = gradient_from_dn(gpr, hpr, dnu, gp)
-    t1, t2 = traction_from_gradient(GradientTrace(f1, f2, f3, data.p.values[cut]), gp, mu)
-    h = patch.h
-    return CauchyStress(
-        VectorTrace.from_arrays(data.u.c1.values[cut], data.u.c2.values[cut], h),
-        VectorTrace.from_arrays(t1, s * t2, h),
-    ), float(np.max(residual))
+    t1, t2, residual = _per_node(_stress_from_dn, data, patch, u_prime,
+                                 data.dnu.c1.values, data.dnu.c2.values, data.p.values)
+    return CauchyStress(_interior_u(data, patch), VectorTrace.from_arrays(t1, t2, patch.h)), \
+        float(np.max(residual))
 
 
-def _local_slopes(data, patch: BoundaryPatch, u_prime):
-    """Checked interior-node inputs of a conversion in the domain-below frame.
+def _dn_from_stress(gp, mu, gpr, hpr, t1, t2):
+    """(d1, d2, p) from traction and trace slopes, domain-below frame."""
+    th = theta(gp)
+    th2 = 1.0 + gp * gp
+    f3 = (th * (t1 + gp * t2) + 4.0 * mu * gp * gpr
+          - mu * (1.0 - gp * gp) * (hpr + gp * gpr)) / (mu * th2 * th2)
+    f1 = gpr - gp * f3
+    f2 = hpr + gp * f1
+    # p = 2 mu eps_nn - t . nu (row 3 times gamma' minus row 4); row 4 alone
+    # cancels terms of size mu gamma'^3 |f| and loses digits at steep slopes
+    f4 = (th * (gp * t1 - t2) - 2.0 * mu * ((1.0 - gp * gp) * f1 + gp * (f2 + f3))) / th2
+    d1, d2 = normal_derivative_from_gradient(GradientTrace(f1, f2, f3, f4), gp)
+    return d1, d2, f4
 
-    Returns (s, cut, gamma', mu, g', h'), where s is -1.0 on a domain-above
-    patch and 1.0 otherwise, and gamma' and h' already carry the mirror.
-    Callers multiply the second component of their input and output by s.
+
+def _stress_from_dn(gp, mu, gpr, hpr, n1, n2, p):
+    """(t1, t2, consistency residual) from (dnu, p) and trace slopes, domain-below frame."""
+    f1, f2, f3, residual = gradient_from_dn(gpr, hpr, (n1, n2), gp)
+    t1, t2 = traction_from_gradient(GradientTrace(f1, f2, f3, p), gp, mu)
+    return t1, t2, residual
+
+
+def _interior_u(data, patch: BoundaryPatch) -> VectorTrace:
+    cut = slice(MARGIN, -MARGIN)
+    return VectorTrace.from_arrays(data.u.c1.values[cut], data.u.c2.values[cut], patch.h)
+
+
+def _per_node(kernel, data, patch: BoundaryPatch, u_prime, v1, v2, *rest):
+    """Checked interior-node conversion through the domain-below frame.
+
+    Runs kernel(gamma', mu, g', h', v1, v2, *rest) by blocks on the
+    interior nodes, where (v1, v2) is the input vector trace and the
+    kernel's first two outputs form the output vector trace. On a
+    domain-above patch the mirror x2 -> -x2 flips gamma', h' and the
+    second component of both vectors; this is the one place it is applied.
     """
     if data.n != patch.n:
         raise ValueError("data grid does not match the patch grid")
@@ -286,11 +302,29 @@ def _local_slopes(data, patch: BoundaryPatch, u_prime):
     s = -1.0 if patch.orientation == "above" else 1.0
     cut = slice(MARGIN, -MARGIN)
     if u_prime is None:
-        gpr = tangential_derivative(ScalarTrace(data.u.c1.values, patch.h)).values
-        hpr = tangential_derivative(ScalarTrace(data.u.c2.values, patch.h)).values
+        # the stencil runs inside the blocks, on its neighbour views
+        h = patch.h
+        slope_inputs = (*stencil_neighbours(data.u.c1.values), *stencil_neighbours(data.u.c2.values))
+
+        def slopes(*v):
+            return stencil_slope(*v[:4], h), stencil_slope(*v[4:], h)
     else:
         p1, p2 = (np.asarray(v, dtype=float) for v in u_prime)
         if p1.shape != (patch.n,) or p2.shape != (patch.n,):
             raise ValueError("u_prime arrays must match the full patch grid")
-        gpr, hpr = p1[cut], p2[cut]
-    return s, cut, s * patch.gamma_prime[cut], patch.mu[cut], gpr, s * hpr
+        slope_inputs = (p1[cut], p2[cut])
+
+        def slopes(gpr, hpr):
+            return gpr, hpr
+
+    inputs = (v1, v2, *rest)
+    k = len(inputs)
+
+    def mirrored(gp, mu, *arrays):
+        a1, a2, *more = arrays[:k]
+        gpr, hpr = slopes(*arrays[k:])
+        out1, out2, scalar = kernel(s * gp, mu, gpr, s * hpr, a1, s * a2, *more)
+        return out1, s * out2, scalar
+
+    return blockwise(mirrored, patch.gamma_prime[cut], patch.mu[cut],
+                     *(a[cut] for a in inputs), *slope_inputs)

@@ -1,0 +1,145 @@
+"""Per-node work in blocks: the output must not depend on the block size or
+the number of worker threads."""
+
+import dataclasses
+import threading
+import time
+
+import numpy as np
+import pytest
+
+from cauchyflow import (AnalyticScalarField, analytic_trace_slopes,
+                        builtin_catalog, circle, dn_to_stress, evaluate_traces,
+                        graph_patch, partition_curve, stress_to_dn, traces)
+from cauchyflow.traces import blockwise
+
+BLOCK = 7
+# one block minus one, exactly one block, one block plus one, three blocks plus seven
+SIZES = (BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7)
+
+
+def flat_outputs(value):
+    """Every array a conversion or the oracle returns, in a fixed order."""
+    if isinstance(value, tuple):
+        return [a for v in value for a in flat_outputs(v)]
+    if isinstance(value, float):
+        return [np.array([value])]
+    if isinstance(value, np.ndarray):
+        return [value]
+    return [a for f in dataclasses.fields(value) for a in flat_outputs(getattr(value, f.name))]
+
+
+def assert_bitwise(got, want):
+    got, want = flat_outputs(got), flat_outputs(want)
+    assert len(got) == len(want)
+    for k, (g, w) in enumerate(zip(got, want)):
+        assert np.array_equal(g, w), k
+        assert np.array_equal(np.signbit(g), np.signbit(w)), k
+
+
+def in_blocks(monkeypatch, workers, fn, *args, **kwargs):
+    """fn's result with 7-node blocks on `workers` threads, and on one whole block."""
+    with monkeypatch.context() as m:
+        m.setattr(traces, "_BLOCK_NODES", BLOCK)
+        m.setattr(traces, "_WORKERS", workers)
+        got = fn(*args, **kwargs)
+    with monkeypatch.context() as m:
+        m.setattr(traces, "_BLOCK_NODES", 1 << 30)
+        want = fn(*args, **kwargs)
+    return got, want
+
+
+def oracle_patches(n):
+    circle_patches = [p for p in partition_curve(circle(1.0), nodes_per_patch=n)
+                      if p.frame_angle != 0.0][:2]
+    graph = graph_patch(lambda x: 0.3 * np.sin(2.0 * x), lambda x: 0.6 * np.cos(2.0 * x), -1.0, 1.0, n)
+    # tilted graph patches, whose node rotation rounds differently when a
+    # one-row matmul takes numpy's other BLAS path
+    tilted = [dataclasses.replace(graph, frame_angle=a) for a in (0.3, 2.0)]
+    return [dataclasses.replace(p, orientation=o)
+            for p in (*circle_patches, graph, *tilted) for o in ("below", "above")]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("n", SIZES)
+def test_oracle_does_not_depend_on_blocks(monkeypatch, workers, n):
+    for patch in oracle_patches(n):
+        for t in builtin_catalog():
+            assert_bitwise(*in_blocks(monkeypatch, workers, evaluate_traces,
+                                      t.flow, t.pressure, t.viscosity, patch))
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("n", SIZES)
+def test_conversions_do_not_depend_on_blocks(monkeypatch, workers, n):
+    # the interior has n - 4 nodes, so the oracle runs on n + 4 to cover SIZES
+    triples = {t.name: t for t in builtin_catalog()}
+    for name in ("trig/trig/variable", "cubic/linear/unit"):
+        t = triples[name]
+        for patch in oracle_patches(n + 4):
+            patch = dataclasses.replace(patch, mu=t.viscosity.value(*patch.nodes_global().T))
+            dn, stress, grad = evaluate_traces(t.flow, t.pressure, t.viscosity, patch)
+            for u_prime in (None, analytic_trace_slopes(grad, patch.gamma_prime)):
+                for convert, data in ((stress_to_dn, stress), (dn_to_stress, dn)):
+                    got, want = in_blocks(monkeypatch, workers, convert, data, patch, u_prime=u_prime)
+                    assert_bitwise(got, want)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_worker_block_error_is_raised(monkeypatch, workers):
+    # the viscosity turns negative only on the last nodes, far from block 0
+    bad = AnalyticScalarField("bad", lambda x1, x2: np.where(x1 > 0.9, -1.0, 1.0))
+    t = builtin_catalog()[0]
+    patch = graph_patch(0.0, 0.0, -1.0, 1.0, 3 * BLOCK + 7)
+    for block in (BLOCK, 1 << 30):
+        with monkeypatch.context() as m:
+            m.setattr(traces, "_BLOCK_NODES", block)
+            m.setattr(traces, "_WORKERS", workers)
+            with pytest.raises(ValueError, match="^viscosity field is not positive on the patch$"):
+                evaluate_traces(t.flow, t.pressure, bad, patch)
+
+
+def test_lowest_failing_block_wins_and_threads_stop(monkeypatch):
+    monkeypatch.setattr(traces, "_BLOCK_NODES", 4)
+    monkeypatch.setattr(traces, "_WORKERS", 3)
+    before = threading.active_count()
+
+    def kernel(x):
+        if x[0] >= 8:
+            raise ValueError(f"block at {int(x[0])}")
+        return (2.0 * x,)
+
+    with pytest.raises(ValueError, match="^block at 8$"):
+        blockwise(kernel, np.arange(40.0))
+    assert threading.active_count() == before
+
+
+def test_blocks_gather_in_order_and_never_hold_one_node(monkeypatch):
+    monkeypatch.setattr(traces, "_BLOCK_NODES", 4)
+    monkeypatch.setattr(traces, "_WORKERS", 3)
+    sizes = []
+
+    def kernel(x, y):
+        sizes.append(x.shape[0])
+        return x + y, x * y
+
+    x = np.arange(9.0)
+    s, p = blockwise(kernel, x, x[::-1].copy())
+    assert np.array_equal(s, x + x[::-1]) and np.array_equal(p, x * x[::-1])
+    assert sorted(sizes) == [4, 5]  # the one-node tail joins the block before it
+
+
+def test_workers_run_in_the_callers_error_state(monkeypatch):
+    monkeypatch.setattr(traces, "_BLOCK_NODES", 4)
+    monkeypatch.setattr(traces, "_WORKERS", 3)
+    seen = []
+
+    def kernel(x):
+        time.sleep(0.01)  # lets every worker thread take a block
+        seen.append((threading.get_ident(), np.geterr()["over"]))
+        return (x,)
+
+    with np.errstate(over="raise"):
+        blockwise(kernel, np.arange(40.0))
+    assert len({ident for ident, _ in seen}) > 1
+    assert {over for _, over in seen} == {"raise"}

@@ -79,6 +79,30 @@ def test_generate_overflow_exits_3_without_traceback(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+SRC_ENV = os.environ | {"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+
+def run_cli(*argv):
+    return subprocess.run([sys.executable, "-m", "cauchyflow", *map(str, argv)],
+                          env=SRC_ENV, capture_output=True, text=True, timeout=120)
+
+
+def test_generate_oracle_overflow_is_one_error_line(tmp_path):
+    done = run_cli("generate", "--flow", "cubic", "--pressure", "linear", "--viscosity", "unit",
+                   "--curve", "circle:1e200", "--nodes", 16, "--out", tmp_path / "x.json")
+    assert done.returncode == 3
+    assert re.fullmatch(r"error: patch 0: [^\n]*oracle value u1 is not finite on the patch\n",
+                        done.stderr), done.stderr
+
+
+def test_generate_on_huge_circle_warns_nothing(tmp_path):
+    # the partitioner's orientation test used to overflow at this radius
+    done = run_cli("generate", "--flow", "trig", "--pressure", "trig", "--viscosity", "unit",
+                   "--curve", "circle:1e200", "--nodes", 16, "--out", tmp_path / "x.json")
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+
+
 def test_generate_circle_writes_one_file_per_patch(tmp_path):
     out = tmp_path / "ring.json"
     code = run(["generate", "--flow", "stagnation", "--pressure", "linear",
@@ -337,12 +361,22 @@ except SystemExit as exc:
 """
 
 
+def modules_loaded_at_startup(code, package):
+    probe = code + ("\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules "
+                    f"if m.split('.')[0] == {package!r})))")
+    done = subprocess.run([sys.executable, "-c", probe], env=SRC_ENV, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
 @pytest.mark.parametrize("code", ["import cauchyflow", HELP_RUN], ids=["import", "help"])
 def test_startup_loads_no_scipy(code):
     # numpy is the only runtime dependency; scipy would triple startup time
-    probe = code + "\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
-    env = os.environ | {"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout.strip().splitlines()[-1]) == []
+    assert modules_loaded_at_startup(code, "scipy") == []
+
+
+@pytest.mark.parametrize("code", ["import cauchyflow", HELP_RUN], ids=["import", "help"])
+def test_startup_loads_no_executor(code):
+    # blockwise starts plain threads only when a call spans several blocks
+    assert modules_loaded_at_startup(code, "concurrent") == []

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -167,3 +168,40 @@ def test_csv_export_columns(tmp_path):
     first = lines[1].split(",")
     assert first[-1] == "" and first[-2] == ""  # traction columns absent for dn
     assert float(first[0]) == ds.patch.x1[0]
+
+
+def reference_write_csv(path, ds):
+    """The row-by-row csv.writer export that write_csv must reproduce byte for byte."""
+    present = ds.arrays
+    patch_cols = {"x1": ds.patch.x1, "gamma": ds.patch.gamma,
+                  "gamma_prime": ds.patch.gamma_prime, "mu": ds.patch.mu}
+    columns = ("x1", "gamma", "gamma_prime", "mu", "u1", "u2", "dnu1", "dnu2", "p", "t1", "t2")
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(columns)
+        for i in range(ds.patch.n):
+            row = []
+            for name in columns:
+                values = patch_cols.get(name, present.get(name))
+                row.append("" if values is None else format(float(values[i]), ".17g"))
+            writer.writerow(row)
+
+
+@pytest.mark.parametrize("kind", ["dn", "stress", "both"])
+def test_csv_matches_the_row_writer(tmp_path, kind):
+    ds = _sample_dataset(n=12, kind=kind)
+    awkward = np.array([-0.0, 5e-324, -2.5e-310, 1e308, -1.7976931348623157e308, 0.1])
+    for k, values in enumerate([ds.patch.gamma, ds.patch.gamma_prime, *ds.arrays.values()]):
+        values[:awkward.size] = np.roll(awkward, k)
+    write_csv(tmp_path / "new.csv", ds)
+    reference_write_csv(tmp_path / "ref.csv", ds)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert b"\r\n" in (tmp_path / "new.csv").read_bytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_csv_rejects_non_finite_values(tmp_path, bad):
+    ds = _sample_dataset(kind="stress")
+    ds.t2[3] = bad
+    with pytest.raises(DatasetFormatError, match="non-finite"):
+        write_csv(tmp_path / "bad.csv", ds)

@@ -115,6 +115,16 @@ def test_partition_clockwise_circle_is_below():
     assert all(p.orientation == "below" for p in patches)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("radius", [1e-3, 1.0, 1e200, 1e300])
+def test_partition_orientation_at_any_scale(radius):
+    ccw = circle(radius)
+    cw = ParametricCurve(lambda t: ccw.position(-np.asarray(t, dtype=float)),
+                         lambda t: tuple(-v for v in ccw.velocity(-np.asarray(t, dtype=float))))
+    assert {p.orientation for p in partition_curve(ccw, nodes_per_patch=16)} == {"above"}
+    assert {p.orientation for p in partition_curve(cw, nodes_per_patch=16)} == {"below"}
+
+
 def test_partition_ellipse_slope_audit():
     patches = partition_curve(ellipse(2.0, 1.0), max_slope=1.0, nodes_per_patch=64)
     assert len(patches) >= 4
