@@ -3,7 +3,8 @@
 Exit codes form a stable contract:
     0  success
     2  unknown catalog name or missing data arrays
-    3  malformed input (file, curve spec, or parameters)
+    3  malformed input (file, curve spec, or parameters), or an output
+       file that cannot be written
     4  consistency residual above tolerance (output still written; never
        from `convert stress-to-dn`, whose residual is always 0)
     5  invariant violation (positivity, grid uniformity, determinant identity)
@@ -122,7 +123,7 @@ def _cmd_generate(args) -> int:
             dataio.write_dataset(path, ds)
             if csv_paths:
                 dataio.write_csv(csv_paths[k], ds)
-        except ValueError as exc:  # DatasetFormatError included: non-finite oracle values
+        except ValueError as exc:  # DatasetFormatError included: non-finite values, write errors
             return _fail(EXIT_MALFORMED, f"patch {k}: {exc}")
         print(f"wrote {path} ({patch.n} nodes, data_kind=both)")
     return EXIT_OK
@@ -167,9 +168,12 @@ def _cmd_convert(args) -> int:
         out = dataio.dataset_from_traces(inner, dn=converted, provenance=provenance)
     else:
         out = dataio.dataset_from_traces(inner, stress=converted, provenance=provenance)
-    dataio.write_dataset(args.output, out)
-    if args.csv:
-        dataio.write_csv(args.csv, out)
+    try:
+        dataio.write_dataset(args.output, out)
+        if args.csv:
+            dataio.write_csv(args.csv, out)
+    except dataio.DatasetFormatError as exc:
+        return _fail(EXIT_MALFORMED, str(exc))
     print(f"wrote {args.output} ({out.patch.n} nodes, data_kind={out.data_kind})")
     print(f"max consistency residual = {residual:.17g}")
     print(f"residual tolerance = {tol:.17g}")
@@ -177,10 +181,10 @@ def _cmd_convert(args) -> int:
 
 
 def _det_identity_error(gamma_prime, mu):
-    """Per-node relative error of the 4x4 determinant against -mu (1 + gamma'^2)^2."""
+    """Largest relative error of the 4x4 determinant against -mu (1 + gamma'^2)^2."""
     det = transform.determinant(transform.assemble_system(gamma_prime, mu))
     expected = -mu * (1.0 + gamma_prime ** 2) ** 2
-    return (np.abs(det - expected) / np.abs(expected),)
+    return (np.max(np.abs(det - expected) / np.abs(expected)),)
 
 
 def _cmd_verify(args) -> int:
@@ -259,7 +263,10 @@ def _cmd_partition(args) -> int:
             nodes_per_patch=args.nodes)
     except (CurveSpecError, ValueError) as exc:
         return _fail(EXIT_MALFORMED, str(exc))
-    dataio.write_patch_set(args.out, patches)
+    try:
+        dataio.write_patch_set(args.out, patches)
+    except dataio.DatasetFormatError as exc:
+        return _fail(EXIT_MALFORMED, str(exc))
     max_slope_seen = max(float(np.max(np.abs(p.gamma_prime))) for p in patches)
     print(f"wrote {args.out}")
     print(f"patches = {len(patches)}")

@@ -3,8 +3,10 @@
 A dataset file is a flat JSON document carrying one patch plus boundary
 data arrays; a patch-set file carries a list of patches. All numbers are
 written with 17 significant digits, which round-trips IEEE doubles bit
-for bit, and the writer emits keys in a fixed order so repeated runs
-produce byte-identical files.
+for bit (-0.0 is written as -0, and the reader loads -0 as -0.0), and
+the writer emits keys in a fixed order so repeated runs produce
+byte-identical files. A file that cannot be written raises
+DatasetFormatError, as one that cannot be read does.
 
 Dataset schema (format_version 1):
 
@@ -165,7 +167,15 @@ def dumps_dataset(ds: Dataset) -> str:
 
 
 def write_dataset(path, ds: Dataset) -> None:
-    Path(path).write_text(dumps_dataset(ds), encoding="utf-8")
+    _write_text(path, dumps_dataset(ds))
+
+
+def _write_text(path, text, newline=None) -> None:
+    try:
+        with open(path, "w", newline=newline, encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise DatasetFormatError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _reject_constant(name):
@@ -178,9 +188,18 @@ def _load_json(path):
     except OSError as exc:
         raise DatasetFormatError(f"cannot read {path}: {exc}") from exc
     try:
-        return json.loads(text, parse_constant=_reject_constant)
+        return json.loads(text, parse_int=_parse_int, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise DatasetFormatError(f"invalid JSON in {path}: {exc}") from exc
+
+
+def _parse_int(literal):
+    if literal == "-0":  # the writer prints -0.0 so, and int() would read +0
+        return -0.0
+    try:
+        return int(literal)
+    except ValueError:  # more digits than int() converts
+        raise DatasetFormatError(f"a {len(literal.lstrip('-'))}-digit integer is beyond the float range") from None
 
 
 def _floats(values, key) -> np.ndarray:
@@ -254,7 +273,7 @@ def dumps_patch_set(patches) -> str:
 
 
 def write_patch_set(path, patches) -> None:
-    Path(path).write_text(dumps_patch_set(patches), encoding="utf-8")
+    _write_text(path, dumps_patch_set(patches))
 
 
 def read_patch_set(path) -> list[BoundaryPatch]:
@@ -281,5 +300,4 @@ def write_csv(path, ds: Dataset) -> None:
     # one %-template per row, as in _fmt_array; "%.17g" prints what _fmt does
     row = ",".join("" if c is None else "%.17g" for c in columns) + "\r\n"
     text = ",".join(_CSV_COLUMNS) + "\r\n" + (row * ds.patch.n) % tuple(values.ravel().tolist())
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write(text)
+    _write_text(path, text, newline="")

@@ -160,17 +160,15 @@ class BoundaryPatch:
         return FrameRotation(self.frame_angle)
 
     def validate(self, max_slope: float | None = None) -> None:
-        """Raise ValueError if a patch invariant is violated."""
-        for name in ("x1", "gamma", "gamma_prime", "mu"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"patch field {name} contains non-finite values")
-        if np.any(self.mu <= 0):
-            raise ValueError("viscosity must be positive at every node")
-        h = self.h
-        if not h > 0:
-            raise ValueError("grid spacing must be positive")
-        if np.max(np.abs(np.diff(self.x1) - h)) > 1e-14 * abs(h):
-            raise ValueError("grid is not uniform")
+        """Raise ValueError if a patch invariant is violated.
+
+        The checks run in a fixed order, and the first one that fails names
+        the fault: non-finite x1, gamma, gamma' or mu, in that order; mu <= 0;
+        h <= 0; a grid that is not uniform; then, if `max_slope` is given,
+        |gamma'| above it. The conversions run the same node checks inside
+        their node blocks and raise this method's error when one fails.
+        """
+        _check_nodes(self.x1, self.gamma, self.gamma_prime, self.mu, np.diff(self.x1), self.h)
         if max_slope is not None and np.max(np.abs(self.gamma_prime)) > max_slope + 1e-10:
             raise ValueError(f"slope bound |gamma'| <= {max_slope} violated")
 
@@ -191,6 +189,26 @@ class BoundaryPatch:
         """Node positions in the global frame, shape (n, 2)."""
         local = np.stack([self.x1, self.gamma], axis=-1)
         return self.rotation.apply(local)
+
+
+def _check_nodes(x1, gamma, gamma_prime, mu, steps, h) -> None:
+    """BoundaryPatch.validate's node checks on some of a patch's nodes.
+
+    `steps` holds the x1 differences that end at these nodes and `h` is the
+    patch's spacing. Raises the ValueError validate raises first on them.
+    """
+    for name, values in (("x1", x1), ("gamma", gamma), ("gamma_prime", gamma_prime), ("mu", mu)):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"patch field {name} contains non-finite values")
+    if np.any(mu <= 0):
+        raise ValueError("viscosity must be positive at every node")
+    if not h > 0:
+        raise ValueError("grid spacing must be positive")
+    # max |step - h| from two reductions and no temporary array: rounding is
+    # monotone, so it is the larger of max(step) - h and h - min(step)
+    tol = 1e-14 * abs(h)
+    if steps.max() - h > tol or h - steps.min() > tol:
+        raise ValueError("grid is not uniform")
 
 
 def normal_at(gamma_prime, orientation: str = "below") -> np.ndarray:
@@ -373,9 +391,9 @@ def partition_curve(curve: ParametricCurve, max_slope: float = 1.0,
     x, y = (np.asarray(v, dtype=float) for v in curve.position(tt))
     vx, vy = (np.asarray(v, dtype=float) for v in curve.velocity(tt))
     speed = np.hypot(vx, vy)
-    if np.min(speed) <= 1e-12 * max(np.max(speed), 1.0):
+    if np.min(speed) <= 1e-12 * np.max(speed):
         raise ValueError("curve is not regular: velocity vanishes at a sample node")
-    extent = max(1.0, float(np.max(np.abs(x))), float(np.max(np.abs(y))))
+    extent = max(float(np.max(np.abs(x))), float(np.max(np.abs(y))))  # scale-relative, as above
     if curve.closed and math.hypot(x[0] - x[-1], y[0] - y[-1]) > 1e-12 * extent:
         raise ValueError("curve marked closed does not close up")
 
@@ -435,8 +453,9 @@ def partition_curve(curve: ParametricCurve, max_slope: float = 1.0,
 def _unit_scaled(a, b):
     """a and b times the power of two that brings max(|a|, |b|) into [0.5, 1)."""
     peak = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))))
-    scale = math.ldexp(1.0, -math.frexp(peak)[1])
-    return a * scale, b * scale
+    # np.ldexp, not a product with 2**-e, which overflows for a subnormal peak
+    e = -math.frexp(peak)[1]
+    return np.ldexp(a, e), np.ldexp(b, e)
 
 
 def _max_window_lengths(s, phi, budget, n_starts, cap):

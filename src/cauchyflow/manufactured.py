@@ -7,7 +7,8 @@ independent of the numerical differentiation it is used to test.
 
 Every field is pointwise, so `evaluate_traces` evaluates a patch in
 cache-sized node blocks on all available CPUs (traces.blockwise); its
-output does not depend on the block size or the CPU count.
+output does not depend on the block size or the CPU count. Both boundary
+formulas share one theta per node.
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import BoundaryPatch, on_grid
+from .geometry import BoundaryPatch, on_grid, theta
 from .traces import ScalarTrace, VectorTrace, blockwise
-from .transform import CauchyDN, CauchyStress, GradientTrace, \
-    normal_derivative_from_gradient, traction_from_gradient
+from .transform import CauchyDN, CauchyStress, GradientTrace, _normal_derivative, _traction
 
 
 @dataclass(frozen=True)
@@ -190,11 +190,11 @@ def evaluate_traces(flow: AnalyticFlow, pressure: AnalyticScalarField,
             # contraction, so generated files keep their bytes
             f1, f2, f3 = (sum(rot[j, i] * jac[j][k] * rot[k, l] for j in (0, 1) for k in (0, 1))
                           for i, l in ((0, 0), (1, 0), (0, 1)))
-            grad = GradientTrace(f1, f2, f3, p_vals)
             u_local = np.stack([ug1, ug2], axis=-1) @ rot  # equals (rot.T @ u) per node
 
-            d1, d2 = normal_derivative_from_gradient(grad, gamma_prime)
-            t1, t2 = traction_from_gradient(grad, gamma_prime, mu_vals)
+            th = theta(gamma_prime)
+            d1, d2 = _normal_derivative(f1, f2, f3, gamma_prime, th)
+            t1, t2 = _traction(f1, f2, f3, p_vals, gamma_prime, mu_vals, th)
         if above:
             # the outward normal is reversed, and both quantities are linear in it
             d1, d2, t1, t2 = -d1, -d2, -t1, -t2

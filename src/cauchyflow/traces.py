@@ -34,8 +34,10 @@ def blockwise(kernel, *arrays):
     """Apply a per-node `kernel` to aligned 1-d node arrays, block by block.
 
     `kernel(*blocks)` receives the same slice of every array and returns a
-    tuple of per-node float arrays. The results are gathered into full-length
-    outputs and returned as a tuple. A single block is one direct call.
+    tuple of per-node float arrays and scalars. Per-node results are gathered
+    into full-length outputs, and a scalar, such as the block's maximum of
+    some quantity, into an array with one value per block; the outputs are
+    returned as a tuple. A single block is one direct call.
     Otherwise the calling thread runs the first block and allocates the
     outputs (memory a worker thread allocates stays in that thread's malloc
     arena, where the caller's later allocations cannot reuse it). The other
@@ -55,8 +57,8 @@ def blockwise(kernel, *arrays):
         return tuple(kernel(*arrays))
 
     def store(k, result):
-        for out, value in zip(outputs, result):
-            out[blocks[k]] = value
+        for out, node, value in zip(outputs, per_node, result):
+            out[blocks[k] if node else k] = value
 
     def work():
         while True:
@@ -73,7 +75,8 @@ def blockwise(kernel, *arrays):
             store(k, result)
 
     first = kernel(*(a[blocks[0]] for a in arrays))
-    outputs = [np.empty(n) for _ in first]
+    per_node = [np.ndim(v) > 0 for v in first]
+    outputs = [np.empty(n if node else len(blocks)) for node in per_node]
     store(0, first)
     del first
     todo = iter(range(1, len(blocks)))

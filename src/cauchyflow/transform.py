@@ -28,7 +28,10 @@ component in one place, and is undone on output.
 All operations broadcast over per-node arrays and are pure functions.
 The two conversions run their per-node formulas, stencil slopes included,
 in cache-sized node blocks on all available CPUs (traces.blockwise); the
-output does not depend on the block size or the CPU count.
+output does not depend on the block size or the CPU count. Each block
+computes theta once per node and hands it to every formula that divides
+by it, and checks its own nodes as BoundaryPatch.validate does, so no
+whole-patch pass runs before the blocks.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BoundaryPatch, theta
+from .geometry import BoundaryPatch, _check_nodes, theta
 from .traces import MARGIN, ScalarTrace, VectorTrace, blockwise, stencil_neighbours, \
     stencil_slope
 # perfbench/tracing.py wraps transform.tangential_derivative by name; the
@@ -167,9 +170,13 @@ def traction_from_gradient(grad: GradientTrace, gamma_prime, mu):
     m = np.asarray(mu, dtype=float)
     if np.any(m <= 0):
         raise ValueError("viscosity must be positive")
-    th = theta(gp)
-    q1 = -2.0 * gp * m * grad.f1 + m * grad.f2 + m * grad.f3 + gp * grad.f4
-    q2 = -2.0 * m * grad.f1 - gp * m * grad.f2 - gp * m * grad.f3 - grad.f4
+    return _traction(grad.f1, grad.f2, grad.f3, grad.f4, gp, m, theta(gp))
+
+
+def _traction(f1, f2, f3, f4, gp, m, th):
+    """traction_from_gradient with theta(gp) given and m > 0 already checked."""
+    q1 = -2.0 * gp * m * f1 + m * f2 + m * f3 + gp * f4
+    q2 = -2.0 * m * f1 - gp * m * f2 - gp * m * f3 - f4
     return q1 / th, q2 / th
 
 
@@ -180,9 +187,13 @@ def normal_derivative_from_gradient(grad: GradientTrace, gamma_prime):
     as for traction_from_gradient.
     """
     gp = np.asarray(gamma_prime, dtype=float)
-    th = theta(gp)
-    d1 = (-gp * grad.f1 + grad.f3) / th
-    d2 = (-gp * grad.f2 - grad.f1) / th
+    return _normal_derivative(grad.f1, grad.f2, grad.f3, gp, theta(gp))
+
+
+def _normal_derivative(f1, f2, f3, gp, th):
+    """normal_derivative_from_gradient with theta(gp) given."""
+    d1 = (-gp * f1 + f3) / th
+    d2 = (-gp * f2 - f1) / th
     return d1, d2
 
 
@@ -210,14 +221,17 @@ def gradient_from_dn(g_prime, h_prime, dnu, gamma_prime):
     """
     n1, n2 = (np.asarray(v, dtype=float) for v in dnu)
     gp = np.asarray(gamma_prime, dtype=float)
-    gpr = np.asarray(g_prime, dtype=float)
-    hpr = np.asarray(h_prime, dtype=float)
-    th = theta(gp)
+    return _gradient_from_dn(np.asarray(g_prime, dtype=float), np.asarray(h_prime, dtype=float),
+                             n1, n2, gp, theta(gp))
+
+
+def _gradient_from_dn(gpr, hpr, n1, n2, gp, th):
+    """gradient_from_dn with theta(gp) given."""
     th2 = 1.0 + gp * gp
     f1 = (gpr - gp * th * n1) / th2
     f3 = th * n1 + gp * f1
     f2 = hpr + gp * f1
-    residual = np.abs(-f1 - gp * f2 - th * n2)
+    residual = np.abs(f1 + gp * f2 + th * n2)
     return f1, f2, f3, residual
 
 
@@ -267,15 +281,16 @@ def _dn_from_stress(gp, mu, gpr, hpr, t1, t2):
     # p = 2 mu eps_nn - t . nu (row 3 times gamma' minus row 4); row 4 alone
     # cancels terms of size mu gamma'^3 |f| and loses digits at steep slopes
     f4 = (th * (gp * t1 - t2) - 2.0 * mu * ((1.0 - gp * gp) * f1 + gp * (f2 + f3))) / th2
-    d1, d2 = normal_derivative_from_gradient(GradientTrace(f1, f2, f3, f4), gp)
+    d1, d2 = _normal_derivative(f1, f2, f3, gp, th)
     return d1, d2, f4
 
 
 def _stress_from_dn(gp, mu, gpr, hpr, n1, n2, p):
-    """(t1, t2, consistency residual) from (dnu, p) and trace slopes, domain-below frame."""
-    f1, f2, f3, residual = gradient_from_dn(gpr, hpr, (n1, n2), gp)
-    t1, t2 = traction_from_gradient(GradientTrace(f1, f2, f3, p), gp, mu)
-    return t1, t2, residual
+    """(t1, t2, largest consistency residual) from (dnu, p) and slopes, domain-below frame."""
+    th = theta(gp)
+    f1, f2, f3, residual = _gradient_from_dn(gpr, hpr, n1, n2, gp, th)
+    t1, t2 = _traction(f1, f2, f3, p, gp, mu, th)
+    return t1, t2, np.max(residual)
 
 
 def _interior_u(data, patch: BoundaryPatch) -> VectorTrace:
@@ -291,6 +306,12 @@ def _per_node(kernel, data, patch: BoundaryPatch, u_prime, v1, v2, *rest):
     kernel's first two outputs form the output vector trace. On a
     domain-above patch the mirror x2 -> -x2 flips gamma', h' and the
     second component of both vectors; this is the one place it is applied.
+
+    The node checks of BoundaryPatch.validate run inside the blocks, each
+    block on its own nodes and the grid steps that end at them; the margin
+    nodes are checked before the blocks start. If any check fails, the
+    error is the one patch.validate() raises, so it names the fault that
+    validate finds first on the whole patch.
     """
     if data.n != patch.n:
         raise ValueError("data grid does not match the patch grid")
@@ -298,12 +319,11 @@ def _per_node(kernel, data, patch: BoundaryPatch, u_prime, v1, v2, *rest):
         raise ValueError("data grid spacing does not match the patch")
     if patch.n < 2 * MARGIN + 1:
         raise ValueError("patch too short for stencil differentiation")
-    patch.validate()
+    x1, h = patch.x1, patch.h
     s = -1.0 if patch.orientation == "above" else 1.0
     cut = slice(MARGIN, -MARGIN)
     if u_prime is None:
         # the stencil runs inside the blocks, on its neighbour views
-        h = patch.h
         slope_inputs = (*stencil_neighbours(data.u.c1.values), *stencil_neighbours(data.u.c2.values))
 
         def slopes(*v):
@@ -311,6 +331,7 @@ def _per_node(kernel, data, patch: BoundaryPatch, u_prime, v1, v2, *rest):
     else:
         p1, p2 = (np.asarray(v, dtype=float) for v in u_prime)
         if p1.shape != (patch.n,) or p2.shape != (patch.n,):
+            patch.validate()  # a patch fault is reported first
             raise ValueError("u_prime arrays must match the full patch grid")
         slope_inputs = (p1[cut], p2[cut])
 
@@ -320,11 +341,21 @@ def _per_node(kernel, data, patch: BoundaryPatch, u_prime, v1, v2, *rest):
     inputs = (v1, v2, *rest)
     k = len(inputs)
 
-    def mirrored(gp, mu, *arrays):
+    def checked(x1, x1_left, gamma, gp, mu, *arrays):
+        _check_nodes(x1, gamma, gp, mu, x1 - x1_left, h)
         a1, a2, *more = arrays[:k]
         gpr, hpr = slopes(*arrays[k:])
         out1, out2, scalar = kernel(s * gp, mu, gpr, s * hpr, a1, s * a2, *more)
         return out1, s * out2, scalar
 
-    return blockwise(mirrored, patch.gamma_prime[cut], patch.mu[cut],
-                     *(a[cut] for a in inputs), *slope_inputs)
+    node_arrays = (x1, patch.gamma, patch.gamma_prime, patch.mu)
+    x1_left = x1[MARGIN - 1:-MARGIN - 1]  # each interior node's left neighbour
+    try:
+        for ends in (slice(None, MARGIN + 1), slice(-MARGIN - 1, None)):
+            _check_nodes(*(a[ends] for a in node_arrays), np.diff(x1[ends]), h)
+        return blockwise(checked, x1[cut], x1_left, *(a[cut] for a in node_arrays[1:]),
+                         *(a[cut] for a in inputs), *slope_inputs)
+    except ValueError:
+        # some nodes failed a check; validate names the fault it finds first
+        patch.validate()
+        raise

@@ -2,13 +2,15 @@
 the number of worker threads."""
 
 import dataclasses
+import re
 import threading
 import time
 
 import numpy as np
 import pytest
 
-from cauchyflow import (AnalyticScalarField, analytic_trace_slopes,
+from cauchyflow import (AnalyticScalarField, BoundaryPatch, CauchyDN,
+                        CauchyStress, VectorTrace, analytic_trace_slopes,
                         builtin_catalog, circle, dn_to_stress, evaluate_traces,
                         graph_patch, partition_curve, stress_to_dn, traces)
 from cauchyflow.traces import blockwise
@@ -129,6 +131,15 @@ def test_blocks_gather_in_order_and_never_hold_one_node(monkeypatch):
     assert sorted(sizes) == [4, 5]  # the one-node tail joins the block before it
 
 
+def test_scalar_outputs_gather_one_value_per_block(monkeypatch):
+    monkeypatch.setattr(traces, "_BLOCK_NODES", 4)
+    monkeypatch.setattr(traces, "_WORKERS", 3)
+    x = np.arange(9.0)
+    doubled, block_max = blockwise(lambda v: (2.0 * v, np.max(v)), x)
+    assert np.array_equal(doubled, 2.0 * x)
+    assert np.array_equal(block_max, [3.0, 8.0])  # blocks 0-3 and 4-8
+
+
 def test_workers_run_in_the_callers_error_state(monkeypatch):
     monkeypatch.setattr(traces, "_BLOCK_NODES", 4)
     monkeypatch.setattr(traces, "_WORKERS", 3)
@@ -143,3 +154,98 @@ def test_workers_run_in_the_callers_error_state(monkeypatch):
         blockwise(kernel, np.arange(40.0))
     assert len({ident for ident, _ in seen}) > 1
     assert {over for _, over in seen} == {"raise"}
+
+
+# a 32-node patch: two margin nodes per end and four 7-node interior blocks,
+# which hold patch nodes 2-8, 9-15, 16-22 and 23-29
+FAULT_NODES = {"head margin": 0, "block 0 end": 8, "block 1 start": 9, "late block": 26,
+               "tail margin": 31}
+FAULTS = {
+    "x1 nan": ("x1", lambda v: np.nan), "x1 inf": ("x1", lambda v: np.inf),
+    "gamma nan": ("gamma", lambda v: np.nan), "gamma_prime inf": ("gamma_prime", lambda v: -np.inf),
+    "mu nan": ("mu", lambda v: np.nan), "mu zero": ("mu", lambda v: 0.0),
+    "mu negative": ("mu", lambda v: -v), "grid": ("x1", lambda v: v + 1e-9),
+}
+
+
+def fault_case():
+    t = {t.name: t for t in builtin_catalog()}["trig/trig/variable"]
+    patch = graph_patch(lambda x: 0.3 * np.sin(2.0 * x), lambda x: 0.6 * np.cos(2.0 * x),
+                        -1.0, 1.0, 4 * BLOCK + 4, mu=t.viscosity.value, orientation="above")
+    dn, stress, _ = evaluate_traces(t.flow, t.pressure, t.viscosity, patch)
+    return patch, dn, stress
+
+
+def with_faults(patch, *faults):
+    arrays = {name: getattr(patch, name).copy() for name in ("x1", "gamma", "gamma_prime", "mu")}
+    for field, node, value in faults:
+        arrays[field][node] = value(arrays[field][node])
+    return dataclasses.replace(patch, **arrays)
+
+
+def on_grid_of(patch, dn, stress):
+    """The data, restated with the faulty patch's spacing when it has one."""
+    h = patch.h if patch.h > 0 else dn.h
+
+    def vec(v):
+        return VectorTrace.from_arrays(v.c1.values, v.c2.values, h)
+
+    return (CauchyDN(vec(dn.u), vec(dn.dnu), dataclasses.replace(dn.p, h=h)),
+            CauchyStress(vec(stress.u), vec(stress.traction)))
+
+
+def assert_conversions_raise_validate_error(patch, dn, stress, u_prime=None):
+    with pytest.raises(ValueError) as expected:
+        patch.validate()
+    message = "^" + re.escape(str(expected.value)) + "$"
+    dn, stress = on_grid_of(patch, dn, stress)
+    with pytest.raises(ValueError, match=message):
+        stress_to_dn(stress, patch, u_prime=u_prime)
+    with pytest.raises(ValueError, match=message):
+        dn_to_stress(dn, patch, u_prime=u_prime)
+    return str(expected.value)
+
+
+# moving x1[0] changes the spacing, which is checked before the grid
+@pytest.mark.parametrize("fault, where", [(f, w) for f in FAULTS for w in FAULT_NODES
+                                          if (f, w) != ("grid", "head margin")])
+def test_conversions_check_the_patch_in_blocks(monkeypatch, fault, where):
+    field, value = FAULTS[fault]
+    node = FAULT_NODES[where]
+    monkeypatch.setattr(traces, "_BLOCK_NODES", BLOCK)
+    monkeypatch.setattr(traces, "_WORKERS", 3)
+    patch, dn, stress = fault_case()
+    assert_conversions_raise_validate_error(with_faults(patch, (field, node, value)), dn, stress)
+
+
+@pytest.mark.parametrize("first, late, message", [
+    (("gamma", 3, FAULTS["gamma nan"][1]), ("x1", 26, FAULTS["x1 nan"][1]), "x1 contains"),
+    (("mu", 3, FAULTS["mu zero"][1]), ("gamma_prime", 26, FAULTS["gamma_prime inf"][1]),
+     "gamma_prime contains"),
+    (("x1", 4, FAULTS["grid"][1]), ("mu", 26, FAULTS["mu negative"][1]), "viscosity must be"),
+])
+def test_two_faults_give_the_message_validate_gives(monkeypatch, first, late, message):
+    # block 0 alone would name its own fault; validate's order names the other
+    monkeypatch.setattr(traces, "_BLOCK_NODES", BLOCK)
+    monkeypatch.setattr(traces, "_WORKERS", 3)
+    patch, dn, stress = fault_case()
+    got = assert_conversions_raise_validate_error(with_faults(patch, first, late), dn, stress)
+    assert message in got
+
+
+def test_patch_fault_is_reported_before_bad_slopes(monkeypatch):
+    monkeypatch.setattr(traces, "_BLOCK_NODES", BLOCK)
+    patch, dn, stress = fault_case()
+    bad = with_faults(patch, ("mu", 26, FAULTS["mu zero"][1]))
+    assert_conversions_raise_validate_error(bad, dn, stress, u_prime=(np.zeros(3), np.zeros(3)))
+
+
+def test_conversions_run_no_whole_patch_check(monkeypatch):
+    def whole_patch_check(self, max_slope=None):
+        raise AssertionError("validate called on a valid patch")
+
+    monkeypatch.setattr(traces, "_BLOCK_NODES", BLOCK)
+    patch, dn, stress = fault_case()
+    want = stress_to_dn(stress, patch), dn_to_stress(dn, patch)
+    monkeypatch.setattr(BoundaryPatch, "validate", whole_patch_check)
+    assert_bitwise((stress_to_dn(stress, patch), dn_to_stress(dn, patch)), want)

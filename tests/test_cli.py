@@ -155,6 +155,20 @@ def test_convert_round_trip_through_files(tmp_path):
     assert np.max(np.abs(again.p - first.p[4:-4])) <= 1e-10
 
 
+def test_convert_keeps_integer_provenance(tmp_path):
+    # only the literal -0 reads as a float; other integers stay integers
+    src = generate_couette(tmp_path)
+    doc = json.loads(src.read_text())
+    doc["provenance"] |= {"run": 3, "offset": -7, "big": 10 ** 400}
+    src.write_text(json.dumps(doc))
+    out = tmp_path / "dn.json"
+    assert run(["convert", "stress-to-dn", "--in", src, "--out", out]) == 0
+    kept = read_dataset(out).provenance
+    assert {k: kept[k] for k in ("run", "offset", "big")} == {"run": 3, "offset": -7, "big": 10 ** 400}
+    assert all(type(kept[k]) is int for k in ("run", "offset", "big"))
+    assert '"big": 1' + "0" * 400 + "," in out.read_text()
+
+
 def test_convert_missing_arrays(tmp_path):
     src = generate_couette(tmp_path)
     dn_path = tmp_path / "dn.json"
@@ -321,6 +335,26 @@ def test_partition_large_closed_curves(tmp_path, spec):
 def test_partition_rejects_nonfinite_size(tmp_path, capsys, spec, name):
     assert run(["partition", "--curve", spec, "--out", tmp_path / "p.json"]) == 3
     assert name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["circle:1e-13", "circle:1e-200"])
+def test_partition_small_closed_curves(tmp_path, spec):
+    assert run(["partition", "--curve", spec, "--nodes", 16, "--out", tmp_path / "p.json"]) == 0
+
+
+@pytest.mark.parametrize("command", ["partition", "convert", "generate"])
+def test_output_in_missing_directory_exits_3(tmp_path, capsys, command):
+    out = tmp_path / "nodir" / "x.json"
+    args = {
+        "partition": ["partition", "--curve", "circle:1", "--out", out],
+        "convert": ["convert", "stress-to-dn", "--in", generate_couette(tmp_path), "--out", out],
+        "generate": ["generate", "--flow", "couette", "--pressure", "zero", "--viscosity", "unit",
+                     "--curve", "circle:1", "--nodes", 16, "--out", out],
+    }[command]
+    capsys.readouterr()
+    assert run(args) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: (patch 0: )?cannot write \S+x(-p00)?\.json: [^\n]+\n", err)
 
 
 def test_partition_invalid_slope(tmp_path):

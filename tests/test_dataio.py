@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from cauchyflow import (Dataset, DatasetFormatError, dataset_from_traces,
+from cauchyflow import (BoundaryPatch, Dataset, DatasetFormatError, dataset_from_traces,
                         evaluate_traces, partition_curve, circle, read_dataset,
                         read_patch_set, write_csv, write_dataset,
                         write_patch_set, FLOWS, PRESSURES, VISCOSITIES)
@@ -47,6 +47,25 @@ def test_awkward_floats_survive(tmp_path):
     back = read_dataset(path)
     assert np.array_equal(back.u1, tricky)
     assert np.array_equal(back.t2, tricky / 7)
+
+
+def test_negative_zero_keeps_its_sign(tmp_path):
+    # the writer prints -0.0 as the integer literal -0
+    base = sine_patch(8)
+    signed = np.array([-0.0, 0.0, -0.0, 1.0, -1.0, 0.0, -0.0, 2.5])
+    patch = BoundaryPatch(-0.0, base.x1, signed, -signed, base.mu, base.orientation)
+    ds = Dataset(patch=patch, data_kind="stress", u1=signed, u2=-signed, t1=signed[::-1], t2=-signed)
+    path = tmp_path / "zeros.json"
+    write_dataset(path, ds)
+    assert "-0," in path.read_text()
+    back = read_dataset(path)
+    write_patch_set(tmp_path / "patches.json", [patch])
+    (back_patch,) = read_patch_set(tmp_path / "patches.json")
+    for got, want in [(getattr(back, k), v) for k, v in ds.arrays.items()] + [
+            (getattr(p, k), getattr(patch, k)) for p in (back.patch, back_patch)
+            for k in ("frame_angle", "gamma", "gamma_prime")]:
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_write_is_deterministic(tmp_path):
@@ -114,7 +133,8 @@ def test_nan_rejected_on_read(tmp_path):
 
 @pytest.mark.parametrize("literal, message", [
     ("true", "numbers only"), ("1" + "0" * 400, "float range"), ("-1e400", "float range"),
-], ids=["bool", "int", "float"])
+    ("1" * 5000, "float range"),
+], ids=["bool", "int", "float", "int-beyond-int-digit-limit"])
 def test_non_float_literals_rejected(tmp_path, literal, message):
     def in_array(doc):
         doc["u1"][0] = "VALUE"

@@ -116,7 +116,7 @@ def test_partition_clockwise_circle_is_below():
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("radius", [1e-3, 1.0, 1e200, 1e300])
+@pytest.mark.parametrize("radius", [3e-309, 1e-200, 1e-13, 1e-3, 1.0, 1e200, 1e300])
 def test_partition_orientation_at_any_scale(radius):
     ccw = circle(radius)
     cw = ParametricCurve(lambda t: ccw.position(-np.asarray(t, dtype=float)),
@@ -236,16 +236,21 @@ def test_partition_rejects_corners():
 
 
 def test_partition_rejects_irregular_curve():
-    # velocity vanishes at t = 0.5
+    for scale in (1.0, 1e-13, 1e-200):
+        check_irregular_astroid_rejected(scale)
+
+
+def check_irregular_astroid_rejected(scale):
+    # velocity vanishes at t = 0.5, at any scale
     def pos(t):
         t = np.asarray(t, dtype=float)
-        return np.cos(2 * np.pi * t) ** 3, np.sin(2 * np.pi * t) ** 3
+        return scale * np.cos(2 * np.pi * t) ** 3, scale * np.sin(2 * np.pi * t) ** 3
 
     def vel(t):
         t = np.asarray(t, dtype=float)
         w = 2 * np.pi
-        return (-3 * w * np.cos(w * t) ** 2 * np.sin(w * t),
-                3 * w * np.sin(w * t) ** 2 * np.cos(w * t))
+        return (-3 * w * scale * np.cos(w * t) ** 2 * np.sin(w * t),
+                3 * w * scale * np.sin(w * t) ** 2 * np.cos(w * t))
 
     astroid = ParametricCurve(pos, vel)
     with pytest.raises(ValueError, match="regular"):
@@ -275,6 +280,21 @@ def test_partition_rejects_open_curve_marked_closed():
                              lambda t: ring.velocity((1 - 1e-10) * np.asarray(t, dtype=float)))
     with pytest.raises(ValueError, match="close"):
         partition_curve(shrunk, nodes_per_patch=16)
+
+
+@pytest.mark.parametrize("radius", [1e-13, 1e-200])
+def test_partition_rejects_small_open_arc_marked_closed(radius):
+    # a half circle: regular at any scale, so only the closure test can refuse it
+    def pos(t):
+        a = np.pi * np.asarray(t, dtype=float)
+        return radius * np.cos(a), radius * np.sin(a)
+
+    def vel(t):
+        a = np.pi * np.asarray(t, dtype=float)
+        return -np.pi * radius * np.sin(a), np.pi * radius * np.cos(a)
+
+    with pytest.raises(ValueError, match="does not close up"):
+        partition_curve(ParametricCurve(pos, vel), nodes_per_patch=16)
 
 
 def test_sampled_periodic_curve_partitions():

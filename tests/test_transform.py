@@ -386,3 +386,92 @@ def test_rotation_equivariance():
     assert np.max(np.abs(out1.dnu.c1.values - out0.dnu.c1.values)) <= 1e-10
     assert np.max(np.abs(out1.dnu.c2.values - out0.dnu.c2.values)) <= 1e-10
     assert np.max(np.abs(out1.p.values - out0.p.values)) <= 1e-10
+
+
+# Reference for the kernels: the chained formulas, each computing theta on
+# its own, applied to whole arrays with no blocks and the mirror applied on
+# both orientations. The conversions and the oracle must match it bit for bit.
+
+def chained_traction(f1, f2, f3, f4, gp, m):
+    th = np.hypot(1.0, gp)
+    q1 = -2.0 * gp * m * f1 + m * f2 + m * f3 + gp * f4
+    q2 = -2.0 * m * f1 - gp * m * f2 - gp * m * f3 - f4
+    return q1 / th, q2 / th
+
+
+def chained_normal_derivative(f1, f2, f3, gp):
+    th = np.hypot(1.0, gp)
+    return (-gp * f1 + f3) / th, (-gp * f2 - f1) / th
+
+
+def chained_dn_from_stress(gp, mu, gpr, hpr, t1, t2):
+    th = np.hypot(1.0, gp)
+    th2 = 1.0 + gp * gp
+    f3 = (th * (t1 + gp * t2) + 4.0 * mu * gp * gpr
+          - mu * (1.0 - gp * gp) * (hpr + gp * gpr)) / (mu * th2 * th2)
+    f1 = gpr - gp * f3
+    f2 = hpr + gp * f1
+    f4 = (th * (gp * t1 - t2) - 2.0 * mu * ((1.0 - gp * gp) * f1 + gp * (f2 + f3))) / th2
+    return (*chained_normal_derivative(f1, f2, f3, gp), f4)
+
+
+def chained_stress_from_dn(gp, mu, gpr, hpr, n1, n2, p):
+    th = np.hypot(1.0, gp)
+    th2 = 1.0 + gp * gp
+    f1 = (gpr - gp * th * n1) / th2
+    f3 = th * n1 + gp * f1
+    f2 = hpr + gp * f1
+    residual = np.abs(-f1 - gp * f2 - th * n2)
+    return (*chained_traction(f1, f2, f3, p, gp, mu), residual)
+
+
+def chained_convert(kernel, patch, u, v1, v2, *rest, u_prime=None):
+    s = -1.0 if patch.orientation == "above" else 1.0
+    cut = slice(2, -2)
+    if u_prime is None:
+        gpr, hpr = ((v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / (12.0 * patch.h)
+                    for v in (u.c1.values, u.c2.values))
+    else:
+        gpr, hpr = (np.asarray(v)[cut] for v in u_prime)
+    out1, out2, scalar = kernel(s * patch.gamma_prime[cut], patch.mu[cut], gpr, s * hpr,
+                                v1[cut], s * v2[cut], *(r[cut] for r in rest))
+    return out1, s * out2, scalar
+
+
+def assert_bitwise(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("orientation", ["below", "above"])
+@pytest.mark.parametrize("frame_angle", [0.0, 0.7])
+def test_kernels_bitwise_equal_to_chained_formulas(frame_angle, orientation):
+    flow, pressure, visc = FLOWS["trig"], PRESSURES["trig"], VISCOSITIES["variable"]
+    patch = dataclasses.replace(
+        sine_patch(2 ** 20, amplitude=0.8, lo=-3.0, hi=3.0, orientation=orientation),
+        frame_angle=frame_angle)
+    patch = dataclasses.replace(patch, mu=visc.value(*patch.nodes_global().T))
+    dn, stress, grad = evaluate_traces(flow, pressure, visc, patch)
+
+    s = -1.0 if orientation == "above" else 1.0
+    gp = patch.gamma_prime
+    for got, want in zip((*dn.dnu.stacked().T, *stress.traction.stacked().T),
+                         (*chained_normal_derivative(grad.f1, grad.f2, grad.f3, gp),
+                          *chained_traction(grad.f1, grad.f2, grad.f3, grad.f4, gp, patch.mu))):
+        assert_bitwise(got, -want if s < 0 else want)
+
+    for u_prime in (None, analytic_trace_slopes(grad, gp)):
+        converted, zero = stress_to_dn(stress, patch, u_prime=u_prime)
+        d1, d2, p = chained_convert(chained_dn_from_stress, patch, stress.u,
+                                    *stress.traction.stacked().T, u_prime=u_prime)
+        assert zero == 0.0
+        for got, want in ((converted.dnu.c1.values, d1), (converted.dnu.c2.values, d2),
+                          (converted.p.values, p)):
+            assert_bitwise(got, want)
+
+        converted, residual = dn_to_stress(dn, patch, u_prime=u_prime)
+        t1, t2, res = chained_convert(chained_stress_from_dn, patch, dn.u,
+                                      *dn.dnu.stacked().T, dn.p.values, u_prime=u_prime)
+        assert residual == float(np.max(res))
+        for got, want in ((converted.traction.c1.values, t1), (converted.traction.c2.values, t2)):
+            assert_bitwise(got, want)
