@@ -299,9 +299,10 @@ def build_parser() -> argparse.ArgumentParser:
     conv.add_argument("--in", dest="input", required=True)
     conv.add_argument("--out", dest="output", required=True)
     conv.add_argument("--residual-tol", type=float, default=None,
-                      help="override the 10 h^4 (data scale) default; traction data carry "
-                           "no redundant relation, so stress-to-dn reports a residual of 0 "
-                           "and never exits 4")
+                      help="override the 10 h^4 (data scale) default; the residual is the "
+                           "boundary divergence tau.a + nu.dnu, with a the tangential "
+                           "derivative of u; traction data carry no redundant relation, so "
+                           "stress-to-dn reports a residual of 0 and never exits 4")
     conv.add_argument("--csv", default=None)
     conv.set_defaults(func=_cmd_convert)
 

@@ -219,10 +219,19 @@ def normal_at(gamma_prime, orientation: str = "below") -> np.ndarray:
     """
     if orientation not in ORIENTATIONS:
         raise ValueError(f"orientation must be one of {ORIENTATIONS}")
-    gp = np.asarray(gamma_prime, dtype=float)
-    th = theta(gp)
-    nu = np.stack([-gp / th, np.ones_like(gp) / th], axis=-1)
-    return -nu if orientation == "above" else nu
+    nu1, nu2 = _frame(np.asarray(gamma_prime, dtype=float), orientation)[2:]
+    return np.stack([nu1, nu2], axis=-1)
+
+
+def _frame(gamma_prime, orientation):
+    """Unit tangent (c, c gamma') and outward normal s c (-gamma', 1), c = 1/theta.
+
+    s = -1 on a domain-above patch, so the orientation flips signs alone.
+    """
+    s = -1.0 if orientation == "above" else 1.0
+    c = 1.0 / theta(gamma_prime)
+    w = c * gamma_prime
+    return c, w, -s * w, s * c
 
 
 @dataclass(frozen=True)
@@ -376,7 +385,9 @@ def partition_curve(curve: ParametricCurve, max_slope: float = 1.0,
     applies only to open arcs.
 
     Raises ValueError for invalid parameters, irregular curves, curves
-    with corners, or closed curves that fail the closure check.
+    too small to sample in floating point (where dt/ds = 1/|velocity|
+    overflows), curves with corners, or closed curves that fail the
+    closure check.
     """
     if not max_slope > 0:
         raise ValueError("max_slope must be positive")
@@ -394,6 +405,9 @@ def partition_curve(curve: ParametricCurve, max_slope: float = 1.0,
     if np.min(speed) <= 1e-12 * np.max(speed):
         raise ValueError("curve is not regular: velocity vanishes at a sample node")
     extent = max(float(np.max(np.abs(x))), float(np.max(np.abs(y))))  # scale-relative, as above
+    if math.isinf(1.0 / float(np.min(speed))):
+        # arclength maps back to t through dt/ds = 1/speed, which overflows
+        raise ValueError(f"curve of size {extent:.3g} is too small to sample in floating point")
     if curve.closed and math.hypot(x[0] - x[-1], y[0] - y[-1]) > 1e-12 * extent:
         raise ValueError("curve marked closed does not close up")
 

@@ -7,8 +7,9 @@ independent of the numerical differentiation it is used to test.
 
 Every field is pointwise, so `evaluate_traces` evaluates a patch in
 cache-sized node blocks on all available CPUs (traces.blockwise); its
-output does not depend on the block size or the CPU count. Both boundary
-formulas share one theta per node.
+output does not depend on the block size or the CPU count. The boundary
+data come from the velocity gradient by definition, in formulas of this
+module alone, so the oracle shares none with the conversions it checks.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import BoundaryPatch, on_grid, theta
+from .geometry import BoundaryPatch, _frame, on_grid
 from .traces import ScalarTrace, VectorTrace, blockwise
-from .transform import CauchyDN, CauchyStress, GradientTrace, _normal_derivative, _traction
+from .transform import CauchyDN, CauchyStress, GradientTrace
 
 
 @dataclass(frozen=True)
@@ -160,9 +161,9 @@ def evaluate_traces(flow: AnalyticFlow, pressure: AnalyticScalarField,
     Evaluates velocity, velocity gradient, pressure and viscosity at the
     patch nodes in the global frame and rotates them into the patch frame;
     the gradient is rotated entry by entry, forming only the three local
-    entries (f1, f2, f3) the boundary formulas read. It then derives the
-    normal derivative and the traction through the gradient-based
-    boundary formulas. Returns mutually consistent
+    entries (f1, f2, f3) of J = [[f1, f3], [f2, -f1]]. With nu the outward
+    unit normal, the normal derivative is J nu and the traction is
+    sigma nu = (mu (J + J^T) - p I) nu, by definition. Returns mutually consistent
     (CauchyDN, CauchyStress, GradientTrace); viscosity values come from
     the field, which should agree with patch.mu for later conversions.
 
@@ -172,7 +173,7 @@ def evaluate_traces(flow: AnalyticFlow, pressure: AnalyticScalarField,
     """
     rotation = patch.rotation
     rot = rotation.matrix
-    above = patch.orientation == "above"
+    orientation = patch.orientation
 
     def kernel(x1, gamma, gamma_prime):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -191,13 +192,15 @@ def evaluate_traces(flow: AnalyticFlow, pressure: AnalyticScalarField,
             f1, f2, f3 = (sum(rot[j, i] * jac[j][k] * rot[k, l] for j in (0, 1) for k in (0, 1))
                           for i, l in ((0, 0), (1, 0), (0, 1)))
             u_local = np.stack([ug1, ug2], axis=-1) @ rot  # equals (rot.T @ u) per node
+            # the global-frame arrays are read no more: free them before the
+            # boundary formulas allocate theirs, which keeps the block's peak down
+            del nodes, xg, yg, ug1, ug2, g11, g21, g12, jac
 
-            th = theta(gamma_prime)
-            d1, d2 = _normal_derivative(f1, f2, f3, gamma_prime, th)
-            t1, t2 = _traction(f1, f2, f3, p_vals, gamma_prime, mu_vals, th)
-        if above:
-            # the outward normal is reversed, and both quantities are linear in it
-            d1, d2, t1, t2 = -d1, -d2, -t1, -t2
+            nu1, nu2 = _frame(gamma_prime, orientation)[2:]
+            d1, d2 = f1 * nu1 + f3 * nu2, f2 * nu1 - f1 * nu2
+            # t = mu (J nu + J^T nu) - p nu, with J^T nu = (f1 nu1 + f2 nu2, f3 nu1 - f1 nu2)
+            t1 = mu_vals * (d1 + f1 * nu1 + f2 * nu2) - p_vals * nu1
+            t2 = mu_vals * (d2 + f3 * nu1 - f1 * nu2) - p_vals * nu2
         values = (u_local[:, 0], u_local[:, 1], d1, d2, p_vals, t1, t2, f1, f2, f3)
         for name, v in zip(_ORACLE_OUTPUTS, values):
             if not np.isfinite(v).all():

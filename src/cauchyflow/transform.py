@@ -16,22 +16,29 @@ where (g, h) is the velocity trace, (t1, t2) the traction, theta the
 metric factor sqrt(1 + gamma'^2) and "g'." abbreviates gamma'. The
 determinant is -mu (1 + gamma'^2)^2, never zero for positive viscosity,
 so the two data formats (u, dnu u, p) and (u, sigma nu) determine each
-other node by node. Both directions eliminate by hand (see also
-gradient_from_dn); assemble_system and solve_system are only the reference
-they are checked against. From the traction, row 3 plus gamma' times row 4
-leaves mu theta^4 = |det| on f3, the sole pivot; rows 1 and 2 give f1, f2,
-and gamma' times row 3 minus row 4 (the normal traction) gives f4 over
-theta^2 >= 1. Patches with the domain above the graph are handled by the
-mirror map x2 -> -x2, which flips gamma' and every second vector
-component in one place, and is undone on output.
+other node by node. This system and the graph-frame formulas below are
+the reference the conversions are checked against.
+
+The conversions write the same relations in each node's unit tangent
+tau = (1, gamma') / theta and outward normal nu, where the determinant is
+-mu. With a = (g', h') / theta the tangential derivative of u and J the
+velocity gradient, tau.a = tau.J tau, nu.a = nu.J tau and, by
+incompressibility, nu.J nu = -tau.a, so
+
+    stress to dn:  dnu = (tau.t / mu - nu.a) tau - (tau.a) nu,
+                   p   = -nu.t - 2 mu tau.a;
+    dn to stress:  t   = -p nu + mu (dnu + (nu.a) tau + (nu.dnu) nu),
+
+with the divergence tau.a + nu.dnu as the consistency residual (the
+graph-frame residual |f1 + gamma' f2 + theta n2| over theta^2). The
+orientation is the sign of nu, and no form loses digits at any slope.
 
 All operations broadcast over per-node arrays and are pure functions.
 The two conversions run their per-node formulas, stencil slopes included,
 in cache-sized node blocks on all available CPUs (traces.blockwise); the
 output does not depend on the block size or the CPU count. Each block
-computes theta once per node and hands it to every formula that divides
-by it, and checks its own nodes as BoundaryPatch.validate does, so no
-whole-patch pass runs before the blocks.
+computes the frame once per node, and checks its own nodes as
+BoundaryPatch.validate does, so no whole-patch pass runs before the blocks.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BoundaryPatch, _check_nodes, theta
+from .geometry import BoundaryPatch, _check_nodes, _frame, theta
 from .traces import MARGIN, ScalarTrace, VectorTrace, blockwise, stencil_neighbours, \
     stencil_slope
 # perfbench/tracing.py wraps transform.tangential_derivative by name; the
@@ -170,13 +177,9 @@ def traction_from_gradient(grad: GradientTrace, gamma_prime, mu):
     m = np.asarray(mu, dtype=float)
     if np.any(m <= 0):
         raise ValueError("viscosity must be positive")
-    return _traction(grad.f1, grad.f2, grad.f3, grad.f4, gp, m, theta(gp))
-
-
-def _traction(f1, f2, f3, f4, gp, m, th):
-    """traction_from_gradient with theta(gp) given and m > 0 already checked."""
-    q1 = -2.0 * gp * m * f1 + m * f2 + m * f3 + gp * f4
-    q2 = -2.0 * m * f1 - gp * m * f2 - gp * m * f3 - f4
+    th = theta(gp)
+    q1 = -2.0 * gp * m * grad.f1 + m * grad.f2 + m * grad.f3 + gp * grad.f4
+    q2 = -2.0 * m * grad.f1 - gp * m * grad.f2 - gp * m * grad.f3 - grad.f4
     return q1 / th, q2 / th
 
 
@@ -187,14 +190,8 @@ def normal_derivative_from_gradient(grad: GradientTrace, gamma_prime):
     as for traction_from_gradient.
     """
     gp = np.asarray(gamma_prime, dtype=float)
-    return _normal_derivative(grad.f1, grad.f2, grad.f3, gp, theta(gp))
-
-
-def _normal_derivative(f1, f2, f3, gp, th):
-    """normal_derivative_from_gradient with theta(gp) given."""
-    d1 = (-gp * f1 + f3) / th
-    d2 = (-gp * f2 - f1) / th
-    return d1, d2
+    th = theta(gp)
+    return (-gp * grad.f1 + grad.f3) / th, (-gp * grad.f2 - grad.f1) / th
 
 
 def solve_system(gamma_prime, mu, rhs) -> np.ndarray:
@@ -221,18 +218,11 @@ def gradient_from_dn(g_prime, h_prime, dnu, gamma_prime):
     """
     n1, n2 = (np.asarray(v, dtype=float) for v in dnu)
     gp = np.asarray(gamma_prime, dtype=float)
-    return _gradient_from_dn(np.asarray(g_prime, dtype=float), np.asarray(h_prime, dtype=float),
-                             n1, n2, gp, theta(gp))
-
-
-def _gradient_from_dn(gpr, hpr, n1, n2, gp, th):
-    """gradient_from_dn with theta(gp) given."""
-    th2 = 1.0 + gp * gp
-    f1 = (gpr - gp * th * n1) / th2
+    th = theta(gp)
+    f1 = (np.asarray(g_prime, dtype=float) - gp * th * n1) / (1.0 + gp * gp)
     f3 = th * n1 + gp * f1
-    f2 = hpr + gp * f1
-    residual = np.abs(f1 + gp * f2 + th * n2)
-    return f1, f2, f3, residual
+    f2 = np.asarray(h_prime, dtype=float) + gp * f1
+    return f1, f2, f3, np.abs(f1 + gp * f2 + th * n2)
 
 
 def default_residual_tol(h: float, data_scale: float) -> float:
@@ -261,8 +251,8 @@ def dn_to_stress(data: CauchyDN, patch: BoundaryPatch, u_prime=None):
 
     Same grid conventions as stress_to_dn. Returns (CauchyStress,
     residual) where the residual is the maximum over interior nodes of
-    the redundant boundary relation; large values flag data that no
-    divergence-free velocity field can produce.
+    the boundary divergence |tau.a + nu.dnu|; large values flag data that
+    no divergence-free velocity field can produce.
     """
     t1, t2, residual = _per_node(_stress_from_dn, data, patch, u_prime,
                                  data.dnu.c1.values, data.dnu.c2.values, data.p.values)
@@ -270,27 +260,21 @@ def dn_to_stress(data: CauchyDN, patch: BoundaryPatch, u_prime=None):
         float(np.max(residual))
 
 
-def _dn_from_stress(gp, mu, gpr, hpr, t1, t2):
-    """(d1, d2, p) from traction and trace slopes, domain-below frame."""
-    th = theta(gp)
-    th2 = 1.0 + gp * gp
-    f3 = (th * (t1 + gp * t2) + 4.0 * mu * gp * gpr
-          - mu * (1.0 - gp * gp) * (hpr + gp * gpr)) / (mu * th2 * th2)
-    f1 = gpr - gp * f3
-    f2 = hpr + gp * f1
-    # p = 2 mu eps_nn - t . nu (row 3 times gamma' minus row 4); row 4 alone
-    # cancels terms of size mu gamma'^3 |f| and loses digits at steep slopes
-    f4 = (th * (gp * t1 - t2) - 2.0 * mu * ((1.0 - gp * gp) * f1 + gp * (f2 + f3))) / th2
-    d1, d2 = _normal_derivative(f1, f2, f3, gp, th)
-    return d1, d2, f4
+def _dn_from_stress(c, w, nu1, nu2, mu, gpr, hpr, t1, t2):
+    """(dnu1, dnu2, p) from traction and trace slopes; tau = (c, w), nu = (nu1, nu2)."""
+    ta = c * (c * gpr + w * hpr)  # tau.a
+    k = (c * t1 + w * t2) / mu - c * (nu1 * gpr + nu2 * hpr)  # tau.t / mu - nu.a
+    p = -2.0 * mu * ta - nu1 * t1 - nu2 * t2
+    return k * c - ta * nu1, k * w - ta * nu2, p
 
 
-def _stress_from_dn(gp, mu, gpr, hpr, n1, n2, p):
-    """(t1, t2, largest consistency residual) from (dnu, p) and slopes, domain-below frame."""
-    th = theta(gp)
-    f1, f2, f3, residual = _gradient_from_dn(gpr, hpr, n1, n2, gp, th)
-    t1, t2 = _traction(f1, f2, f3, p, gp, mu, th)
-    return t1, t2, np.max(residual)
+def _stress_from_dn(c, w, nu1, nu2, mu, gpr, hpr, n1, n2, p):
+    """(t1, t2, largest divergence |tau.a + nu.dnu|) from (dnu, p) and trace slopes."""
+    na = c * (nu1 * gpr + nu2 * hpr)  # nu.a
+    nn = nu1 * n1 + nu2 * n2  # nu.dnu
+    residual = np.max(np.abs(c * (c * gpr + w * hpr) + nn))
+    q = mu * nn - p
+    return mu * (n1 + na * c) + q * nu1, mu * (n2 + na * w) + q * nu2, residual
 
 
 def _interior_u(data, patch: BoundaryPatch) -> VectorTrace:
@@ -299,13 +283,11 @@ def _interior_u(data, patch: BoundaryPatch) -> VectorTrace:
 
 
 def _per_node(kernel, data, patch: BoundaryPatch, u_prime, v1, v2, *rest):
-    """Checked interior-node conversion through the domain-below frame.
+    """Checked interior-node conversion in each node's tangent-normal frame.
 
-    Runs kernel(gamma', mu, g', h', v1, v2, *rest) by blocks on the
-    interior nodes, where (v1, v2) is the input vector trace and the
-    kernel's first two outputs form the output vector trace. On a
-    domain-above patch the mirror x2 -> -x2 flips gamma', h' and the
-    second component of both vectors; this is the one place it is applied.
+    Runs kernel(c, c gamma', nu1, nu2, mu, g', h', v1, v2, *rest) by
+    blocks on the interior nodes, where (c, c gamma') is the unit tangent,
+    (nu1, nu2) the outward normal and (v1, v2) the input vector trace.
 
     The node checks of BoundaryPatch.validate run inside the blocks, each
     block on its own nodes and the grid steps that end at them; the margin
@@ -319,8 +301,7 @@ def _per_node(kernel, data, patch: BoundaryPatch, u_prime, v1, v2, *rest):
         raise ValueError("data grid spacing does not match the patch")
     if patch.n < 2 * MARGIN + 1:
         raise ValueError("patch too short for stencil differentiation")
-    x1, h = patch.x1, patch.h
-    s = -1.0 if patch.orientation == "above" else 1.0
+    x1, h, orientation = patch.x1, patch.h, patch.orientation
     cut = slice(MARGIN, -MARGIN)
     if u_prime is None:
         # the stencil runs inside the blocks, on its neighbour views
@@ -343,10 +324,7 @@ def _per_node(kernel, data, patch: BoundaryPatch, u_prime, v1, v2, *rest):
 
     def checked(x1, x1_left, gamma, gp, mu, *arrays):
         _check_nodes(x1, gamma, gp, mu, x1 - x1_left, h)
-        a1, a2, *more = arrays[:k]
-        gpr, hpr = slopes(*arrays[k:])
-        out1, out2, scalar = kernel(s * gp, mu, gpr, s * hpr, a1, s * a2, *more)
-        return out1, s * out2, scalar
+        return kernel(*_frame(gp, orientation), mu, *slopes(*arrays[k:]), *arrays[:k])
 
     node_arrays = (x1, patch.gamma, patch.gamma_prime, patch.mu)
     x1_left = x1[MARGIN - 1:-MARGIN - 1]  # each interior node's left neighbour

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cauchyflow import read_dataset, write_dataset, Dataset
+from cauchyflow import read_dataset, write_dataset, Dataset, graph_patch, normal_at
 from cauchyflow.cli import main
 from helpers import flat_patch
 
@@ -340,6 +340,75 @@ def test_partition_rejects_nonfinite_size(tmp_path, capsys, spec, name):
 @pytest.mark.parametrize("spec", ["circle:1e-13", "circle:1e-200"])
 def test_partition_small_closed_curves(tmp_path, spec):
     assert run(["partition", "--curve", spec, "--nodes", 16, "--out", tmp_path / "p.json"]) == 0
+
+
+def partition_or_generate(command, spec, out):
+    extra = {"partition": [], "generate": ["--flow", "trig", "--pressure", "trig",
+                                           "--viscosity", "unit", "--nodes", 16]}[command]
+    return run([command, *extra, "--curve", spec, "--out", out])
+
+
+@pytest.mark.parametrize("command", ["partition", "generate"])
+@pytest.mark.parametrize("radius", ["5e-310", "1e-310", "5e-324"])
+def test_curve_below_float_resolution_exits_3(tmp_path, capsys, command, radius):
+    # arclength maps back to the curve parameter through 1/speed, which overflows
+    assert partition_or_generate(command, f"circle:{radius}", tmp_path / "p.json") == 3
+    size = f"{float(radius):.3g}"
+    assert capsys.readouterr().err == (
+        f"error: curve of size {size} is too small to sample in floating point\n")
+    assert not (tmp_path / "p.json").exists()
+
+
+@pytest.mark.parametrize("command", ["partition", "generate"])
+@pytest.mark.parametrize("radius", ["1e-309", "3e-309"])
+def test_smallest_sampleable_circles_partition(tmp_path, command, radius):
+    assert partition_or_generate(command, f"circle:{radius}", tmp_path / "p.json") == 0
+
+
+def steep_line_dataset(orientation, slope=1e6, nodes=33):
+    """Exact data of a constant trace-free gradient on the line x2 = slope x1.
+
+    The velocity trace is linear in x1, so the stencil slopes are exact to
+    roundoff; the traction and normal derivative follow by definition.
+    """
+    patch = graph_patch(lambda x: slope * x, slope, -1.0, 1.0, nodes, mu=1.7,
+                        orientation=orientation)
+    jac = np.array([[0.3, -1.1], [0.8, -0.3]])  # trace free, generic
+    x = np.stack([patch.x1, patch.gamma])
+    u = jac @ x
+    p = 0.5 + 0.2 * x[0] - 0.4 * x[1]
+    nu = normal_at(patch.gamma_prime, orientation).T
+    dnu = jac @ nu
+    traction = 1.7 * (jac + jac.T) @ nu - p * nu
+    ds = Dataset(patch=patch, data_kind="both", u1=u[0], u2=u[1], dnu1=dnu[0], dnu2=dnu[1],
+                 p=p, t1=traction[0], t2=traction[1])
+    return ds, jac
+
+
+def relative_error(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("orientation", ["below", "above"])
+def test_steep_slope_conversions_exact(tmp_path, capsys, orientation):
+    ds, jac = steep_line_dataset(orientation)
+    src = tmp_path / "steep.json"
+    write_dataset(src, ds)
+    cut = slice(2, -2)
+
+    assert run(["convert", "stress-to-dn", "--in", src, "--out", tmp_path / "dn.json"]) == 0
+    got = read_dataset(tmp_path / "dn.json")
+    for name in ("dnu1", "dnu2", "p"):
+        assert relative_error(getattr(got, name), getattr(ds, name)[cut]) <= 1e-12, name
+
+    capsys.readouterr()
+    assert run(["convert", "dn-to-stress", "--in", src, "--out", tmp_path / "st.json"]) == 0
+    residual = float(re.search(r"max consistency residual = (\S+)",
+                               capsys.readouterr().out).group(1))
+    assert residual <= 1e-12 * np.max(np.abs(jac))  # the data are divergence free
+    got = read_dataset(tmp_path / "st.json")
+    for name in ("t1", "t2"):
+        assert relative_error(getattr(got, name), getattr(ds, name)[cut]) <= 1e-12, name
 
 
 @pytest.mark.parametrize("command", ["partition", "convert", "generate"])

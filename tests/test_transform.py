@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -12,10 +13,10 @@ from cauchyflow import (BoundaryPatch, CauchyDN, CauchyStress, GradientTrace,
                         gradient_from_dn, normal_at,
                         normal_derivative_from_gradient, rigid_motion,
                         solve_system, stress_to_dn, traction_from_gradient,
-                        FLOWS, PRESSURES, VISCOSITIES)
-from cauchyflow import transform
-from helpers import (flat_patch, rotated_field, rotated_flow, sine_patch,
-                     traction_oracle)
+                        builtin_catalog, FLOWS, PRESSURES, VISCOSITIES)
+from cauchyflow import manufactured, transform
+from helpers import (conversion_error_bound, flat_patch, max_abs_diff, rotated_field,
+                     rotated_flow, sine_patch, traction_oracle)
 
 slope = st.floats(-5, 5)
 viscosity = st.floats(0.1, 10)
@@ -388,9 +389,9 @@ def test_rotation_equivariance():
     assert np.max(np.abs(out1.p.values - out0.p.values)) <= 1e-10
 
 
-# Reference for the kernels: the chained formulas, each computing theta on
-# its own, applied to whole arrays with no blocks and the mirror applied on
-# both orientations. The conversions and the oracle must match it bit for bit.
+# The graph-frame forms, a reference for the tangent-normal ones: chained
+# formulas, each computing theta on its own, applied to whole arrays with the
+# mirror x2 -> -x2 on both orientations.
 
 def chained_traction(f1, f2, f3, f4, gp, m):
     th = np.hypot(1.0, gp)
@@ -443,6 +444,48 @@ def assert_bitwise(got, want):
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+# Reference for the kernels: the tangent-normal formulas chained on whole
+# arrays, with no blocks. The conversions and the oracle must match them bit
+# for bit, so blocking changes no bit.
+
+def tn_frame(gp, orientation):
+    s = -1.0 if orientation == "above" else 1.0
+    c = 1.0 / np.hypot(1.0, gp)
+    w = c * gp
+    return c, w, -s * w, s * c
+
+
+def tn_oracle(f1, f2, f3, p, mu, nu1, nu2):
+    d1, d2 = f1 * nu1 + f3 * nu2, f2 * nu1 - f1 * nu2
+    return (d1, d2, mu * (d1 + f1 * nu1 + f2 * nu2) - p * nu1,
+            mu * (d2 + f3 * nu1 - f1 * nu2) - p * nu2)
+
+
+def tn_dn_from_stress(c, w, nu1, nu2, mu, gpr, hpr, t1, t2):
+    ta = c * (c * gpr + w * hpr)
+    k = (c * t1 + w * t2) / mu - c * (nu1 * gpr + nu2 * hpr)
+    return k * c - ta * nu1, k * w - ta * nu2, -2.0 * mu * ta - nu1 * t1 - nu2 * t2
+
+
+def tn_stress_from_dn(c, w, nu1, nu2, mu, gpr, hpr, n1, n2, p):
+    na = c * (nu1 * gpr + nu2 * hpr)
+    nn = nu1 * n1 + nu2 * n2
+    q = mu * nn - p
+    return (mu * (n1 + na * c) + q * nu1, mu * (n2 + na * w) + q * nu2,
+            np.abs(c * (c * gpr + w * hpr) + nn))
+
+
+def tn_convert(kernel, patch, u, *inputs, u_prime=None):
+    cut = slice(2, -2)
+    if u_prime is None:
+        slopes = ((v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / (12.0 * patch.h)
+                  for v in (u.c1.values, u.c2.values))
+    else:
+        slopes = (np.asarray(v)[cut] for v in u_prime)
+    return kernel(*tn_frame(patch.gamma_prime[cut], patch.orientation), patch.mu[cut], *slopes,
+                  *(v[cut] for v in inputs))
+
+
 @pytest.mark.parametrize("orientation", ["below", "above"])
 @pytest.mark.parametrize("frame_angle", [0.0, 0.7])
 def test_kernels_bitwise_equal_to_chained_formulas(frame_angle, orientation):
@@ -453,25 +496,162 @@ def test_kernels_bitwise_equal_to_chained_formulas(frame_angle, orientation):
     patch = dataclasses.replace(patch, mu=visc.value(*patch.nodes_global().T))
     dn, stress, grad = evaluate_traces(flow, pressure, visc, patch)
 
-    s = -1.0 if orientation == "above" else 1.0
     gp = patch.gamma_prime
+    _, _, nu1, nu2 = tn_frame(gp, orientation)
     for got, want in zip((*dn.dnu.stacked().T, *stress.traction.stacked().T),
-                         (*chained_normal_derivative(grad.f1, grad.f2, grad.f3, gp),
-                          *chained_traction(grad.f1, grad.f2, grad.f3, grad.f4, gp, patch.mu))):
-        assert_bitwise(got, -want if s < 0 else want)
+                         tn_oracle(grad.f1, grad.f2, grad.f3, grad.f4, patch.mu, nu1, nu2)):
+        assert_bitwise(got, want)
 
     for u_prime in (None, analytic_trace_slopes(grad, gp)):
         converted, zero = stress_to_dn(stress, patch, u_prime=u_prime)
-        d1, d2, p = chained_convert(chained_dn_from_stress, patch, stress.u,
-                                    *stress.traction.stacked().T, u_prime=u_prime)
+        d1, d2, p = tn_convert(tn_dn_from_stress, patch, stress.u,
+                               *stress.traction.stacked().T, u_prime=u_prime)
         assert zero == 0.0
         for got, want in ((converted.dnu.c1.values, d1), (converted.dnu.c2.values, d2),
                           (converted.p.values, p)):
             assert_bitwise(got, want)
 
         converted, residual = dn_to_stress(dn, patch, u_prime=u_prime)
-        t1, t2, res = chained_convert(chained_stress_from_dn, patch, dn.u,
-                                      *dn.dnu.stacked().T, dn.p.values, u_prime=u_prime)
+        t1, t2, res = tn_convert(tn_stress_from_dn, patch, dn.u,
+                                 *dn.dnu.stacked().T, dn.p.values, u_prime=u_prime)
         assert residual == float(np.max(res))
         for got, want in ((converted.traction.c1.values, t1), (converted.traction.c2.values, t2)):
             assert_bitwise(got, want)
+
+
+@pytest.mark.parametrize("orientation", ["below", "above"])
+@pytest.mark.parametrize("frame_angle", [0.0, 0.7])
+def test_tangent_normal_forms_agree_with_graph_frame_forms(frame_angle, orientation):
+    # stress to dn agrees at roundoff; dn to stress is overdetermined, so its
+    # two forms read the slopes differently and agree at truncation level
+    for triple in builtin_catalog():
+        patch = dataclasses.replace(sine_patch(65, orientation=orientation),
+                                    frame_angle=frame_angle)
+        patch = dataclasses.replace(patch, mu=triple.viscosity.value(*patch.nodes_global().T))
+        dn, stress, _ = evaluate_traces(triple.flow, triple.pressure, triple.viscosity, patch)
+        bound = conversion_error_bound(patch, dn, stress)
+
+        new, _ = stress_to_dn(stress, patch)
+        old = chained_convert(chained_dn_from_stress, patch, stress.u, *stress.traction.stacked().T)
+        new_st, _ = dn_to_stress(dn, patch)
+        old_st = chained_convert(chained_stress_from_dn, patch, dn.u, *dn.dnu.stacked().T,
+                                 dn.p.values)
+        deviation = max_abs_diff(*zip((*new.dnu.stacked().T, new.p.values), old),
+                                 *zip(new_st.traction.stacked().T, old_st[:2]))
+        assert deviation <= bound, triple.name
+
+
+def random_trace_free_nodes(rng, n, orientation):
+    """Nodes with |gamma'| log-spaced from 1 to 1e300 and exact data of random gradients.
+
+    Returns the patch, the float64 inputs (exact slopes g', h', traction,
+    normal derivative, pressure) and the exact outputs in long double.
+    """
+    ld = np.longdouble
+    gp = rng.choice([-1.0, 1.0], n) * np.logspace(0.0, 300.0, n)
+    mu = rng.uniform(0.1, 10.0, n)
+    f1, f2, f3, p = (v.astype(ld) for v in rng.uniform(-1.0, 1.0, (4, n)))
+    x1, _ = uniform_grid(-1.0, 1.0, n)
+    patch = BoundaryPatch(0.0, x1, np.zeros(n), gp, mu, orientation)
+    s = -1.0 if orientation == "above" else 1.0
+    g, m = gp.astype(ld), mu.astype(ld)
+    th = np.hypot(ld(1.0), g)
+    nu1, nu2 = -s * g / th, s / th
+    exact = {"gpr": f1 + g * f3, "hpr": f2 - g * f1,
+             "dnu1": f1 * nu1 + f3 * nu2, "dnu2": f2 * nu1 - f1 * nu2, "p": p,
+             "t1": (2 * m * f1 - p) * nu1 + m * (f2 + f3) * nu2,
+             "t2": m * (f2 + f3) * nu1 - (2 * m * f1 + p) * nu2}
+    return patch, {k: v.astype(float) for k, v in exact.items()}, exact
+
+
+@pytest.mark.parametrize("orientation", ["below", "above"])
+def test_conversions_exact_at_any_slope(orientation):
+    rng = np.random.default_rng(23)
+    n = 2000
+    patch, data, exact = random_trace_free_nodes(rng, n, orientation)
+    h, cut = patch.h, slice(2, -2)
+    u = VectorTrace.from_arrays(np.zeros(n), np.zeros(n), h)
+    u_prime = (data["gpr"], data["hpr"])
+
+    dn, _ = stress_to_dn(CauchyStress(u, VectorTrace.from_arrays(data["t1"], data["t2"], h)),
+                         patch, u_prime=u_prime)
+    got = np.stack([dn.dnu.c1.values, dn.dnu.c2.values, dn.p.values])
+    want = np.stack([exact["dnu1"], exact["dnu2"], exact["p"]])[:, cut]
+    scale = np.max(np.abs(want), axis=0)
+    assert np.all(np.isfinite(got))
+    assert np.all(np.max(np.abs(got - want), axis=0) <= 1e-13 * scale)
+
+    st, residual = dn_to_stress(CauchyDN(u, VectorTrace.from_arrays(data["dnu1"], data["dnu2"], h),
+                                         ScalarTrace(data["p"], h)), patch, u_prime=u_prime)
+    got = st.traction.stacked().T
+    want = np.stack([exact["t1"], exact["t2"]])[:, cut]
+    scale = np.max(np.abs(want), axis=0)
+    assert np.all(np.isfinite(got)) and np.isfinite(residual)
+    assert np.all(np.max(np.abs(got - want), axis=0) <= 1e-13 * scale)
+    data_scale = max(float(np.max(np.abs(data[k]))) for k in ("dnu1", "dnu2", "p"))
+    assert residual <= 1e-13 * data_scale
+
+
+@pytest.mark.parametrize("orientation", ["below", "above"])
+@pytest.mark.parametrize("consistent", [True, False])
+def test_residual_is_graph_frame_residual_over_theta_squared(orientation, consistent):
+    rng = np.random.default_rng(29)
+    n = 64
+    x1, h = uniform_grid(-1.0, 1.0, n)
+    gp = rng.uniform(-5.0, 5.0, n)
+    patch = BoundaryPatch(0.0, x1, np.zeros(n), gp, rng.uniform(0.1, 10.0, n), orientation)
+    grad = GradientTrace(*rng.uniform(-3.0, 3.0, (3, n)), np.zeros(n))
+    gpr, hpr = analytic_trace_slopes(grad, gp)
+    sign = -1.0 if orientation == "above" else 1.0
+    if consistent:
+        n1, n2 = (sign * v for v in normal_derivative_from_gradient(grad, gp))
+    else:
+        n1, n2 = rng.uniform(-3.0, 3.0, (2, n))
+    zero, p = np.zeros(n), rng.uniform(-3.0, 3.0, n)
+
+    # the graph-frame residual |f1 + gamma' f2 + theta n2|, in the mirror frame
+    g, th = sign * gp, theta(gp)
+    f1 = (gpr - g * th * n1) / (1.0 + g * g)
+    f2 = sign * hpr + g * f1
+    graph_residual = np.abs(f1 + g * f2 + th * sign * n2)
+
+    for i in range(2, n - 2):  # one interior node per patch
+        window = slice(i - 2, i + 3)
+        node = BoundaryPatch(0.0, x1[window], zero[window], gp[window], patch.mu[window],
+                             orientation)
+        dn = CauchyDN(VectorTrace.from_arrays(zero[window], zero[window], h),
+                      VectorTrace.from_arrays(n1[window], n2[window], h),
+                      ScalarTrace(p[window], h))
+        _, residual = dn_to_stress(dn, node, u_prime=(gpr[window], hpr[window]))
+        scale = max(1.0, abs(gpr[i]), abs(hpr[i]), abs(n1[i]), abs(n2[i])) * th[i] ** 2
+        assert abs(th[i] ** 2 * residual - graph_residual[i]) <= 1e-14 * scale
+
+
+def test_residual_of_flat_non_divergence_free_data_is_two():
+    # criterion 8's data: u = (x1, 0) and dnu = (0, 1) give divergence 1 + 1
+    patch = flat_patch(68)
+    x, h = patch.x1, patch.h
+    dn = CauchyDN(VectorTrace.from_arrays(x, np.zeros_like(x), h),
+                  VectorTrace.from_arrays(np.zeros_like(x), np.ones_like(x), h),
+                  ScalarTrace(np.zeros_like(x), h))
+    assert dn_to_stress(dn, patch)[1] == 2.0
+
+
+def test_oracle_uses_no_transform_formula(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle reached a transform formula")
+
+    # every function of transform, and any the oracle's module imported by name
+    patched = set()
+    for module in (transform, manufactured):
+        for name, value in list(vars(module).items()):
+            if inspect.isfunction(value) and value.__module__ == transform.__name__:
+                monkeypatch.setattr(module, name, forbidden)
+                patched.add(name)
+    assert {"stress_to_dn", "dn_to_stress", "traction_from_gradient"} <= patched
+    flow, pres, visc = FLOWS["trig"], PRESSURES["trig"], VISCOSITIES["variable"]
+    for orientation in ("below", "above"):
+        patch = sine_patch(40, mu=visc.value, orientation=orientation)
+        dn, stress, _ = evaluate_traces(flow, pres, visc, patch)
+        assert np.all(np.isfinite(dn.dnu.stacked()))
+        assert np.all(np.isfinite(stress.traction.stacked()))
