@@ -29,10 +29,6 @@ EXIT_INVARIANT = 5
 _DET_IDENTITY_TOL = 1e-12
 
 
-class CurveSpecError(ValueError):
-    pass
-
-
 def parse_curve_spec(spec: str, x1_range=(-1.0, 1.0)) -> geometry.ParametricCurve:
     """Builtin curve specs: circle:R, ellipse:A,B, graph:poly:c0,c1,..."""
     head, _, rest = spec.partition(":")
@@ -49,21 +45,26 @@ def parse_curve_spec(spec: str, x1_range=(-1.0, 1.0)) -> geometry.ParametricCurv
             coeffs = [float(v) for v in coeff_text.split(",")]
             lo, hi = (float(v) for v in x1_range)
             return geometry.polynomial_graph(coeffs, lo, hi)
-    except CurveSpecError:
-        raise
     except ValueError as exc:
-        raise CurveSpecError(f"malformed curve spec {spec!r}: {exc}") from exc
-    raise CurveSpecError(f"unrecognized curve spec {spec!r}")
+        raise ValueError(f"malformed curve spec {spec!r}: {exc}") from exc
+    raise ValueError(f"unrecognized curve spec {spec!r}")
 
 
 def _parse_range(text: str):
     try:
         lo, hi = (float(v) for v in text.split(","))
     except ValueError as exc:
-        raise CurveSpecError(f"malformed range {text!r}") from exc
+        raise ValueError(f"malformed range {text!r}") from exc
     if not hi > lo:
-        raise CurveSpecError(f"empty range {text!r}")
+        raise ValueError(f"empty range {text!r}")
     return lo, hi
+
+
+def _curve_patches(args, mu=1.0) -> list[geometry.BoundaryPatch]:
+    """Cover the --curve spec with patches as --max-slope, --overlap and --nodes ask."""
+    curve = parse_curve_spec(args.curve, _parse_range(args.x1_range))
+    return geometry.partition_curve(curve, max_slope=args.max_slope, overlap_fraction=args.overlap,
+                                    nodes_per_patch=args.nodes, mu=mu)
 
 
 def _fail(code: int, message: str) -> int:
@@ -101,14 +102,9 @@ def _cmd_generate(args) -> int:
     viscosity = manufactured.VISCOSITIES.get(args.viscosity)
     if viscosity is None:
         return _fail(EXIT_UNKNOWN_NAME, f"unknown viscosity {args.viscosity!r}")
-    if args.nodes < 5:
-        return _fail(EXIT_MALFORMED, "nodes must be at least 5 (stencil support)")
     try:
-        curve = parse_curve_spec(args.curve, _parse_range(args.x1_range))
-        patches = geometry.partition_curve(
-            curve, max_slope=args.max_slope, overlap_fraction=args.overlap,
-            nodes_per_patch=args.nodes, mu=viscosity.value)
-    except (CurveSpecError, ValueError) as exc:
+        patches = _curve_patches(args, viscosity.value)
+    except ValueError as exc:
         return _fail(EXIT_MALFORMED, str(exc))
 
     provenance = {"flow": args.flow, "pressure": args.pressure,
@@ -257,11 +253,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_partition(args) -> int:
     try:
-        curve = parse_curve_spec(args.curve, _parse_range(args.x1_range))
-        patches = geometry.partition_curve(
-            curve, max_slope=args.max_slope, overlap_fraction=args.overlap,
-            nodes_per_patch=args.nodes)
-    except (CurveSpecError, ValueError) as exc:
+        patches = _curve_patches(args)
+    except ValueError as exc:
         return _fail(EXIT_MALFORMED, str(exc))
     try:
         dataio.write_patch_set(args.out, patches)
@@ -280,6 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Convert 2D incompressible-flow boundary data between the "
                     "(u, normal derivative, p) and (u, traction) formats.")
     sub = parser.add_subparsers(dest="command", required=True)
+    overlap_help = ("least overlap of consecutive patches, a fraction of their arc in [0, 0.5); "
+                    "values below 0.05 give 0.05")
 
     gen = sub.add_parser("generate", help="write an analytic oracle dataset")
     gen.add_argument("--flow", required=True, help=f"one of {sorted(manufactured.FLOWS)}")
@@ -291,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--csv", default=None, help="also write a flat CSV export")
     gen.add_argument("--x1-range", default="-1,1", help="abscissa range for graph curves (use --x1-range=LO,HI)")
     gen.add_argument("--max-slope", type=float, default=1.0)
-    gen.add_argument("--overlap", type=float, default=0.2)
+    gen.add_argument("--overlap", type=float, default=0.2, help=overlap_help)
     gen.set_defaults(func=_cmd_generate)
 
     conv = sub.add_parser("convert", help="convert a dataset between the two formats")
@@ -309,13 +304,14 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="audit invariants and data consistency")
     ver.add_argument("input")
     ver.add_argument("--residual-tol", type=float, default=None)
-    ver.add_argument("--max-slope", type=float, default=1.0)
+    ver.add_argument("--max-slope", type=float, default=1.0,
+                     help="slope bound to audit; pass the --max-slope the data were generated with")
     ver.set_defaults(func=_cmd_verify)
 
     part = sub.add_parser("partition", help="cover a curve with graph patches")
     part.add_argument("--curve", required=True)
     part.add_argument("--max-slope", type=float, default=1.0)
-    part.add_argument("--overlap", type=float, default=0.2)
+    part.add_argument("--overlap", type=float, default=0.2, help=overlap_help)
     part.add_argument("--nodes", type=int, default=64)
     part.add_argument("--out", required=True)
     part.add_argument("--x1-range", default="-1,1")

@@ -23,9 +23,10 @@ Conventions:
     graph, so the outward normal is (-gamma', 1)/theta; "above" negates it.
   * FrameRotation(a).apply(v) maps local-frame components to the global
     frame; use .inverse() for the opposite direction.
-  * for closed curves traversed counterclockwise the interior sits on the
-    left of the tangent, which in a tangent-aligned local frame is the
-    "above" side.
+  * a closed curve's tangent must turn exactly once; when it turns
+    counterclockwise the interior sits on the left of the tangent, which in
+    a tangent-aligned local frame is the "above" side. Open arcs are
+    partitioned as "below"; graph_patch takes either orientation.
 """
 
 from __future__ import annotations
@@ -45,6 +46,10 @@ CURVE_KINDS = ("analytic-closed-form", "sampled-periodic", "open")
 # fraction of the slope cone the partitioner actually budgets per patch,
 # leaving headroom for between-sample tangent excursions
 _CONE_SAFETY = 0.95
+_SAMPLES = 4096  # the partitioner samples the curve at t = k / _SAMPLES
+_CORNER_TOL = 0.35  # a larger tangent-angle step between samples is a corner
+_TURNS_TOO_FAST = ("max_slope is too small for this curve: its tangent turns past "
+                   "the slope cone between adjacent samples")
 
 _EPS = float(np.finfo(float).eps)
 # Newton from a dense-table bracket converges in a few steps; the cap leaves
@@ -374,20 +379,21 @@ def graph_patch(gamma, gamma_prime, lo: float, hi: float, n: int, *,
 
 def partition_curve(curve: ParametricCurve, max_slope: float = 1.0,
                     overlap_fraction: float = 0.2, nodes_per_patch: int = 64, *,
-                    mu=1.0, interior_side: str = "below", samples: int = 4096,
-                    corner_tol: float = 0.35) -> list[BoundaryPatch]:
+                    mu=1.0) -> list[BoundaryPatch]:
     """Cover a curve with overlapping graph patches of bounded slope.
 
     Every emitted patch satisfies |gamma'| <= max_slope after rotation to
     its frame, consecutive patches overlap by at least overlap_fraction of
-    their arc length, and the patch interiors cover the curve. Closed
-    curves get their orientation from the traversal sense; `interior_side`
-    applies only to open arcs.
+    their arc length (never less than 0.05, so 0 yields 5%), and the patch
+    interiors cover the curve. A closed curve is "above" when its unwrapped
+    tangent angle turns counterclockwise and "below" when it turns
+    clockwise; open arcs are "below".
 
     Raises ValueError for invalid parameters, irregular curves, curves
     too small to sample in floating point (where dt/ds = 1/|velocity|
-    overflows), curves with corners, or closed curves that fail the
-    closure check.
+    overflows), curves with corners, closed curves that fail the closure
+    check or whose tangent does not turn exactly once, and a max_slope too
+    small for the curve's turn between tangent samples.
     """
     if not max_slope > 0:
         raise ValueError("max_slope must be positive")
@@ -395,10 +401,8 @@ def partition_curve(curve: ParametricCurve, max_slope: float = 1.0,
         raise ValueError("overlap_fraction must lie in [0, 0.5)")
     if nodes_per_patch < 2 * MARGIN + 1:
         raise ValueError("nodes_per_patch must be at least 5")
-    if interior_side not in ORIENTATIONS:
-        raise ValueError(f"interior_side must be one of {ORIENTATIONS}")
 
-    tt = np.linspace(0.0, 1.0, samples + 1)
+    tt = np.linspace(0.0, 1.0, _SAMPLES + 1)
     x, y = (np.asarray(v, dtype=float) for v in curve.position(tt))
     vx, vy = (np.asarray(v, dtype=float) for v in curve.velocity(tt))
     speed = np.hypot(vx, vy)
@@ -412,7 +416,7 @@ def partition_curve(curve: ParametricCurve, max_slope: float = 1.0,
         raise ValueError("curve marked closed does not close up")
 
     phi = np.unwrap(np.arctan2(vy, vx))
-    if np.max(np.abs(np.diff(phi))) > corner_tol:
+    if np.max(np.abs(np.diff(phi))) > _CORNER_TOL:
         raise ValueError("corner detected: tangent direction jumps between adjacent samples")
 
     s = np.concatenate(([0.0], np.cumsum(0.5 * (speed[1:] + speed[:-1]) * np.diff(tt))))
@@ -422,54 +426,47 @@ def partition_curve(curve: ParametricCurve, max_slope: float = 1.0,
     budget = 2.0 * _CONE_SAFETY * cone
     ovl = max(float(overlap_fraction), 0.05)
 
-    # windows: (arc start, arc end, frame angle or None for "use phi midrange")
+    # windows: (arc start, arc end, frame angle)
     if curve.closed:
-        # the signed area's sign, from positions and velocities scaled by
-        # powers of two: exact, and the products can no longer overflow
-        (px, py), (wx, wy) = _unit_scaled(x, y), _unit_scaled(vx, vy)
-        w = px * wy - py * wx
-        orientation = "above" if np.sum(0.5 * (w[1:] + w[:-1]) * np.diff(tt)) > 0 else "below"
+        turn = float(phi[-1] - phi[0])
+        if not math.pi < abs(turn) < 3.0 * math.pi:
+            raise ValueError(f"closed curve is not simple: its tangent turns "
+                             f"{round(turn / (2.0 * math.pi))} times, not once")
+        # the interior lies left of a counterclockwise (left-turning) tangent
+        orientation = "above" if turn > 0 else "below"
         s_ext = np.concatenate((s, s[1:] + arc_len))
-        phi_ext = np.concatenate((phi, phi[1:] + (phi[-1] - phi[0])))
+        phi_ext = np.concatenate((phi, phi[1:] + turn))
         tt_ext = np.concatenate((tt, tt[1:] + 1.0))
-        feasible = _max_window_lengths(s_ext, phi_ext, budget, samples + 1, arc_len)
+        feasible = _max_window_lengths(s_ext, phi_ext, budget, _SAMPLES + 1, arc_len)
         lstar = float(np.min(feasible))
         if lstar <= 0:
-            raise ValueError("tangent turns too fast for this sampling; increase samples")
+            raise ValueError(_TURNS_TOO_FAST)
         count = int(math.ceil(arc_len / ((1.0 - ovl) * lstar)))
         stride = arc_len / count
         length = stride / (1.0 - ovl)
-        windows = [(k * stride, k * stride + length, None) for k in range(count)]
+        windows = []
+        for k in range(count):
+            sa, sb = k * stride, k * stride + length
+            # from the last sample at or before sa to the second at or after sb
+            ja = int(np.searchsorted(s_ext, sa, side="right")) - 1
+            jb = int(np.searchsorted(s_ext, sb, side="left")) + 1
+            window_phi = phi_ext[ja:jb + 1]
+            windows.append((sa, sb, 0.5 * float(window_phi.max() + window_phi.min())))
     else:
-        orientation = interior_side
-        s_ext, phi_ext, tt_ext = s, phi, tt
+        orientation = "below"
+        s_ext, tt_ext = s, tt
         if float(np.max(np.abs(phi))) <= cone:
             windows = [(0.0, arc_len, 0.0)]
-        elif float(phi.max() - phi.min()) <= budget:
-            windows = [(0.0, arc_len, 0.5 * float(phi.max() + phi.min()))]
         else:
             windows = _greedy_open_windows(s, phi, budget, ovl)
 
     patches = []
     for sa, sb, frame in windows:
-        ja = max(int(np.searchsorted(s_ext, sa, side="right")) - 1, 0)
-        jb = min(int(np.searchsorted(s_ext, sb, side="left")) + 1, s_ext.shape[0] - 1)
-        if frame is None:
-            window_phi = phi_ext[ja:jb + 1]
-            frame = 0.5 * float(window_phi.max() + window_phi.min())
         t_a = float(np.interp(sa, s_ext, tt_ext))
         t_b = float(np.interp(sb, s_ext, tt_ext))
         patches.append(_build_patch(curve, frame, t_a, t_b, nodes_per_patch, mu,
                                     orientation, max_slope))
     return patches
-
-
-def _unit_scaled(a, b):
-    """a and b times the power of two that brings max(|a|, |b|) into [0.5, 1)."""
-    peak = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))))
-    # np.ldexp, not a product with 2**-e, which overflows for a subnormal peak
-    e = -math.frexp(peak)[1]
-    return np.ldexp(a, e), np.ldexp(b, e)
 
 
 def _max_window_lengths(s, phi, budget, n_starts, cap):
@@ -522,7 +519,7 @@ def _greedy_open_windows(s, phi, budget, ovl):
                 break
             top, bot, k = t2, b2, k + 1
         if k == a_idx:
-            raise ValueError("tangent turns too fast for this sampling; increase samples")
+            raise ValueError(_TURNS_TOO_FAST)
         frame = 0.5 * float(top + bot)
         windows.append((float(s[a_idx]), float(s[k]), frame))
         if k == last:
@@ -550,8 +547,10 @@ def _build_patch(curve, frame, t_a, t_b, n_nodes, mu, orientation, max_slope):
     gamma = -s_ * px + c * py
     gp = (-s_ * wx + c * wy) / (c * wx + s_ * wy)
 
-    if np.max(np.abs(gp)) > max_slope:
-        raise ValueError("patch slope bound exceeded; increase samples or reduce max_slope")
+    peak = float(np.max(np.abs(gp)))
+    if peak > max_slope:
+        raise ValueError(f"max_slope is too small for this curve: "
+                         f"a patch reaches |gamma'| = {peak:.3g}")
 
     xg = c * x1 - s_ * gamma
     yg = s_ * x1 + c * gamma

@@ -432,6 +432,18 @@ def test_partition_invalid_slope(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("spec, slope, why", [
+    ("circle:1", "1e-3", "a patch reaches |gamma'| = 0.00153"),
+    ("circle:1", "1e-4", "its tangent turns past the slope cone between adjacent samples"),
+    ("graph:poly:0,0,3", "1e-4", "its tangent turns past the slope cone between adjacent samples"),
+])
+def test_partition_max_slope_too_small_exits_3(tmp_path, capsys, spec, slope, why):
+    out = tmp_path / "p.json"
+    assert run(["partition", "--curve", spec, "--max-slope", slope, "--nodes", 16, "--out", out]) == 3
+    assert capsys.readouterr().err == f"error: max_slope is too small for this curve: {why}\n"
+    assert not out.exists()
+
+
 def test_pipeline_bitwise_stable(tmp_path):
     outs = []
     for tag in ("one", "two"):

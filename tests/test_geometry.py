@@ -106,23 +106,55 @@ def test_partition_circle_patch_count_and_slopes():
         p.validate(max_slope=1.0)
 
 
+def reversed_in_t(curve):
+    """The same closed curve traversed in the opposite sense."""
+    return ParametricCurve(lambda t: curve.position(-np.asarray(t, dtype=float)),
+                           lambda t: tuple(-v for v in curve.velocity(-np.asarray(t, dtype=float))),
+                           kind=curve.kind)
+
+
 def test_partition_clockwise_circle_is_below():
-    ccw = circle(1.0)
-    cw = ParametricCurve(lambda t: ccw.position(-np.asarray(t, dtype=float)),
-                         lambda t: tuple(-v for v in ccw.velocity(-np.asarray(t, dtype=float))),
-                         kind="analytic-closed-form")
-    patches = partition_curve(cw, nodes_per_patch=32)
+    patches = partition_curve(reversed_in_t(circle(1.0)), nodes_per_patch=32)
     assert all(p.orientation == "below" for p in patches)
 
 
+def sampled_ellipse(scale):
+    """Counterclockwise spline through 64 points of the ellipse (scale, scale / 2)."""
+    a = 2 * np.pi * np.arange(64) / 64
+    return ParametricCurve.from_samples(scale * np.stack([np.cos(a), 0.5 * np.sin(a)], axis=1))
+
+
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("radius", [3e-309, 1e-200, 1e-13, 1e-3, 1.0, 1e200, 1e300])
-def test_partition_orientation_at_any_scale(radius):
-    ccw = circle(radius)
-    cw = ParametricCurve(lambda t: ccw.position(-np.asarray(t, dtype=float)),
-                         lambda t: tuple(-v for v in ccw.velocity(-np.asarray(t, dtype=float))))
+@pytest.mark.parametrize("make, radius", [
+    *(pytest.param(circle, r, id=str(r)) for r in (3e-309, 1e-200, 1e-13, 1e-3, 1.0, 1e200, 1e300)),
+    *(pytest.param(sampled_ellipse, r, id=f"sampled-{r}") for r in (1e-300, 1.0, 1e300)),
+])
+def test_partition_orientation_at_any_scale(make, radius):
+    ccw = make(radius)
     assert {p.orientation for p in partition_curve(ccw, nodes_per_patch=16)} == {"above"}
+    cw = reversed_in_t(ccw)
     assert {p.orientation for p in partition_curve(cw, nodes_per_patch=16)} == {"below"}
+
+
+def circle_traversed_twice(t):
+    """Unit circle run round twice as t goes over [0, 1): position and velocity."""
+    a = 4 * np.pi * np.asarray(t, dtype=float)
+    return (np.cos(a), np.sin(a)), (-4 * np.pi * np.sin(a), 4 * np.pi * np.cos(a))
+
+
+def figure_eight(t):
+    """x = cos 2 pi t, y = sin 2 pi t cos 2 pi t: regular, its tangent turns 0 times."""
+    a = 2 * np.pi * np.asarray(t, dtype=float)
+    return (np.cos(a), 0.5 * np.sin(2 * a)), (-2 * np.pi * np.sin(a), 2 * np.pi * np.cos(2 * a))
+
+
+@pytest.mark.parametrize("shape, turns", [(circle_traversed_twice, 2), (figure_eight, 0)])
+def test_partition_rejects_closed_curve_not_turning_once(shape, turns):
+    curve = ParametricCurve(lambda t: shape(t)[0], lambda t: shape(t)[1])
+    with pytest.raises(ValueError, match=f"tangent turns {turns} times, not once"):
+        partition_curve(curve, nodes_per_patch=16)
+    with pytest.raises(ValueError, match=f"tangent turns {-turns} times, not once"):
+        partition_curve(reversed_in_t(curve), nodes_per_patch=16)
 
 
 def test_partition_ellipse_slope_audit():
@@ -138,6 +170,22 @@ def test_partition_bounded_graph_arc_single_patch():
     assert len(patches) == 1
     assert patches[0].frame_angle == 0.0
     assert patches[0].n == 32
+
+
+def test_partition_tilted_line_one_rotated_patch():
+    # the whole arc fits the slope budget, but not the unrotated cone: one
+    # window from 0 to the arc length, framed at the tangent's midrange
+    line = polynomial_graph([0.0, 2.0], -1.0, 1.0)
+    (patch,) = partition_curve(line, max_slope=1.0, nodes_per_patch=32)
+    assert abs(patch.frame_angle - np.arctan(2.0)) <= EPS
+    assert np.max(np.abs(patch.gamma_prime)) <= 1e-12
+    tt = np.linspace(0.0, 1.0, 4097)
+    phi = np.unwrap(np.arctan2(*line.velocity(tt)[::-1]))
+    frame = 0.5 * float(phi.max() + phi.min())
+    want = geometry._build_patch(line, frame, 0.0, 1.0, 32, 1.0, "below", 1.0)
+    assert patch.frame_angle == want.frame_angle and patch.orientation == want.orientation
+    for name in ("x1", "gamma", "gamma_prime", "mu"):
+        assert np.array_equal(getattr(patch, name), getattr(want, name)), name
 
 
 def test_partition_steep_open_arc_multi_window():
