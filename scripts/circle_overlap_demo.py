@@ -67,9 +67,7 @@ def main():
     for k, a in enumerate(fields):
         b = fields[(k + 1) % len(fields)]
         ib = b["inner"]
-        c, s = np.cos(ib.frame_angle), np.sin(ib.frame_angle)
-        xi = c * a["xy"][:, 0] + s * a["xy"][:, 1]
-        eta = -s * a["xy"][:, 0] + c * a["xy"][:, 1]
+        xi, eta = ib.rotation.inverse().rotate(a["xy"][:, 0], a["xy"][:, 1])
         pad = 4.0 * ib.h
         near = np.abs(eta - np.interp(xi, ib.x1, ib.gamma)) < 0.05
         mask = (xi > ib.x1[0] + pad) & (xi < ib.x1[-1] - pad) & near

@@ -108,7 +108,7 @@ def _cmd_generate(args) -> int:
         return _fail(EXIT_MALFORMED, str(exc))
 
     provenance = {"flow": args.flow, "pressure": args.pressure,
-                  "viscosity": args.viscosity, "curve": args.curve}
+                  "viscosity": args.viscosity, "curve": args.curve, "max_slope": args.max_slope}
     paths = _numbered_paths(args.out, len(patches))
     csv_paths = _numbered_paths(args.csv, len(patches)) if args.csv else None
     for k, (patch, path) in enumerate(zip(patches, paths)):
@@ -190,13 +190,19 @@ def _cmd_verify(args) -> int:
         ds = dataio.read_dataset(args.input)
     except dataio.DatasetFormatError as exc:
         return _fail(EXIT_MALFORMED, str(exc))
+    max_slope = args.max_slope
+    if max_slope is None:  # the bound generate recorded, else 1.0
+        max_slope = (ds.provenance or {}).get("max_slope", 1.0)
+        if type(max_slope) not in (int, float) or not 0 < max_slope <= sys.float_info.max:
+            return _fail(EXIT_MALFORMED, "provenance max_slope must be a positive finite "
+                                         f"number, got {max_slope!r}")
 
     invariant_failed = False
     residual_failed = False
     patch = ds.patch
 
     try:
-        patch.validate(max_slope=args.max_slope)
+        patch.validate(max_slope=max_slope)
         print("patch invariants: pass")
     except ValueError as exc:
         print(f"patch invariants: FAIL ({exc})")
@@ -304,8 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="audit invariants and data consistency")
     ver.add_argument("input")
     ver.add_argument("--residual-tol", type=float, default=None)
-    ver.add_argument("--max-slope", type=float, default=1.0,
-                     help="slope bound to audit; pass the --max-slope the data were generated with")
+    ver.add_argument("--max-slope", type=float, default=None,
+                     help="slope bound to audit; default: the max_slope generate recorded, else 1.0")
     ver.set_defaults(func=_cmd_verify)
 
     part = sub.add_parser("partition", help="cover a curve with graph patches")

@@ -18,7 +18,7 @@ Dataset schema (format_version 1):
       "u1", "u2",                      always present
       "dnu1", "dnu2", "p",             for kinds "dn" and "both"
       "t1", "t2",                      for kinds "stress" and "both"
-      "provenance": {...}              optional free-form strings
+      "provenance": {...}              optional free-form strings and numbers
     }
 """
 

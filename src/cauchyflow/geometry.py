@@ -21,8 +21,8 @@ velocity is the spline's exact derivative.
 Conventions:
   * orientation "below" means the fluid domain lies locally under the
     graph, so the outward normal is (-gamma', 1)/theta; "above" negates it.
-  * FrameRotation(a).apply(v) maps local-frame components to the global
-    frame; use .inverse() for the opposite direction.
+  * FrameRotation(a).rotate(v1, v2) maps local-frame components to the global
+    frame, .inverse().rotate back; every change of frame goes through it.
   * a closed curve's tangent must turn exactly once; when it turns
     counterclockwise the interior sits on the left of the tangent, which in
     a tangent-aligned local frame is the "above" side. Open arcs are
@@ -77,16 +77,21 @@ class FrameRotation:
     def inverse(self) -> "FrameRotation":
         return FrameRotation(-self.angle)
 
+    def rotate(self, a, b):
+        """Parent-frame components (c a - s b, s a + c b) of the local vector (a, b)."""
+        c, s = math.cos(self.angle), math.sin(self.angle)
+        return c * a - s * b, s * a + c * b
+
     def apply(self, vectors) -> np.ndarray:
         """Rotate an array of 2-vectors with shape (..., 2)."""
-        return np.asarray(vectors, dtype=float) @ self.matrix.T
+        v = np.asarray(vectors, dtype=float)
+        return np.stack(self.rotate(v[..., 0], v[..., 1]), axis=-1)
 
 
 def rotate_vector_trace(v, rot: FrameRotation):
     """Rotate per-node 2-vectors; accepts a VectorTrace or an (..., 2) array."""
     if isinstance(v, VectorTrace):
-        out = rot.apply(v.stacked())
-        return VectorTrace.from_arrays(out[..., 0], out[..., 1], v.h)
+        return VectorTrace.from_arrays(*rot.rotate(v.c1.values, v.c2.values), v.h)
     return rot.apply(v)
 
 
@@ -192,8 +197,7 @@ class BoundaryPatch:
 
     def nodes_global(self) -> np.ndarray:
         """Node positions in the global frame, shape (n, 2)."""
-        local = np.stack([self.x1, self.gamma], axis=-1)
-        return self.rotation.apply(local)
+        return np.stack(self.rotation.rotate(self.x1, self.gamma), axis=-1)
 
 
 def _check_nodes(x1, gamma, gamma_prime, mu, steps, h) -> None:
@@ -342,9 +346,9 @@ def ellipse(a: float, b: float) -> ParametricCurve:
 def graph_curve(f: Callable, fprime: Callable, lo: float, hi: float) -> ParametricCurve:
     """Open arc x2 = f(x1) over [lo, hi], parametrized linearly in x1."""
     lo, hi = float(lo), float(hi)
-    if not hi > lo:
-        raise ValueError("empty abscissa range")
-    span = hi - lo
+    span = hi - lo  # not finite when lo or hi is not
+    if not 0 < span < math.inf:
+        raise ValueError(f"abscissa range [{lo!r}, {hi!r}] must be non-empty and finite")
 
     def position(t):
         x = lo + span * np.asarray(t, dtype=float)
@@ -359,6 +363,8 @@ def graph_curve(f: Callable, fprime: Callable, lo: float, hi: float) -> Parametr
 
 def polynomial_graph(coeffs: Sequence[float], lo: float, hi: float) -> ParametricCurve:
     """Open polynomial graph with coefficients in increasing-degree order."""
+    if not all(math.isfinite(c) for c in coeffs):
+        raise ValueError("polynomial coefficients must be finite")
     poly = np.polynomial.Polynomial(list(coeffs))
     return graph_curve(poly, poly.deriv(), lo, hi)
 
@@ -389,22 +395,25 @@ def partition_curve(curve: ParametricCurve, max_slope: float = 1.0,
     tangent angle turns counterclockwise and "below" when it turns
     clockwise; open arcs are "below".
 
-    Raises ValueError for invalid parameters, irregular curves, curves
-    too small to sample in floating point (where dt/ds = 1/|velocity|
-    overflows), curves with corners, closed curves that fail the closure
-    check or whose tangent does not turn exactly once, and a max_slope too
-    small for the curve's turn between tangent samples.
+    Raises ValueError for invalid parameters, non-finite curve samples,
+    irregular curves, curves too small to sample in floating point (where
+    dt/ds = 1/|velocity| overflows), curves with corners, closed curves that
+    fail the closure check or whose tangent does not turn exactly once, and a
+    max_slope too small for the curve's turn between tangent samples.
     """
-    if not max_slope > 0:
-        raise ValueError("max_slope must be positive")
+    if not 0 < max_slope < math.inf:
+        raise ValueError("max_slope must be a positive finite number")
     if not 0.0 <= overlap_fraction < 0.5:
         raise ValueError("overlap_fraction must lie in [0, 0.5)")
     if nodes_per_patch < 2 * MARGIN + 1:
         raise ValueError("nodes_per_patch must be at least 5")
 
     tt = np.linspace(0.0, 1.0, _SAMPLES + 1)
-    x, y = (np.asarray(v, dtype=float) for v in curve.position(tt))
-    vx, vy = (np.asarray(v, dtype=float) for v in curve.velocity(tt))
+    with np.errstate(all="ignore"):  # an overflow is reported below, not warned
+        x, y = (np.asarray(v, dtype=float) for v in curve.position(tt))
+        vx, vy = (np.asarray(v, dtype=float) for v in curve.velocity(tt))
+    if not all(np.isfinite(v).all() for v in (x, y, vx, vy)):
+        raise ValueError("curve samples are not finite")
     speed = np.hypot(vx, vy)
     if np.min(speed) <= 1e-12 * np.max(speed):
         raise ValueError("curve is not regular: velocity vanishes at a sample node")
@@ -530,31 +539,25 @@ def _greedy_open_windows(s, phi, budget, ovl):
 
 
 def _build_patch(curve, frame, t_a, t_b, n_nodes, mu, orientation, max_slope):
-    c, s_ = math.cos(frame), math.sin(frame)
+    rotation = FrameRotation(frame)
 
-    def local_x(t):
-        px, py = curve.position(t)
-        return c * np.asarray(px, dtype=float) + s_ * np.asarray(py, dtype=float)
+    def local(fn):
+        """t -> the patch-frame components of the global-frame pair fn(t)."""
+        return lambda t: rotation.inverse().rotate(*(np.asarray(v, dtype=float) for v in fn(t)))
 
-    def local_dx(t):
-        wx, wy = curve.velocity(t)
-        return c * np.asarray(wx, dtype=float) + s_ * np.asarray(wy, dtype=float)
-
-    x1, _ = uniform_grid(float(local_x(t_a)), float(local_x(t_b)), n_nodes)
-    t_nodes = _invert_monotone(local_x, local_dx, t_a, t_b, x1)
-    px, py = (np.asarray(v, dtype=float) for v in curve.position(t_nodes))
-    wx, wy = (np.asarray(v, dtype=float) for v in curve.velocity(t_nodes))
-    gamma = -s_ * px + c * py
-    gp = (-s_ * wx + c * wy) / (c * wx + s_ * wy)
+    position, velocity = local(curve.position), local(curve.velocity)
+    x1, _ = uniform_grid(float(position(t_a)[0]), float(position(t_b)[0]), n_nodes)
+    t_nodes = _invert_monotone(lambda t: position(t)[0], lambda t: velocity(t)[0], t_a, t_b, x1)
+    _, gamma = position(t_nodes)
+    wx, wy = velocity(t_nodes)
+    gp = wy / wx
 
     peak = float(np.max(np.abs(gp)))
     if peak > max_slope:
         raise ValueError(f"max_slope is too small for this curve: "
                          f"a patch reaches |gamma'| = {peak:.3g}")
 
-    xg = c * x1 - s_ * gamma
-    yg = s_ * x1 + c * gamma
-    mu_vals = on_grid(mu(xg, yg) if callable(mu) else mu, x1)
+    mu_vals = on_grid(mu(*rotation.rotate(x1, gamma)) if callable(mu) else mu, x1)
     return BoundaryPatch(frame, x1, gamma, gp, mu_vals, orientation)
 
 

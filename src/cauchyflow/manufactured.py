@@ -160,8 +160,8 @@ def evaluate_traces(flow: AnalyticFlow, pressure: AnalyticScalarField,
 
     Evaluates velocity, velocity gradient, pressure and viscosity at the
     patch nodes in the global frame and rotates them into the patch frame;
-    the gradient is rotated entry by entry, forming only the three local
-    entries (f1, f2, f3) of J = [[f1, f3], [f2, -f1]]. With nu the outward
+    the local gradient is J applied to each local axis, read in local
+    components: f1, f2, f3 of J = [[f1, f3], [f2, -f1]]. With nu the outward
     unit normal, the normal derivative is J nu and the traction is
     sigma nu = (mu (J + J^T) - p I) nu, by definition. Returns mutually consistent
     (CauchyDN, CauchyStress, GradientTrace); viscosity values come from
@@ -172,36 +172,32 @@ def evaluate_traces(flow: AnalyticFlow, pressure: AnalyticScalarField,
     output that is not finite, e.g. where the fields overflow.
     """
     rotation = patch.rotation
-    rot = rotation.matrix
-    orientation = patch.orientation
+    to_local = rotation.inverse().rotate
+    (e1, e2), (e3, e4) = rotation.rotate(1.0, 0.0), rotation.rotate(0.0, 1.0)  # the local axes
 
     def kernel(x1, gamma, gamma_prime):
         with np.errstate(over="ignore", invalid="ignore"):
-            nodes = rotation.apply(np.stack([x1, gamma], axis=-1))  # patch.nodes_global()
-            xg, yg = nodes[:, 0], nodes[:, 1]
+            xg, yg = rotation.rotate(x1, gamma)  # patch.nodes_global()
             mu_vals = on_grid(viscosity.value(xg, yg), xg)
             if not np.all(mu_vals > 0):
                 raise ValueError("viscosity field is not positive on the patch")
             p_vals = on_grid(pressure.value(xg, yg), xg)
             ug1, ug2, g11, g21, g12 = (on_grid(v, xg) for v in flow.fields(xg, yg))
 
-            jac = ((g11, g12), (g21, -g11))
-            # entry (i, l) of rot.T @ J @ rot, summed from 0, j-major, left to
-            # right: the rounding, signed zeros included, of a batched 3-operand
-            # contraction, so generated files keep their bytes
-            f1, f2, f3 = (sum(rot[j, i] * jac[j][k] * rot[k, l] for j in (0, 1) for k in (0, 1))
-                          for i, l in ((0, 0), (1, 0), (0, 1)))
-            u_local = np.stack([ug1, ug2], axis=-1) @ rot  # equals (rot.T @ u) per node
+            # column l of R^T J R is J applied to local axis l, read in local components
+            f1, f2 = to_local(g11 * e1 + g12 * e2, g21 * e1 - g11 * e2)
+            f3, _ = to_local(g11 * e3 + g12 * e4, g21 * e3 - g11 * e4)
+            u1, u2 = to_local(ug1, ug2)
             # the global-frame arrays are read no more: free them before the
             # boundary formulas allocate theirs, which keeps the block's peak down
-            del nodes, xg, yg, ug1, ug2, g11, g21, g12, jac
+            del xg, yg, ug1, ug2, g11, g21, g12, _
 
-            nu1, nu2 = _frame(gamma_prime, orientation)[2:]
+            nu1, nu2 = _frame(gamma_prime, patch.orientation)[2:]
             d1, d2 = f1 * nu1 + f3 * nu2, f2 * nu1 - f1 * nu2
             # t = mu (J nu + J^T nu) - p nu, with J^T nu = (f1 nu1 + f2 nu2, f3 nu1 - f1 nu2)
             t1 = mu_vals * (d1 + f1 * nu1 + f2 * nu2) - p_vals * nu1
             t2 = mu_vals * (d2 + f3 * nu1 - f1 * nu2) - p_vals * nu2
-        values = (u_local[:, 0], u_local[:, 1], d1, d2, p_vals, t1, t2, f1, f2, f3)
+        values = (u1, u2, d1, d2, p_vals, t1, t2, f1, f2, f3)
         for name, v in zip(_ORACLE_OUTPUTS, values):
             if not np.isfinite(v).all():
                 # the wording of the writer, which refuses the same values

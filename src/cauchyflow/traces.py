@@ -37,7 +37,9 @@ def blockwise(kernel, *arrays):
     tuple of per-node float arrays and scalars. Per-node results are gathered
     into full-length outputs, and a scalar, such as the block's maximum of
     some quantity, into an array with one value per block; the outputs are
-    returned as a tuple. A single block is one direct call.
+    returned as a tuple. The last block holds what is left, one node or more:
+    elementwise arithmetic rounds a node alike at any block length. A single
+    block is one direct call.
     Otherwise the calling thread runs the first block and allocates the
     outputs (memory a worker thread allocates stays in that thread's malloc
     arena, where the caller's later allocations cannot reuse it). The other
@@ -48,10 +50,6 @@ def blockwise(kernel, *arrays):
     """
     n = arrays[0].shape[0]
     bounds = list(range(0, n, _BLOCK_NODES)) + [n]
-    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-        # numpy hands a one-row matmul to another BLAS routine, which rounds
-        # differently, so no block is a single node
-        del bounds[-2]
     blocks = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
     if len(blocks) < 2:
         return tuple(kernel(*arrays))

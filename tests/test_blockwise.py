@@ -55,8 +55,8 @@ def oracle_patches(n):
     circle_patches = [p for p in partition_curve(circle(1.0), nodes_per_patch=n)
                       if p.frame_angle != 0.0][:2]
     graph = graph_patch(lambda x: 0.3 * np.sin(2.0 * x), lambda x: 0.6 * np.cos(2.0 * x), -1.0, 1.0, n)
-    # tilted graph patches, whose node rotation rounds differently when a
-    # one-row matmul takes numpy's other BLAS path
+    # tilted graph patches, whose nodes, velocity and gradient are rotated
+    # into the patch frame, in blocks down to a single node
     tilted = [dataclasses.replace(graph, frame_angle=a) for a in (0.3, 2.0)]
     return [dataclasses.replace(p, orientation=o)
             for p in (*circle_patches, graph, *tilted) for o in ("below", "above")]
@@ -116,7 +116,7 @@ def test_lowest_failing_block_wins_and_threads_stop(monkeypatch):
     assert threading.active_count() == before
 
 
-def test_blocks_gather_in_order_and_never_hold_one_node(monkeypatch):
+def test_blocks_gather_in_order_with_a_one_node_tail(monkeypatch):
     monkeypatch.setattr(traces, "_BLOCK_NODES", 4)
     monkeypatch.setattr(traces, "_WORKERS", 3)
     sizes = []
@@ -128,7 +128,7 @@ def test_blocks_gather_in_order_and_never_hold_one_node(monkeypatch):
     x = np.arange(9.0)
     s, p = blockwise(kernel, x, x[::-1].copy())
     assert np.array_equal(s, x + x[::-1]) and np.array_equal(p, x * x[::-1])
-    assert sorted(sizes) == [4, 5]  # the one-node tail joins the block before it
+    assert sorted(sizes) == [1, 4, 4]  # the last block holds the one node left
 
 
 def test_scalar_outputs_gather_one_value_per_block(monkeypatch):
@@ -137,7 +137,7 @@ def test_scalar_outputs_gather_one_value_per_block(monkeypatch):
     x = np.arange(9.0)
     doubled, block_max = blockwise(lambda v: (2.0 * v, np.max(v)), x)
     assert np.array_equal(doubled, 2.0 * x)
-    assert np.array_equal(block_max, [3.0, 8.0])  # blocks 0-3 and 4-8
+    assert np.array_equal(block_max, [3.0, 7.0, 8.0])  # blocks 0-3, 4-7 and 8
 
 
 def test_workers_run_in_the_callers_error_state(monkeypatch):

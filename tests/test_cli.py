@@ -294,6 +294,55 @@ def test_verify_malformed(tmp_path):
     assert run(["verify", bad]) == 3
 
 
+def generate_steep(tmp_path):
+    """Circle patches cut with slope bound 2, whose |gamma'| reaches 1.5."""
+    out = tmp_path / "g.json"
+    assert run(["generate", "--flow", "trig", "--pressure", "trig", "--viscosity", "unit",
+                "--curve", "circle:1", "--max-slope", 2, "--nodes", 64, "--out", out]) == 0
+    return tmp_path / "g-p00.json"
+
+
+def test_verify_audits_the_recorded_slope_bound(tmp_path, capsys):
+    src = generate_steep(tmp_path)
+    assert read_dataset(src).provenance["max_slope"] == 2.0
+    capsys.readouterr()
+    assert run(["verify", src]) != 5  # the residual is not what this test is about
+    assert "patch invariants: pass" in capsys.readouterr().out
+    # convert carries the provenance, so its output is audited the same way
+    out = tmp_path / "dn.json"
+    assert run(["convert", "stress-to-dn", "--in", src, "--out", out]) == 0
+    assert read_dataset(out).provenance["max_slope"] == 2.0
+    assert run(["verify", out]) == 0
+    # an explicit flag wins over the provenance
+    capsys.readouterr()
+    assert run(["verify", src, "--max-slope", 1]) == 5
+    assert "slope bound |gamma'| <= 1.0 violated" in capsys.readouterr().out
+
+
+def test_verify_without_recorded_slope_bound_uses_1(tmp_path, capsys):
+    doc = json.loads(generate_steep(tmp_path).read_text())
+    del doc["provenance"]
+    src = tmp_path / "bare.json"
+    src.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["verify", src]) == 5
+    assert "slope bound |gamma'| <= 1.0 violated" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", [0, -2.5, "2", True, None, 10 ** 400],
+                         ids=["zero", "negative", "string", "bool", "null", "huge-int"])
+def test_verify_bad_recorded_slope_bound_exits_3(tmp_path, capsys, value):
+    src = generate_couette(tmp_path)
+    doc = json.loads(src.read_text())
+    doc["provenance"]["max_slope"] = value
+    src.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["verify", src]) == 3
+    assert capsys.readouterr().err == (
+        f"error: provenance max_slope must be a positive finite number, got {value!r}\n")
+    assert run(["verify", src, "--max-slope", 1]) == 0
+
+
 def test_verify_stress_only_dataset(tmp_path):
     src = generate_couette(tmp_path)
     dn_only = json.loads(src.read_text())
@@ -424,6 +473,30 @@ def test_output_in_missing_directory_exits_3(tmp_path, capsys, command):
     assert run(args) == 3
     err = capsys.readouterr().err
     assert re.fullmatch(r"error: (patch 0: )?cannot write \S+x(-p00)?\.json: [^\n]+\n", err)
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--curve", "graph:poly:nan"],
+     "malformed curve spec 'graph:poly:nan': polynomial coefficients must be finite"),
+    (["--curve", "graph:poly:0,inf"],
+     "malformed curve spec 'graph:poly:0,inf': polynomial coefficients must be finite"),
+    (["--curve", "graph:poly:1e308,1e308"], "curve samples are not finite"),
+    (["--curve", "graph:poly:0", "--x1-range=-1e308,1e308"],
+     "malformed curve spec 'graph:poly:0': abscissa range [-1e+308, 1e+308] must be "
+     "non-empty and finite"),
+    (["--curve", "graph:poly:0", "--x1-range=-inf,1"],
+     "malformed curve spec 'graph:poly:0': abscissa range [-inf, 1.0] must be non-empty and finite"),
+    (["--curve", "circle:1", "--max-slope", "inf"], "max_slope must be a positive finite number"),
+], ids=["poly-nan", "poly-inf", "poly-overflow", "range-overflow", "range-inf", "slope-inf"])
+@pytest.mark.parametrize("command", ["partition", "generate"])
+def test_non_finite_curve_input_exits_3_with_one_line(tmp_path, capsys, command, args, message):
+    out = tmp_path / "x.json"
+    if command == "generate":
+        args = ["--flow", "trig", "--pressure", "trig", "--viscosity", "unit", "--nodes", 16, *args]
+    capsys.readouterr()
+    assert run([command, *args, "--out", out]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_partition_invalid_slope(tmp_path):

@@ -64,6 +64,19 @@ def test_rotation_round_trip(angle, seed):
     assert np.max(np.abs(back - v)) <= 1e-13
 
 
+@given(angle=st.floats(-10, 10), seed=st.integers(0, 2**32 - 1))
+def test_rotate_agrees_with_apply_and_matrix(angle, seed):
+    rng = np.random.default_rng(seed)
+    v = rng.uniform(-5, 5, (16, 2))
+    rot = FrameRotation(angle)
+    out = np.stack(rot.rotate(v[:, 0], v[:, 1]), axis=-1)
+    assert np.array_equal(out, rot.apply(v))
+    tol = 2 * EPS * np.max(np.abs(v))
+    assert np.max(np.abs(out - v @ rot.matrix.T)) <= tol
+    back = np.stack(rot.inverse().rotate(out[:, 0], out[:, 1]), axis=-1)
+    assert np.max(np.abs(back - v)) <= tol
+
+
 def test_uniform_grid_spacing_is_bitwise_exact():
     for lo, hi, n in [(-1.0, 1.0, 68), (0.37, 5.11, 257), (-3.2, -1.9, 17)]:
         x, h = uniform_grid(lo, hi, n)

@@ -232,6 +232,16 @@ def test_gradient_rotation_on_rotated_patches(curve, orientation):
                 assert np.max(np.abs(got - ref[:, i, l])) <= tol, (flow.name, i, l)
 
 
+@pytest.mark.parametrize("n", [16, 64, 1024])
+def test_viscosity_at_global_nodes_is_patch_mu(n):
+    # the partitioner and nodes_global rotate the nodes with one formula, so
+    # the oracle's viscosity matches the stored one bit for bit
+    visc = VISCOSITIES["variable"]
+    for curve in (circle(1.0), circle(3.0), ellipse(2.0, 1.0)):
+        for patch in partition_curve(curve, nodes_per_patch=n, mu=visc.value):
+            assert np.array_equal(visc.value(*patch.nodes_global().T), patch.mu)
+
+
 def test_oracle_rotates_without_einsum(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("oracle reached np.einsum")

@@ -9,9 +9,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name):
+def run_script(name, *args):
     env = os.environ | {"PYTHONPATH": str(ROOT / "src")}
-    done = subprocess.run([sys.executable, str(ROOT / "scripts" / name)], env=env,
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout
@@ -25,6 +25,7 @@ def test_convergence_study_reaches_fourth_order():
 
 
 def test_circle_overlap_demo_agrees_to_roundoff():
-    out = run_script("circle_overlap_demo.py")
-    worst = float(re.search(r"worst overlap disagreement over \d+ pairs: (\S+)", out).group(1))
-    assert worst <= 1e-12
+    for args in ((), ("--curve", "ellipse")):
+        out = run_script("circle_overlap_demo.py", *args)
+        worst = float(re.search(r"worst overlap disagreement over \d+ pairs: (\S+)", out).group(1))
+        assert worst <= 1e-12, args
