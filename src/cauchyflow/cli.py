@@ -29,8 +29,8 @@ EXIT_INVARIANT = 5
 _DET_IDENTITY_TOL = 1e-12
 
 
-def parse_curve_spec(spec: str, x1_range=(-1.0, 1.0)) -> geometry.ParametricCurve:
-    """Builtin curve specs: circle:R, ellipse:A,B, graph:poly:c0,c1,..."""
+def parse_curve_spec(spec: str, x1_range: str = "-1,1") -> geometry.ParametricCurve:
+    """Builtin curve specs: circle:R, ellipse:A,B, graph:poly:c0,c1,... over x1_range "LO,HI"."""
     head, _, rest = spec.partition(":")
     try:
         if head == "circle":
@@ -43,26 +43,16 @@ def parse_curve_spec(spec: str, x1_range=(-1.0, 1.0)) -> geometry.ParametricCurv
             if sub != "poly" or not coeff_text:
                 raise ValueError("graph specs take the form graph:poly:c0,c1,...")
             coeffs = [float(v) for v in coeff_text.split(",")]
-            lo, hi = (float(v) for v in x1_range)
+            lo, hi = (float(v) for v in x1_range.split(","))
             return geometry.polynomial_graph(coeffs, lo, hi)
     except ValueError as exc:
         raise ValueError(f"malformed curve spec {spec!r}: {exc}") from exc
     raise ValueError(f"unrecognized curve spec {spec!r}")
 
 
-def _parse_range(text: str):
-    try:
-        lo, hi = (float(v) for v in text.split(","))
-    except ValueError as exc:
-        raise ValueError(f"malformed range {text!r}") from exc
-    if not hi > lo:
-        raise ValueError(f"empty range {text!r}")
-    return lo, hi
-
-
 def _curve_patches(args, mu=1.0) -> list[geometry.BoundaryPatch]:
     """Cover the --curve spec with patches as --max-slope, --overlap and --nodes ask."""
-    curve = parse_curve_spec(args.curve, _parse_range(args.x1_range))
+    curve = parse_curve_spec(args.curve, args.x1_range)
     return geometry.partition_curve(curve, max_slope=args.max_slope, overlap_fraction=args.overlap,
                                     nodes_per_patch=args.nodes, mu=mu)
 
@@ -86,10 +76,6 @@ def _limit_error(residual_tol, max_slope=None) -> str | None:
     if max_slope is not None and not max_slope > 0:
         return f"--max-slope must be a positive number, got {max_slope}"
     return None
-
-
-def _data_scale(arrays) -> float:
-    return max(float(np.max(np.abs(a))) for a in arrays)
 
 
 def _cmd_generate(args) -> int:
@@ -141,24 +127,23 @@ def _cmd_convert(args) -> int:
         if ds.data_kind == "dn":
             return _fail(EXIT_UNKNOWN_NAME, "input has no traction arrays (t1, t2)")
         data = ds.stress()
-        used = (ds.u1, ds.u2, ds.t1, ds.t2)
+        used = (ds.t1, ds.t2)
         converter = transform.stress_to_dn
     else:
         if ds.data_kind == "stress":
             return _fail(EXIT_UNKNOWN_NAME, "input has no (dnu1, dnu2, p) arrays")
         data = ds.dn()
-        used = (ds.u1, ds.u2, ds.dnu1, ds.dnu2, ds.p)
+        used = (ds.dnu1, ds.dnu2, ds.p)
         converter = transform.dn_to_stress
 
+    tol = args.residual_tol
     try:
         converted, residual = converter(data, ds.patch)
         inner = ds.patch.interior()
+        if tol is None:
+            tol = transform.tolerance(ds.patch, ds.u1, ds.u2, *used)
     except ValueError as exc:
         return _fail(EXIT_MALFORMED, str(exc))
-
-    tol = args.residual_tol
-    if tol is None:
-        tol = transform.default_residual_tol(ds.patch.h, _data_scale(used))
     provenance = (ds.provenance or {}) | {"converted": args.direction}
     if args.direction == "stress-to-dn":
         out = dataio.dataset_from_traces(inner, dn=converted, provenance=provenance)
@@ -216,17 +201,18 @@ def _cmd_verify(args) -> int:
         if not ok:
             invariant_failed = True
 
-        tol = args.residual_tol
-        if tol is None:
-            tol = transform.default_residual_tol(patch.h, _data_scale(ds.arrays.values()))
+        def check_tol(*arrays):
+            return args.residual_tol if args.residual_tol is not None else \
+                transform.tolerance(patch, ds.u1, ds.u2, *arrays)
 
-        short = patch.n < 2 * geometry.MARGIN + 1
+        short = patch.n < 7
         if short and ds.data_kind != "stress":
-            print(f"consistency and cross-format checks: skipped ({patch.n} nodes, "
-                  f"stencil differentiation needs at least {2 * geometry.MARGIN + 1})")
+            print(f"consistency and cross-format checks: skipped ({patch.n} nodes, the error "
+                  "model needs two fifth differences of u, so at least 7)")
 
         if ds.data_kind in ("dn", "both") and not short:
             _, residual = transform.dn_to_stress(ds.dn(), patch)
+            tol = check_tol(ds.dnu1, ds.dnu2, ds.p)
             ok = residual <= tol
             print(f"consistency residual max = {residual:.17g} (tol {tol:.17g}): "
                   f"{'pass' if ok else 'FAIL'}")
@@ -241,9 +227,7 @@ def _cmd_verify(args) -> int:
                 float(np.max(np.abs(dn_conv.dnu.c2.values - ds.dnu2[cut]))),
                 float(np.max(np.abs(dn_conv.p.values - ds.p[cut]))),
             )
-            # the stencil error amplified through the solve carries a larger
-            # constant than the raw residual, so this check gets headroom
-            cross_tol = 50.0 * tol
+            cross_tol = check_tol(ds.t1, ds.t2, ds.dnu1, ds.dnu2, ds.p)
             ok = deviation <= cross_tol
             print(f"cross-format max deviation = {deviation:.17g} (tol {cross_tol:.17g}): "
                   f"{'pass' if ok else 'FAIL'}")
@@ -300,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     conv.add_argument("--in", dest="input", required=True)
     conv.add_argument("--out", dest="output", required=True)
     conv.add_argument("--residual-tol", type=float, default=None,
-                      help="override the 10 h^4 (data scale) default; the residual is the "
+                      help="override the stencil error bound the data imply; the residual is the "
                            "boundary divergence tau.a + nu.dnu, with a the tangential "
                            "derivative of u; traction data carry no redundant relation, so "
                            "stress-to-dn reports a residual of 0 and never exits 4")
@@ -309,7 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="audit invariants and data consistency")
     ver.add_argument("input")
-    ver.add_argument("--residual-tol", type=float, default=None)
+    ver.add_argument("--residual-tol", type=float, default=None,
+                     help="tolerance of both data checks; default: the stencil error bound "
+                          "implied by the arrays each check reads")
     ver.add_argument("--max-slope", type=float, default=None,
                      help="slope bound to audit; default: the max_slope generate recorded, else 1.0")
     ver.set_defaults(func=_cmd_verify)

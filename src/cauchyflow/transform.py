@@ -225,9 +225,30 @@ def gradient_from_dn(g_prime, h_prime, dnu, gamma_prime):
     return f1, f2, f3, np.abs(f1 + gp * f2 + th * n2)
 
 
-def default_residual_tol(h: float, data_scale: float) -> float:
-    """Consistency-residual tolerance matching the stencil error floor."""
-    return 10.0 * float(h) ** 4 * float(data_scale)
+def tolerance(patch: BoundaryPatch, u1, u2, *arrays) -> float:
+    """Default tolerance of a check that reads the velocity (u1, u2) and `arrays`.
+
+    Returns 2 G (T + R + eps S), a bound on the stencil error in the
+    consistency residual and in either conversion's outputs. T = D5 / (30 h),
+    with D5 the largest fifth difference of u1 and u2, is the truncation
+    error h^4 max|d^5 u / dx1^5| / 30 plus the data's own rounding noise at
+    its weight in the stencil, about noise / h (h^5 is never formed).
+    R = 1.5 (eps M0 + 2^-1074) / h is the stencil's roundoff on |u| <= M0,
+    with a subnormal floor where u underflows, S the largest magnitude among
+    u and `arrays`, and G = 8 max(1, max mu) the gain: a slope error reaches
+    a = (g', h') / theta shrunk by theta >= 1, so no gamma' factor enters.
+    The tolerance widens with noise in u, and near underflow the floor makes
+    the check coarse. Patches of fewer than 7 nodes raise ValueError: a
+    single fifth difference vanishes on data symmetric about the patch centre.
+    """
+    if patch.n < 7:
+        raise ValueError(f"the error model needs at least 7 nodes, got {patch.n}")
+    eps, h = float(np.finfo(float).eps), patch.h
+    d5 = max(float(np.max(np.abs(np.diff(v, 5)))) for v in (u1, u2))
+    m0 = max(float(np.max(np.abs(v))) for v in (u1, u2))
+    s = max([m0] + [float(np.max(np.abs(v))) for v in arrays])
+    gain = 8.0 * max(1.0, float(np.max(patch.mu)))
+    return 2.0 * gain * (d5 / (30.0 * h) + 1.5 * (eps * m0 + 2.0 ** -1074) / h + eps * s)
 
 
 def stress_to_dn(data: CauchyStress, patch: BoundaryPatch, u_prime=None):

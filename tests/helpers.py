@@ -37,26 +37,6 @@ def traction_oracle(f1, f2, f3, p, gamma_prime, mu, orientation="below"):
     return s11 * nu[..., 0] + s12 * nu[..., 1], s12 * nu[..., 0] + s22 * nu[..., 1]
 
 
-def conversion_error_bound(patch, dn, stress):
-    """2 G (h^4 M5 / 30 + 1.5 eps M0 / h + eps S): the conversions' stencil error model.
-
-    G = (8 + 12 max|gamma'|) max(1, max mu) bounds the gain of either
-    direction; M0 and M5 are the largest |u| and |d^5 u / dx1^5| of the
-    velocity trace (M5 from fifth differences on at most 65 nodes), and S
-    the largest magnitude of any input array.
-    """
-    eps, h = float(np.finfo(float).eps), patch.h
-    u = (dn.u.c1.values, dn.u.c2.values)
-    stride = max(1, (patch.n - 1) // 64)
-    m0 = max(float(np.max(np.abs(v))) for v in u)
-    m5 = max(float(np.max(np.abs(np.diff(v[::stride], 5)))) for v in u) / (h * stride) ** 5
-    s = max(float(np.max(np.abs(v))) for v in (*u, *dn.dnu.stacked().T, dn.p.values,
-                                                  *stress.traction.stacked().T))
-    gain = ((8.0 + 12.0 * float(np.max(np.abs(patch.gamma_prime))))
-            * max(1.0, float(np.max(patch.mu))))
-    return 2.0 * gain * (h ** 4 * m5 / 30.0 + 1.5 * eps * m0 / h + eps * s)
-
-
 def restrict(a, times=1):
     """Drop `times` margin layers (2 nodes per end each) from an array."""
     k = 2 * times

@@ -267,6 +267,100 @@ def test_verify_reports_skipped_checks_on_short_patch(tmp_path, capsys):
     assert "consistency and cross-format checks: skipped (4 nodes" in printed
 
 
+def generate_trig(tmp_path, curve, nodes, name="trig.json"):
+    out = tmp_path / name
+    assert run(["generate", "--flow", "trig", "--pressure", "trig", "--viscosity", "variable",
+                "--curve", curve, "--nodes", nodes, "--out", out]) == 0
+    return out
+
+
+@pytest.mark.parametrize("nodes", [5, 6])
+def test_verify_skips_data_checks_below_seven_nodes(tmp_path, capsys, nodes):
+    # a single fifth difference of u vanishes on data symmetric about the
+    # patch centre, as these are, so the error model needs two
+    src = generate_trig(tmp_path, "graph:poly:0,0.1", nodes)
+    capsys.readouterr()
+    assert run(["verify", src]) == 0
+    assert (f"consistency and cross-format checks: skipped ({nodes} nodes, the error model "
+            "needs two fifth differences of u, so at least 7)") in capsys.readouterr().out
+
+
+def test_convert_below_seven_nodes_needs_an_explicit_tolerance(tmp_path, capsys):
+    src = generate_trig(tmp_path, "graph:poly:0,0.1", 6)
+    args = ["convert", "dn-to-stress", "--in", src, "--out", tmp_path / "out.json"]
+    capsys.readouterr()
+    assert run(args) == 3
+    assert capsys.readouterr().err == "error: the error model needs at least 7 nodes, got 6\n"
+    assert run([*args, "--residual-tol", "1"]) == 0
+
+
+def test_verify_checks_dn_data_on_their_own_scale(tmp_path, capsys):
+    # criterion 8's divergent dn data beside a huge traction: the consistency
+    # check reads (u, dnu, p) only, so t1 does not widen its tolerance
+    patch = flat_patch(68)
+    x, z = patch.x1, np.zeros(68)
+    src = tmp_path / "bad.json"
+    write_dataset(src, Dataset(patch=patch, data_kind="both", u1=x, u2=z, dnu1=z,
+                               dnu2=np.ones(68), p=z, t1=np.full(68, 1e300), t2=z))
+    assert run(["verify", src]) == 4
+    printed = capsys.readouterr().out
+    assert re.search(r"consistency residual max = 2 \(tol \S+\): FAIL", printed)
+
+
+@pytest.mark.parametrize("nodes, delta", [(64, 1e-3), (4096, 1e-8)])
+def test_verify_flags_one_perturbed_normal_derivative(tmp_path, capsys, nodes, delta):
+    generate_trig(tmp_path, "circle:1", nodes)
+    src = tmp_path / "trig-p00.json"
+    assert run(["verify", src]) == 0
+    doc = json.loads(src.read_text())
+    doc["dnu2"][nodes // 2] += delta
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["verify", bad]) == 4
+    assert re.search(r"consistency residual max = \S+ \(tol \S+\): FAIL", capsys.readouterr().out)
+
+
+def test_generate_then_verify_passes_on_every_curve_kind(tmp_path, monkeypatch):
+    # exact oracle data pass both data checks: every catalog triple on each
+    # builtin curve kind at 16 nodes and on one of them at 64, some at 4096
+    # nodes, and a circle so small that the cubic flow's velocity underflows
+    from cauchyflow import builtin_catalog, cli
+
+    parser = cli.build_parser()
+    covers = {}
+    partition = cli._curve_patches
+
+    def partition_once(args, mu=1.0):  # the cover depends on the curve, size and viscosity
+        key = (args.curve, args.nodes, mu)
+        if key not in covers:
+            covers[key] = partition(args, mu)
+        return covers[key]
+
+    def run_once(*argv):  # main() without rebuilding the parser
+        args = parser.parse_args([str(a) for a in argv])
+        return args.func(args)
+
+    monkeypatch.setattr(cli, "_curve_patches", partition_once)
+    catalog = {t.name: t for t in builtin_catalog()}
+    curves = ("circle:1", "ellipse:2,1", "graph:poly:0,0.5,-0.2")
+    cases = [(t, curve, 16) for t in catalog.values() for curve in curves]
+    cases += [(t, curves[k % 3], 64) for k, t in enumerate(catalog.values())]
+    cases += [(catalog[name], curve, 4096) for name, curve in (
+        ("trig/trig/variable", "circle:1"), ("trig/trig/variable", "graph:poly:0,0.5,-0.2"),
+        ("cubic/linear/unit", "graph:poly:0,0.5,-0.2"))]
+    cases += [(catalog[f"{flow}/{rest}"], "circle:1e-300", 16) for flow in ("cubic", "trig")
+              for rest in ("zero/unit", "trig/variable")]
+    for k, (triple, curve, nodes) in enumerate(cases):
+        out = tmp_path / str(k)
+        out.mkdir()
+        assert run_once("generate", "--flow", triple.flow.name, "--pressure", triple.pressure.name,
+                        "--viscosity", triple.viscosity.name, "--curve", curve,
+                        "--nodes", nodes, "--out", out / "g.json") == 0
+        for path in sorted(out.glob("*.json")):
+            assert run_once("verify", path) == 0, (triple.name, curve, nodes, path.name)
+
+
 @pytest.mark.parametrize("command,option,value", [
     ("convert", "--residual-tol", "nan"),
     ("convert", "--residual-tol", "-1"),
@@ -370,6 +464,11 @@ def test_partition_circle_cli(tmp_path, capsys):
 def test_partition_ellipse_cli(tmp_path):
     out = tmp_path / "patches.json"
     assert run(["partition", "--curve", "ellipse:2.0,1.0", "--out", out]) == 0
+
+
+def test_x1_range_applies_only_to_graph_curves(tmp_path):
+    out = tmp_path / "p.json"
+    assert run(["partition", "--curve", "circle:1", "--x1-range=1,0", "--out", out]) == 0
 
 
 @pytest.mark.parametrize("spec", ["circle:10000", "ellipse:1e5,1e4"])
@@ -486,8 +585,11 @@ def test_output_in_missing_directory_exits_3(tmp_path, capsys, command):
      "non-empty and finite"),
     (["--curve", "graph:poly:0", "--x1-range=-inf,1"],
      "malformed curve spec 'graph:poly:0': abscissa range [-inf, 1.0] must be non-empty and finite"),
+    (["--curve", "graph:poly:0", "--x1-range=1,0"],
+     "malformed curve spec 'graph:poly:0': abscissa range [1.0, 0.0] must be non-empty and finite"),
     (["--curve", "circle:1", "--max-slope", "inf"], "max_slope must be a positive finite number"),
-], ids=["poly-nan", "poly-inf", "poly-overflow", "range-overflow", "range-inf", "slope-inf"])
+], ids=["poly-nan", "poly-inf", "poly-overflow", "range-overflow", "range-inf", "range-empty",
+        "slope-inf"])
 @pytest.mark.parametrize("command", ["partition", "generate"])
 def test_non_finite_curve_input_exits_3_with_one_line(tmp_path, capsys, command, args, message):
     out = tmp_path / "x.json"

@@ -18,10 +18,12 @@ def run_script(name, *args):
 
 
 def test_convergence_study_reaches_fourth_order():
-    last_row = run_script("convergence_study.py").strip().splitlines()[-1].split()
-    # columns: h, err(dnu,p), order, err(traction), order
-    for order in (float(last_row[2]), float(last_row[4])):
+    rows = [line.split() for line in run_script("convergence_study.py").strip().splitlines()[2:]]
+    # columns: h, err(dnu,p), order, err(traction), order, err/tol
+    for order in (float(rows[-1][2]), float(rows[-1][4])):
         assert abs(order - 4.0) <= 0.1
+    # the error model bounds the true conversion error at every level
+    assert all(float(row[5]) <= 1.0 for row in rows)
 
 
 def test_circle_overlap_demo_agrees_to_roundoff():
