@@ -127,21 +127,20 @@ def _cmd_convert(args) -> int:
         if ds.data_kind == "dn":
             return _fail(EXIT_UNKNOWN_NAME, "input has no traction arrays (t1, t2)")
         data = ds.stress()
-        used = (ds.t1, ds.t2)
         converter = transform.stress_to_dn
     else:
         if ds.data_kind == "stress":
             return _fail(EXIT_UNKNOWN_NAME, "input has no (dnu1, dnu2, p) arrays")
         data = ds.dn()
-        used = (ds.dnu1, ds.dnu2, ds.p)
         converter = transform.dn_to_stress
 
     tol = args.residual_tol
     try:
         converted, residual = converter(data, ds.patch)
         inner = ds.patch.interior()
-        if tol is None:
-            tol = transform.tolerance(ds.patch, ds.u1, ds.u2, *used)
+        if tol is None:  # traction data have no residual to bound
+            tol = 0.0 if args.direction == "stress-to-dn" else \
+                transform.tolerance(ds.patch, ds.u1, ds.u2, ds.dnu1, ds.dnu2, ds.p)
     except ValueError as exc:
         return _fail(EXIT_MALFORMED, str(exc))
     provenance = (ds.provenance or {}) | {"converted": args.direction}
@@ -205,21 +204,27 @@ def _cmd_verify(args) -> int:
             return args.residual_tol if args.residual_tol is not None else \
                 transform.tolerance(patch, ds.u1, ds.u2, *arrays)
 
-        short = patch.n < 7
-        if short and ds.data_kind != "stress":
-            print(f"consistency and cross-format checks: skipped ({patch.n} nodes, the error "
-                  "model needs two fifth differences of u, so at least 7)")
+        tol = cross_tol = None
+        if ds.data_kind != "stress":
+            try:
+                if patch.n < 2 * geometry.MARGIN + 1:
+                    raise ValueError(f"{patch.n} nodes, stencil differentiation needs at least "
+                                     f"{2 * geometry.MARGIN + 1}")
+                tol = check_tol(ds.dnu1, ds.dnu2, ds.p)
+                if ds.data_kind == "both":
+                    cross_tol = check_tol(ds.t1, ds.t2, ds.dnu1, ds.dnu2, ds.p)
+            except ValueError as exc:
+                print(f"consistency and cross-format checks: skipped ({exc})")
 
-        if ds.data_kind in ("dn", "both") and not short:
+        if tol is not None:
             _, residual = transform.dn_to_stress(ds.dn(), patch)
-            tol = check_tol(ds.dnu1, ds.dnu2, ds.p)
             ok = residual <= tol
             print(f"consistency residual max = {residual:.17g} (tol {tol:.17g}): "
                   f"{'pass' if ok else 'FAIL'}")
             if not ok:
                 residual_failed = True
 
-        if ds.data_kind == "both" and not short:
+        if cross_tol is not None:
             dn_conv, _ = transform.stress_to_dn(ds.stress(), patch)
             cut = slice(geometry.MARGIN, -geometry.MARGIN)
             deviation = max(
@@ -227,7 +232,6 @@ def _cmd_verify(args) -> int:
                 float(np.max(np.abs(dn_conv.dnu.c2.values - ds.dnu2[cut]))),
                 float(np.max(np.abs(dn_conv.p.values - ds.p[cut]))),
             )
-            cross_tol = check_tol(ds.t1, ds.t2, ds.dnu1, ds.dnu2, ds.p)
             ok = deviation <= cross_tol
             print(f"cross-format max deviation = {deviation:.17g} (tol {cross_tol:.17g}): "
                   f"{'pass' if ok else 'FAIL'}")

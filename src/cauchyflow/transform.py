@@ -228,27 +228,25 @@ def gradient_from_dn(g_prime, h_prime, dnu, gamma_prime):
 def tolerance(patch: BoundaryPatch, u1, u2, *arrays) -> float:
     """Default tolerance of a check that reads the velocity (u1, u2) and `arrays`.
 
-    Returns 2 G (T + R + eps S), a bound on the stencil error in the
-    consistency residual and in either conversion's outputs. T = D5 / (30 h),
-    with D5 the largest fifth difference of u1 and u2, is the truncation
-    error h^4 max|d^5 u / dx1^5| / 30 plus the data's own rounding noise at
-    its weight in the stencil, about noise / h (h^5 is never formed).
-    R = 1.5 (eps M0 + 2^-1074) / h is the stencil's roundoff on |u| <= M0,
-    with a subnormal floor where u underflows, S the largest magnitude among
-    u and `arrays`, and G = 8 max(1, max mu) the gain: a slope error reaches
-    a = (g', h') / theta shrunk by theta >= 1, so no gamma' factor enters.
-    The tolerance widens with noise in u, and near underflow the floor makes
-    the check coarse. Patches of fewer than 7 nodes raise ValueError: a
-    single fifth difference vanishes on data symmetric about the patch centre.
+    2 G (T + R + eps S) bounds the stencil error in the residual and in the
+    conversions' outputs (README, "Tolerances"). The truncation term
+    T = max(0, D5 - D6/2 - D7/4) / (30 h) reads the largest 5th to 7th
+    differences of u1 or u2; a defect in u about doubles each order, so it
+    drops out. R = 1.5 (eps max(M0, X S) + 2^-1074) / h is the rounding noise
+    of u at nodes up to X = max |(x1, gamma)| from the origin; M0 = max |u|,
+    S = max |u or arrays|, G = 8 max(1, max mu). Below 8 nodes: ValueError.
     """
-    if patch.n < 7:
-        raise ValueError(f"the error model needs at least 7 nodes, got {patch.n}")
+    if patch.n < 8:
+        raise ValueError(f"{patch.n} nodes, fewer than the 8 the error model needs")
     eps, h = float(np.finfo(float).eps), patch.h
-    d5 = max(float(np.max(np.abs(np.diff(v, 5)))) for v in (u1, u2))
+    tops = ([float(np.max(np.abs(np.diff(v, k)))) for k in (5, 6, 7)] for v in (u1, u2))
+    t = max(0.0, *(d5 - d6 / 2.0 - d7 / 4.0 for d5, d6, d7 in tops))
     m0 = max(float(np.max(np.abs(v))) for v in (u1, u2))
     s = max([m0] + [float(np.max(np.abs(v))) for v in arrays])
+    x = float(np.max(np.hypot(patch.x1, patch.gamma)))
     gain = 8.0 * max(1.0, float(np.max(patch.mu)))
-    return 2.0 * gain * (d5 / (30.0 * h) + 1.5 * (eps * m0 + 2.0 ** -1074) / h + eps * s)
+    return 2.0 * gain * (t / (30.0 * h) + 1.5 * (eps * max(m0, x * s) + 2.0 ** -1074) / h
+                         + eps * s)
 
 
 def stress_to_dn(data: CauchyStress, patch: BoundaryPatch, u_prime=None):

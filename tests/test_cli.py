@@ -274,24 +274,40 @@ def generate_trig(tmp_path, curve, nodes, name="trig.json"):
     return out
 
 
-@pytest.mark.parametrize("nodes", [5, 6])
-def test_verify_skips_data_checks_below_seven_nodes(tmp_path, capsys, nodes):
-    # a single fifth difference of u vanishes on data symmetric about the
-    # patch centre, as these are, so the error model needs two
+@pytest.mark.parametrize("nodes", [5, 7])
+def test_verify_skips_data_checks_below_eight_nodes(tmp_path, capsys, nodes):
+    # the error model reads seventh differences of u
     src = generate_trig(tmp_path, "graph:poly:0,0.1", nodes)
     capsys.readouterr()
     assert run(["verify", src]) == 0
-    assert (f"consistency and cross-format checks: skipped ({nodes} nodes, the error model "
-            "needs two fifth differences of u, so at least 7)") in capsys.readouterr().out
+    assert (f"consistency and cross-format checks: skipped ({nodes} nodes, fewer than the 8 "
+            "the error model needs)") in capsys.readouterr().out
 
 
-def test_convert_below_seven_nodes_needs_an_explicit_tolerance(tmp_path, capsys):
+def test_verify_checks_short_patch_with_an_explicit_tolerance(tmp_path, capsys):
     src = generate_trig(tmp_path, "graph:poly:0,0.1", 6)
+    capsys.readouterr()
+    assert run(["verify", src, "--residual-tol", "1"]) == 0
+    printed = capsys.readouterr().out
+    assert re.search(r"consistency residual max = \S+ \(tol 1\): pass", printed)
+    assert re.search(r"cross-format max deviation = \S+ \(tol 1\): pass", printed)
+
+
+def test_convert_below_eight_nodes_needs_an_explicit_tolerance(tmp_path, capsys):
+    src = generate_trig(tmp_path, "graph:poly:0,0.1", 7)
     args = ["convert", "dn-to-stress", "--in", src, "--out", tmp_path / "out.json"]
     capsys.readouterr()
     assert run(args) == 3
-    assert capsys.readouterr().err == "error: the error model needs at least 7 nodes, got 6\n"
+    assert capsys.readouterr().err == "error: 7 nodes, fewer than the 8 the error model needs\n"
     assert run([*args, "--residual-tol", "1"]) == 0
+
+
+def test_stress_to_dn_needs_no_tolerance_on_a_short_patch(tmp_path, capsys):
+    # traction data carry no redundant relation, so there is nothing to bound
+    src = generate_trig(tmp_path, "graph:poly:0,0.1", 6)
+    capsys.readouterr()
+    assert run(["convert", "stress-to-dn", "--in", src, "--out", tmp_path / "out.json"]) == 0
+    assert "residual tolerance = 0\n" in capsys.readouterr().out
 
 
 def test_verify_checks_dn_data_on_their_own_scale(tmp_path, capsys):
@@ -319,6 +335,36 @@ def test_verify_flags_one_perturbed_normal_derivative(tmp_path, capsys, nodes, d
     capsys.readouterr()
     assert run(["verify", bad]) == 4
     assert re.search(r"consistency residual max = \S+ \(tol \S+\): FAIL", capsys.readouterr().out)
+
+
+def defect(kind, n):
+    """A change to u1 on an n-node patch: one node, two nodes, or noise on all."""
+    if kind == "noise":
+        return 1e-6 * np.random.default_rng(0).standard_normal(n)
+    where, size = kind
+    d = np.zeros(n)
+    d[where] = size
+    return d
+
+
+@pytest.mark.parametrize("kind", [(32, 1e-3), (32, 1e3), (2, 1e-3), (-3, 1e-3),
+                                  (slice(32, 34), 1e-3), "noise"],
+                         ids=["mid", "mid-huge", "first-interior", "last-interior", "two-nodes",
+                              "noise"])
+def test_verify_flags_a_defect_in_the_velocity(tmp_path, capsys, kind):
+    # a defect in u raises the higher differences of u more than the fifth,
+    # so it does not widen the tolerance with its own size
+    generate_trig(tmp_path, "circle:1", 64)
+    src = tmp_path / "trig-p00.json"
+    doc = json.loads(src.read_text())
+    doc["u1"] = (np.array(doc["u1"]) + defect(kind, 64)).tolist()
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["verify", bad]) == 4
+    printed = capsys.readouterr().out
+    assert re.search(r"consistency residual max = \S+ \(tol \S+\): FAIL", printed)
+    assert re.search(r"cross-format max deviation = \S+ \(tol \S+\): FAIL", printed)
 
 
 def test_generate_then_verify_passes_on_every_curve_kind(tmp_path, monkeypatch):
