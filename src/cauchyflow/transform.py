@@ -207,34 +207,19 @@ def solve_system(gamma_prime, mu, rhs) -> np.ndarray:
     return np.linalg.solve(a, b[..., None])[..., 0]
 
 
-def gradient_from_dn(g_prime, h_prime, dnu, gamma_prime):
-    """Recover (f1, f2, f3) from trace slopes and the normal derivative.
-
-    Works in the domain-below frame. Returns (f1, f2, f3, residual). Three
-    of the four boundary relations fix the unknowns through pivots bounded
-    below by theta^2 >= 1; the leftover relation is reported as a
-    data-consistency residual, zero exactly when the input is compatible
-    with a divergence-free field.
-    """
-    n1, n2 = (np.asarray(v, dtype=float) for v in dnu)
-    gp = np.asarray(gamma_prime, dtype=float)
-    th = theta(gp)
-    f1 = (np.asarray(g_prime, dtype=float) - gp * th * n1) / (1.0 + gp * gp)
-    f3 = th * n1 + gp * f1
-    f2 = np.asarray(h_prime, dtype=float) + gp * f1
-    return f1, f2, f3, np.abs(f1 + gp * f2 + th * n2)
-
-
-def tolerance(patch: BoundaryPatch, u1, u2, *arrays) -> float:
+def tolerance(patch: BoundaryPatch, u1, u2, *arrays, residual: bool = False) -> float:
     """Default tolerance of a check that reads the velocity (u1, u2) and `arrays`.
 
-    2 G (T + R + eps S) bounds the stencil error in the residual and in the
-    conversions' outputs (README, "Tolerances"). The truncation term
-    T = max(0, D5 - D6/2 - D7/4) / (30 h) reads the largest 5th to 7th
-    differences of u1 or u2; a defect in u about doubles each order, so it
-    drops out. R = 1.5 (eps max(M0, X S) + 2^-1074) / h is the rounding noise
-    of u at nodes up to X = max |(x1, gamma)| from the origin; M0 = max |u|,
-    S = max |u or arrays|, G = 8 max(1, max mu). Below 8 nodes: ValueError.
+    2 G (T + R + eps S) bounds the stencil error in the conversions' outputs
+    or, with `residual`, in dn_to_stress's consistency residual (README,
+    "Tolerances"). The truncation term T = max(0, D5 - D6/2 - D7/4) / (30 h)
+    reads the largest 5th to 7th differences of u1 or u2; a defect in u
+    about doubles each order, so it drops out. R = 1.5 (eps max(M0, X S) +
+    2^-1074) / h is the rounding noise of u at nodes up to X = max |(x1,
+    gamma)| from the origin; M0 = max |u|, S = max |u or arrays|. The gain
+    is G = 8 max(1, max mu) for the outputs, which carry mu through p and
+    t, and G = 8 for the residual |tau.a + nu.dnu|, which does not. Below 8
+    nodes: ValueError.
     """
     if patch.n < 8:
         raise ValueError(f"{patch.n} nodes, fewer than the 8 the error model needs")
@@ -244,7 +229,7 @@ def tolerance(patch: BoundaryPatch, u1, u2, *arrays) -> float:
     m0 = max(float(np.max(np.abs(v))) for v in (u1, u2))
     s = max([m0] + [float(np.max(np.abs(v))) for v in arrays])
     x = float(np.max(np.hypot(patch.x1, patch.gamma)))
-    gain = 8.0 * max(1.0, float(np.max(patch.mu)))
+    gain = 8.0 if residual else 8.0 * max(1.0, float(np.max(patch.mu)))
     return 2.0 * gain * (t / (30.0 * h) + 1.5 * (eps * max(m0, x * s) + 2.0 ** -1074) / h
                          + eps * s)
 

@@ -50,11 +50,12 @@ def test_generate_unknown_names(tmp_path):
                 "--nodes", 16, "--out", tmp_path / "x.json"]) == 2
 
 
-def test_generate_too_few_nodes(tmp_path):
+def test_generate_too_few_nodes(tmp_path, capsys):
     code = run(["generate", "--flow", "couette", "--pressure", "zero",
                 "--viscosity", "unit", "--curve", "graph:poly:0",
                 "--nodes", 4, "--out", tmp_path / "x.json"])
     assert code == 3
+    assert capsys.readouterr().err == "error: --nodes must be at least 5\n"
 
 
 def test_generate_malformed_curve(tmp_path):
@@ -252,7 +253,7 @@ def test_verify_perturbed_slope_fails_cross_format(tmp_path, capsys):
     code = run(["verify", bad])
     printed = capsys.readouterr().out
     assert code == 4
-    assert "determinant identity" in printed and "pass" in printed
+    assert "patch invariants: pass" in printed
     assert "FAIL" in printed
 
 
@@ -265,6 +266,42 @@ def test_verify_reports_skipped_checks_on_short_patch(tmp_path, capsys):
     assert run(["verify", src]) == 0
     printed = capsys.readouterr().out
     assert "consistency and cross-format checks: skipped (4 nodes" in printed
+
+
+def test_consistency_tolerance_does_not_grow_with_the_viscosity(tmp_path, capsys):
+    # the residual tau.a + nu.dnu does not read mu, so mu = 1e5 leaves its
+    # tolerance where it is and a wrong u1 value still fails both commands
+    generate_trig(tmp_path, "circle:1", 64)
+    doc = json.loads((tmp_path / "trig-p00.json").read_text())
+    del doc["t1"], doc["t2"]
+    doc["data_kind"] = "dn"
+    doc["patch"]["mu"] = [1e5] * 64
+    src = tmp_path / "dn.json"
+    src.write_text(json.dumps(doc))
+    assert run(["verify", src]) == 0
+    doc["u1"][32] += 1e-3
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["verify", bad]) == 4
+    assert re.search(r"consistency residual max = \S+ \(tol \S+\): FAIL", capsys.readouterr().out)
+    assert run(["convert", "dn-to-stress", "--in", bad, "--out", tmp_path / "out.json"]) == 4
+
+
+def test_data_near_the_float_limit_print_no_warnings(tmp_path):
+    # the stencil overflows to inf and nan; the checks and the writer say so
+    patch = flat_patch(16)
+    z = np.zeros(16)
+    src = tmp_path / "big.json"
+    write_dataset(src, Dataset(patch=patch, data_kind="dn", u1=1e308 * np.sin(3 * patch.x1),
+                               u2=z, dnu1=z, dnu2=z, p=z))
+    done = run_cli("verify", src)
+    assert done.returncode == 4
+    assert done.stderr == ""
+    assert re.search(r"consistency residual max = nan \(tol \S+\): FAIL", done.stdout)
+    done = run_cli("convert", "dn-to-stress", "--in", src, "--out", tmp_path / "out.json")
+    assert done.returncode == 3
+    assert done.stderr == "error: cannot serialize non-finite value\n"
 
 
 def generate_trig(tmp_path, curve, nodes, name="trig.json"):
@@ -579,6 +616,20 @@ def steep_line_dataset(orientation, slope=1e6, nodes=33):
     return ds, jac
 
 
+@pytest.mark.parametrize("slope", [1e100, 1e300])
+@pytest.mark.parametrize("orientation", ["below", "above"])
+def test_verify_passes_exact_data_at_any_finite_slope(tmp_path, capsys, orientation, slope):
+    # exact data pass where the determinant's (1 + gamma'^2)^2 would overflow
+    src = tmp_path / "steep.json"
+    write_dataset(src, steep_line_dataset(orientation, slope)[0])
+    capsys.readouterr()
+    assert run(["verify", src, "--max-slope", "1e308"]) == 0
+    printed = capsys.readouterr().out
+    assert re.fullmatch(r"patch invariants: pass\n"
+                        r"consistency residual max = \S+ \(tol \S+\): pass\n"
+                        r"cross-format max deviation = \S+ \(tol \S+\): pass\n", printed), printed
+
+
 def relative_error(got, want):
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
@@ -633,9 +684,12 @@ def test_output_in_missing_directory_exits_3(tmp_path, capsys, command):
      "malformed curve spec 'graph:poly:0': abscissa range [-inf, 1.0] must be non-empty and finite"),
     (["--curve", "graph:poly:0", "--x1-range=1,0"],
      "malformed curve spec 'graph:poly:0': abscissa range [1.0, 0.0] must be non-empty and finite"),
-    (["--curve", "circle:1", "--max-slope", "inf"], "max_slope must be a positive finite number"),
+    (["--curve", "circle:1", "--max-slope", "inf"], "--max-slope must be a positive finite number"),
+    (["--curve", "circle:1", "--max-slope", "0"], "--max-slope must be a positive finite number"),
+    (["--curve", "circle:1", "--overlap", "0.5"], "--overlap must lie in [0, 0.5)"),
+    (["--curve", "circle:1", "--nodes", "4"], "--nodes must be at least 5"),
 ], ids=["poly-nan", "poly-inf", "poly-overflow", "range-overflow", "range-inf", "range-empty",
-        "slope-inf"])
+        "slope-inf", "slope-zero", "overlap-half", "nodes-4"])
 @pytest.mark.parametrize("command", ["partition", "generate"])
 def test_non_finite_curve_input_exits_3_with_one_line(tmp_path, capsys, command, args, message):
     out = tmp_path / "x.json"
@@ -647,10 +701,11 @@ def test_non_finite_curve_input_exits_3_with_one_line(tmp_path, capsys, command,
     assert not out.exists()
 
 
-def test_partition_invalid_slope(tmp_path):
+def test_partition_invalid_slope(tmp_path, capsys):
     code = run(["partition", "--curve", "circle:1.0", "--max-slope", 0,
                 "--out", tmp_path / "p.json"])
     assert code == 3
+    assert capsys.readouterr().err == "error: --max-slope must be a positive finite number\n"
 
 
 @pytest.mark.parametrize("spec, slope, why", [
@@ -661,7 +716,7 @@ def test_partition_invalid_slope(tmp_path):
 def test_partition_max_slope_too_small_exits_3(tmp_path, capsys, spec, slope, why):
     out = tmp_path / "p.json"
     assert run(["partition", "--curve", spec, "--max-slope", slope, "--nodes", 16, "--out", out]) == 3
-    assert capsys.readouterr().err == f"error: max_slope is too small for this curve: {why}\n"
+    assert capsys.readouterr().err == f"error: --max-slope is too small for this curve: {why}\n"
     assert not out.exists()
 
 

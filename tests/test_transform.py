@@ -10,7 +10,7 @@ from cauchyflow import (BoundaryPatch, CauchyDN, CauchyStress, GradientTrace,
                         ScalarTrace, VectorTrace, analytic_trace_slopes,
                         assemble_system, theta, uniform_grid,
                         determinant, dn_to_stress, evaluate_traces,
-                        gradient_from_dn, normal_at,
+                        normal_at,
                         normal_derivative_from_gradient, rigid_motion,
                         solve_system, stress_to_dn, traction_from_gradient,
                         builtin_catalog, FLOWS, PRESSURES, VISCOSITIES)
@@ -171,29 +171,6 @@ def test_solve_residual_bound():
     f = solve_system(gp, mu, rhs)
     res = np.max(np.abs((assemble_system(gp, mu) @ f[..., None])[..., 0] - rhs), axis=-1)
     assert np.all(res <= 1e-12 * (1.0 + np.max(np.abs(rhs), axis=-1)))
-
-
-def test_gradient_from_dn_examples():
-    f1, f2, f3, r = gradient_from_dn(0.0, 0.0, (1.0, 0.0), 0.0)
-    assert (f1, f2, f3, r) == (0.0, 0.0, 1.0, 0.0)
-
-    f1, f2, f3, r = gradient_from_dn(0.0, 0.0, (0.0, 0.0), 0.0)
-    assert (f1, f2, f3, r) == (0.0, 0.0, 0.0, 0.0)
-
-    f1, f2, f3, r = gradient_from_dn(1.0, 0.0, (0.0, 0.0), 0.0)
-    assert (f1, f2, f3) == (1.0, 0.0, 0.0)
-    assert r == 1.0  # flags n2 != -g' incompatibility
-
-
-@given(f1=entry, f2=entry, f3=entry, gp=slope)
-def test_gradient_from_dn_inverts_forward_formulas(f1, f2, f3, gp):
-    grad = GradientTrace(f1, f2, f3, 0.0)
-    gpr, hpr = analytic_trace_slopes(grad, gp)
-    dnu = normal_derivative_from_gradient(grad, gp)
-    r1, r2, r3, res = gradient_from_dn(gpr, hpr, dnu, gp)
-    scale = max(1.0, abs(f1), abs(f2), abs(f3))
-    assert max(abs(r1 - f1), abs(r2 - f2), abs(r3 - f3)) <= 1e-12 * scale
-    assert res <= 1e-12 * scale
 
 
 def _couette_stress(patch):
