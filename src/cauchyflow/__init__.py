@@ -22,7 +22,7 @@ from .manufactured import (FLOWS, PRESSURES, VISCOSITIES, AnalyticFlow,
 from .traces import ScalarTrace, VectorTrace, tangential_derivative
 from .transform import (CauchyDN, CauchyStress, GradientTrace,
                         assemble_system, determinant, dn_to_stress,
-                        normal_derivative_from_gradient, solve_system,
-                        stress_to_dn, tolerance, traction_from_gradient)
+                        solve_system, stress_to_dn, tolerance,
+                        traction_from_gradient)
 
 __version__ = "0.1.0"

@@ -187,10 +187,14 @@ def _load_json(path):
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise DatasetFormatError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(f"{path} is not UTF-8 text: {exc}") from exc
     try:
         return json.loads(text, parse_int=_parse_int, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise DatasetFormatError(f"invalid JSON in {path}: {exc}") from exc
+    except RecursionError:  # the decoder recurses once per nesting level
+        raise DatasetFormatError(f"invalid JSON in {path}: nested too deeply") from None
 
 
 def _parse_int(literal):

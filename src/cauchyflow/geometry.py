@@ -69,11 +69,6 @@ class FrameRotation:
 
     angle: float
 
-    @property
-    def matrix(self) -> np.ndarray:
-        c, s = math.cos(self.angle), math.sin(self.angle)
-        return np.array([[c, -s], [s, c]])
-
     def inverse(self) -> "FrameRotation":
         return FrameRotation(-self.angle)
 
@@ -82,17 +77,10 @@ class FrameRotation:
         c, s = math.cos(self.angle), math.sin(self.angle)
         return c * a - s * b, s * a + c * b
 
-    def apply(self, vectors) -> np.ndarray:
-        """Rotate an array of 2-vectors with shape (..., 2)."""
-        v = np.asarray(vectors, dtype=float)
-        return np.stack(self.rotate(v[..., 0], v[..., 1]), axis=-1)
 
-
-def rotate_vector_trace(v, rot: FrameRotation):
-    """Rotate per-node 2-vectors; accepts a VectorTrace or an (..., 2) array."""
-    if isinstance(v, VectorTrace):
-        return VectorTrace.from_arrays(*rot.rotate(v.c1.values, v.c2.values), v.h)
-    return rot.apply(v)
+def rotate_vector_trace(v: VectorTrace, rot: FrameRotation) -> VectorTrace:
+    """The per-node 2-vectors of `v` rotated by `rot`, on the same grid."""
+    return VectorTrace.from_arrays(*rot.rotate(v.c1.values, v.c2.values), v.h)
 
 
 def uniform_grid(lo: float, hi: float, n: int) -> tuple[np.ndarray, float]:
@@ -446,8 +434,8 @@ def partition_curve(curve: ParametricCurve, max_slope: float = 1.0,
         s_ext = np.concatenate((s, s[1:] + arc_len))
         phi_ext = np.concatenate((phi, phi[1:] + turn))
         tt_ext = np.concatenate((tt, tt[1:] + 1.0))
-        feasible = _max_window_lengths(s_ext, phi_ext, budget, _SAMPLES + 1, arc_len)
-        lstar = float(np.min(feasible))
+        ends = _window_ends(s_ext, phi_ext, budget, _SAMPLES + 1, arc_len)
+        lstar = float(np.min(s_ext[ends] - s_ext[:_SAMPLES + 1]))
         if lstar <= 0:
             raise ValueError(_TURNS_TOO_FAST)
         count = int(math.ceil(arc_len / ((1.0 - ovl) * lstar)))
@@ -478,8 +466,12 @@ def partition_curve(curve: ParametricCurve, max_slope: float = 1.0,
     return patches
 
 
-def _max_window_lengths(s, phi, budget, n_starts, cap):
-    """Longest arclength window with tangent-angle span <= budget, per start node."""
+def _window_ends(s, phi, budget, n_starts, cap):
+    """Per start j < n_starts, the last sample k of the longest window from j.
+
+    That is the largest k with max(phi[j..k]) - min(phi[j..k]) <= budget and
+    s[k] - s[j] <= cap, found for all starts in one sliding scan.
+    """
     hi: deque = deque()
     lo: deque = deque()
 
@@ -491,7 +483,7 @@ def _max_window_lengths(s, phi, budget, n_starts, cap):
             lo.pop()
         lo.append(i)
 
-    out = np.empty(n_starts)
+    out = np.empty(n_starts, dtype=np.intp)
     k = -1
     for j in range(n_starts):
         if k < j:
@@ -505,7 +497,7 @@ def _max_window_lengths(s, phi, budget, n_starts, cap):
                 break
             k += 1
             push(k)
-        out[j] = s[k] - s[j]
+        out[j] = k
         if hi[0] == j:
             hi.popleft()
         if lo[0] == j:
@@ -515,22 +507,17 @@ def _max_window_lengths(s, phi, budget, n_starts, cap):
 
 def _greedy_open_windows(s, phi, budget, ovl):
     """Forward cover of an open arc by maximal angle-feasible windows."""
+    last = s.shape[0] - 1
+    ends = _window_ends(s, phi, budget, last + 1, math.inf)
     windows = []
     a_idx = 0
-    last = s.shape[0] - 1
     while True:
-        top = bot = phi[a_idx]
-        k = a_idx
-        while k + 1 <= last:
-            t2 = max(top, phi[k + 1])
-            b2 = min(bot, phi[k + 1])
-            if t2 - b2 > budget:
-                break
-            top, bot, k = t2, b2, k + 1
+        k = int(ends[a_idx])
         if k == a_idx:
             raise ValueError(_TURNS_TOO_FAST)
-        frame = 0.5 * float(top + bot)
-        windows.append((float(s[a_idx]), float(s[k]), frame))
+        window_phi = phi[a_idx:k + 1]
+        windows.append((float(s[a_idx]), float(s[k]),
+                        0.5 * float(window_phi.max() + window_phi.min())))
         if k == last:
             return windows
         a_next = s[k] - ovl * (s[k] - s[a_idx])

@@ -1,7 +1,7 @@
 """Analytic divergence-free flows with exact boundary traces.
 
-Every flow is built from a stream function psi, so u = (d2 psi, -d1 psi)
-is divergence free by construction rather than by assertion. Velocity and
+Every flow is u = (d2 psi, -d1 psi) for a stream function psi, given in a
+comment beside it, so it is divergence free by construction. Velocity and
 its partials are hand-coded in one closed form per flow, keeping the oracle
 independent of the numerical differentiation it is used to test.
 
@@ -26,7 +26,7 @@ from .transform import CauchyDN, CauchyStress, GradientTrace
 
 @dataclass(frozen=True)
 class AnalyticFlow:
-    """Velocity field u = (d2 psi, -d1 psi) evaluated in one closed form.
+    """Velocity field u = (d2 psi, -d1 psi) of a stream function psi.
 
     `fields(x1, x2)` returns (u1, u2, d1 u1, d1 u2, d2 u1) as float arrays
     of the node shape, computing shared subexpressions once; d2 u2 = -d1 u1.
@@ -35,15 +35,7 @@ class AnalyticFlow:
     """
 
     name: str
-    psi: Callable
     fields: Callable
-
-    def velocity(self, x1, x2):
-        return self.fields(x1, x2)[:2]
-
-    def gradient(self, x1, x2):
-        """Velocity-gradient entries (d1 u1, d1 u2, d2 u1); d2 u2 = -d1 u1."""
-        return self.fields(x1, x2)[2:]
 
 
 @dataclass(frozen=True)
@@ -77,33 +69,33 @@ def _full(x, *values):
 def rigid_motion(a: float = 0.0, b: float = 0.0, omega: float = 1.0,
                  name: str = "rigid-motion") -> AnalyticFlow:
     """Translation plus rotation u = (a + omega x2, b - omega x1); zero strain."""
+    # psi = a x2 - b x1 + omega (x1^2 + x2^2) / 2
     c = float(omega)
 
     def fields(x1, x2):
         x1, x2 = _floats(x1, x2)
         return a + omega * x2, -(-b + omega * x1), *_full(x1, 0.0, -c, c)
 
-    return AnalyticFlow(
-        name, lambda x1, x2: a * x2 - b * x1 + 0.5 * omega * (x1 ** 2 + x2 ** 2), fields)
+    return AnalyticFlow(name, fields)
 
 
-def _couette(x1, x2):
+def _couette(x1, x2):  # psi = x2^2 / 2
     x1, x2 = _floats(x1, x2)
     return x2, *_full(x1, -0.0, 0.0, -0.0, 1.0)
 
 
-def _stagnation(x1, x2):
+def _stagnation(x1, x2):  # psi = x1 x2
     x1, x2 = _floats(x1, x2)
     return x1, -x2, *_full(x1, 1.0, -0.0, 0.0)
 
 
-def _cubic(x1, x2):
+def _cubic(x1, x2):  # psi = x1^2 x2
     x1, x2 = _floats(x1, x2)
     d1u1 = 2.0 * x1
     return x1 ** 2, -(d1u1 * x2), d1u1, -(2.0 * x2), *_full(x1, 0.0)
 
 
-def _trig(x1, x2):
+def _trig(x1, x2):  # psi = sin(x1) cos(x2)
     s1, c1, s2, c2 = np.sin(x1), np.cos(x1), np.sin(x2), np.cos(x2)
     d1u2 = s1 * c2
     return -(s1 * s2), -(c1 * c2), -(c1 * s2), d1u2, -d1u2
@@ -111,10 +103,10 @@ def _trig(x1, x2):
 
 FLOWS = {
     "rigid-rotation": rigid_motion(name="rigid-rotation"),
-    "couette": AnalyticFlow("couette", lambda x1, x2: 0.5 * x2 ** 2, _couette),
-    "stagnation": AnalyticFlow("stagnation", lambda x1, x2: x1 * x2, _stagnation),
-    "cubic": AnalyticFlow("cubic", lambda x1, x2: x1 ** 2 * x2, _cubic),
-    "trig": AnalyticFlow("trig", lambda x1, x2: np.sin(x1) * np.cos(x2), _trig),
+    "couette": AnalyticFlow("couette", _couette),
+    "stagnation": AnalyticFlow("stagnation", _stagnation),
+    "cubic": AnalyticFlow("cubic", _cubic),
+    "trig": AnalyticFlow("trig", _trig),
 }
 
 PRESSURES = {

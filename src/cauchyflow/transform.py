@@ -16,8 +16,8 @@ where (g, h) is the velocity trace, (t1, t2) the traction, theta the
 metric factor sqrt(1 + gamma'^2) and "g'." abbreviates gamma'. The
 determinant is -mu (1 + gamma'^2)^2, never zero for positive viscosity,
 so the two data formats (u, dnu u, p) and (u, sigma nu) determine each
-other node by node. This system and the graph-frame formulas below are
-the reference the conversions are checked against.
+other node by node. This system and the graph-frame traction formula
+below are the reference the conversions are checked against.
 
 The conversions write the same relations in each node's unit tangent
 tau = (1, gamma') / theta and outward normal nu, where the determinant is
@@ -181,17 +181,6 @@ def traction_from_gradient(grad: GradientTrace, gamma_prime, mu):
     q1 = -2.0 * gp * m * grad.f1 + m * grad.f2 + m * grad.f3 + gp * grad.f4
     q2 = -2.0 * m * grad.f1 - gp * m * grad.f2 - gp * m * grad.f3 - grad.f4
     return q1 / th, q2 / th
-
-
-def normal_derivative_from_gradient(grad: GradientTrace, gamma_prime):
-    """Normal derivative (nu . grad) u for a domain-below graph, as (d1, d2).
-
-    Uses d2 u2 = -f1. Callers with a domain-above patch negate the result,
-    as for traction_from_gradient.
-    """
-    gp = np.asarray(gamma_prime, dtype=float)
-    th = theta(gp)
-    return (-gp * grad.f1 + grad.f3) / th, (-gp * grad.f2 - grad.f1) / th
 
 
 def solve_system(gamma_prime, mu, rhs) -> np.ndarray:

@@ -1,9 +1,16 @@
 """Shared fixtures and independent oracles used across the test suite."""
 
+import math
+
 import numpy as np
 
-from cauchyflow import (FrameRotation, GradientTrace, graph_patch, normal_at,
+from cauchyflow import (FrameRotation, graph_patch, normal_at, theta,
                         AnalyticFlow, AnalyticScalarField)
+
+
+# file contents no reader can parse, each with a phrase of the error it gives
+UNREADABLE_FILES = {"not-utf8": (b"\xff\xfe\x00garbage", "not UTF-8 text"),
+                    "nested-200000-deep": (b"[" * 200_000 + b"]" * 200_000, "nested too deeply")}
 
 
 def flat_patch(n=68, lo=-1.0, hi=1.0, mu=1.0, orientation="below"):
@@ -35,6 +42,30 @@ def traction_oracle(f1, f2, f3, p, gamma_prime, mu, orientation="below"):
     s22 = 2.0 * mu * eps22 - p
     nu = normal_at(gamma_prime, orientation)
     return s11 * nu[..., 0] + s12 * nu[..., 1], s12 * nu[..., 0] + s22 * nu[..., 1]
+
+
+def normal_derivative_from_gradient(grad, gamma_prime):
+    """Normal derivative (nu . grad) u for a domain-below graph, as (d1, d2).
+
+    The graph-frame reference for the conversions' dnu. Uses d2 u2 = -f1.
+    Callers with a domain-above patch negate the result, as for
+    traction_from_gradient.
+    """
+    gp = np.asarray(gamma_prime, dtype=float)
+    th = theta(gp)
+    return (-gp * grad.f1 + grad.f3) / th, (-gp * grad.f2 - grad.f1) / th
+
+
+def rotation_matrix(rot):
+    """The 2x2 matrix [[c, -s], [s, c]] of a FrameRotation."""
+    c, s = math.cos(rot.angle), math.sin(rot.angle)
+    return np.array([[c, -s], [s, c]])
+
+
+def rotate_rows(rot, vectors):
+    """Rotate an array of 2-vectors with shape (..., 2) by a FrameRotation."""
+    v = np.asarray(vectors, dtype=float)
+    return np.stack(rot.rotate(v[..., 0], v[..., 1]), axis=-1)
 
 
 def restrict(a, times=1):
@@ -73,20 +104,20 @@ def rotated_flow(flow, angle):
     Its Jacobian is R J(R^T x) R^T, with J built from the base flow's fields.
     """
     rot = FrameRotation(angle)
-    r = rot.matrix
+    r = rotation_matrix(rot)
 
     def back(x1, x2):
-        q = rot.inverse().apply(np.stack(np.broadcast_arrays(x1, x2), axis=-1))
+        q = rotate_rows(rot.inverse(), np.stack(np.broadcast_arrays(x1, x2), axis=-1))
         return q[..., 0], q[..., 1]
 
     def fields(x1, x2):
         u1, u2, g11, g21, g12 = np.broadcast_arrays(*flow.fields(*back(x1, x2)))
-        u = rot.apply(np.stack([u1, u2], axis=-1))
+        u = rotate_rows(rot, np.stack([u1, u2], axis=-1))
         jac = np.stack([np.stack([g11, g12], axis=-1), np.stack([g21, -g11], axis=-1)], axis=-2)
         jac = r @ jac @ r.T
         return u[..., 0], u[..., 1], jac[..., 0, 0], jac[..., 1, 0], jac[..., 0, 1]
 
-    return AnalyticFlow(f"{flow.name}@{angle:g}", lambda x1, x2: flow.psi(*back(x1, x2)), fields)
+    return AnalyticFlow(f"{flow.name}@{angle:g}", fields)
 
 
 def rotated_field(field, angle):
@@ -94,7 +125,7 @@ def rotated_field(field, angle):
     back = FrameRotation(-angle)
 
     def value(x1, x2):
-        q = back.apply(np.stack(np.broadcast_arrays(x1, x2), axis=-1))
+        q = rotate_rows(back, np.stack(np.broadcast_arrays(x1, x2), axis=-1))
         return field.value(q[..., 0], q[..., 1])
 
     return AnalyticScalarField(name=f"{field.name}@{angle:g}", value=value)

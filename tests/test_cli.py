@@ -10,7 +10,7 @@ import pytest
 
 from cauchyflow import read_dataset, write_dataset, Dataset, graph_patch, normal_at
 from cauchyflow.cli import main
-from helpers import flat_patch
+from helpers import UNREADABLE_FILES, flat_patch
 
 
 def run(args):
@@ -184,6 +184,18 @@ def test_convert_malformed_file(tmp_path):
     assert run(["convert", "stress-to-dn", "--in", bad, "--out", tmp_path / "y.json"]) == 3
     assert run(["convert", "stress-to-dn", "--in", tmp_path / "missing.json",
                 "--out", tmp_path / "y.json"]) == 3
+
+
+@pytest.mark.parametrize("name", sorted(UNREADABLE_FILES))
+def test_unreadable_file_is_one_error_line(tmp_path, name):
+    content, message = UNREADABLE_FILES[name]
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    for argv in (["verify", bad], ["convert", "stress-to-dn", "--in", bad, "--out", tmp_path / "o.json"]):
+        done = run_cli(*argv)
+        assert done.returncode == 3, done.stderr
+        assert re.fullmatch(rf"error: [^\n]*{message}[^\n]*\n", done.stderr), done.stderr
+    assert not (tmp_path / "o.json").exists()
 
 
 def test_convert_rejects_boolean_and_out_of_range_numbers(tmp_path):

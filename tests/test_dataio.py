@@ -8,7 +8,7 @@ from cauchyflow import (BoundaryPatch, Dataset, DatasetFormatError, dataset_from
                         evaluate_traces, partition_curve, circle, read_dataset,
                         read_patch_set, write_csv, write_dataset,
                         write_patch_set, FLOWS, PRESSURES, VISCOSITIES)
-from helpers import sine_patch
+from helpers import UNREADABLE_FILES, sine_patch
 
 
 def _sample_dataset(n=16, kind="both", provenance=None):
@@ -120,6 +120,16 @@ def test_malformed_documents_rejected(tmp_path):
                          ("m3.json", bump_version), ("m4.json", bad_kind)]:
         with pytest.raises(DatasetFormatError):
             read_dataset(_corrupt(tmp_path, name, mutate))
+
+
+@pytest.mark.parametrize("reader", [read_dataset, read_patch_set])
+@pytest.mark.parametrize("name", sorted(UNREADABLE_FILES))
+def test_unreadable_documents_rejected(tmp_path, reader, name):
+    content, message = UNREADABLE_FILES[name]
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    with pytest.raises(DatasetFormatError, match=message):
+        reader(bad)
 
 
 def test_nan_rejected_on_read(tmp_path):

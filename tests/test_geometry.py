@@ -7,6 +7,7 @@ from cauchyflow import (BoundaryPatch, FrameRotation, ParametricCurve,
                         VectorTrace, circle, ellipse, geometry, graph_patch,
                         normal_at, partition_curve, polynomial_graph,
                         rotate_vector_trace, theta, uniform_grid)
+from helpers import rotate_rows, rotation_matrix
 
 finite_slope = st.floats(-20, 20, allow_nan=False)
 EPS = np.finfo(float).eps
@@ -36,7 +37,7 @@ def test_normal_is_unit_and_orthogonal_to_tangent(gp):
 
 @given(angle=st.floats(-10, 10))
 def test_rotation_is_orthogonal(angle):
-    r = FrameRotation(angle).matrix
+    r = rotation_matrix(FrameRotation(angle))
     assert np.max(np.abs(r.T @ r - np.eye(2))) <= 1e-14
     assert abs(np.linalg.det(r) - 1.0) <= 1e-14
 
@@ -60,7 +61,8 @@ def test_rotation_round_trip(angle, seed):
     rng = np.random.default_rng(seed)
     v = rng.uniform(-5, 5, (16, 2))
     rot = FrameRotation(angle)
-    back = rotate_vector_trace(rotate_vector_trace(v, rot), rot.inverse())
+    trace = VectorTrace.from_arrays(v[:, 0], v[:, 1], 1.0)
+    back = rotate_vector_trace(rotate_vector_trace(trace, rot), rot.inverse()).stacked()
     assert np.max(np.abs(back - v)) <= 1e-13
 
 
@@ -70,9 +72,9 @@ def test_rotate_agrees_with_apply_and_matrix(angle, seed):
     v = rng.uniform(-5, 5, (16, 2))
     rot = FrameRotation(angle)
     out = np.stack(rot.rotate(v[:, 0], v[:, 1]), axis=-1)
-    assert np.array_equal(out, rot.apply(v))
+    assert np.array_equal(out, rotate_rows(rot, v))
     tol = 2 * EPS * np.max(np.abs(v))
-    assert np.max(np.abs(out - v @ rot.matrix.T)) <= tol
+    assert np.max(np.abs(out - v @ rotation_matrix(rot).T)) <= tol
     back = np.stack(rot.inverse().rotate(out[:, 0], out[:, 1]), axis=-1)
     assert np.max(np.abs(back - v)) <= tol
 
@@ -199,6 +201,28 @@ def test_partition_tilted_line_one_rotated_patch():
     assert patch.frame_angle == want.frame_angle and patch.orientation == want.orientation
     for name in ("x1", "gamma", "gamma_prime", "mu"):
         assert np.array_equal(getattr(patch, name), getattr(want, name)), name
+
+
+def brute_window_ends(s, phi, budget, n_starts, cap):
+    """Per start j, the largest k with span(phi[j..k]) <= budget and s[k] - s[j] <= cap."""
+    return [max(k for k in range(j, len(s))
+                if phi[j:k + 1].max() - phi[j:k + 1].min() <= budget and s[k] - s[j] <= cap)
+            for j in range(n_starts)]
+
+
+@given(phi=st.lists(st.floats(-3, 3), min_size=2, max_size=24),
+       steps=st.lists(st.floats(1e-3, 1), min_size=23, max_size=23),
+       budget=st.floats(0, 3), turn=st.floats(-7, 7), closed=st.booleans())
+def test_window_ends_match_brute_force(phi, steps, budget, turn, closed):
+    phi = np.array(phi)
+    s = np.concatenate(([0.0], np.cumsum(steps[:len(phi) - 1])))
+    if closed:  # partition_curve's call: one turn appended, windows capped at the arc length
+        arc_len = float(s[-1])
+        args = (np.concatenate((s, s[1:] + arc_len)), np.concatenate((phi, phi[1:] + turn)),
+                budget, len(s), arc_len)
+    else:
+        args = (s, phi, budget, len(s), np.inf)
+    assert geometry._window_ends(*args).tolist() == brute_window_ends(*args)
 
 
 def test_partition_steep_open_arc_multi_window():

@@ -10,13 +10,12 @@ from cauchyflow import (BoundaryPatch, CauchyDN, CauchyStress, GradientTrace,
                         ScalarTrace, VectorTrace, analytic_trace_slopes,
                         assemble_system, theta, uniform_grid,
                         determinant, dn_to_stress, evaluate_traces,
-                        normal_at,
-                        normal_derivative_from_gradient, rigid_motion,
+                        normal_at, rigid_motion,
                         solve_system, stress_to_dn, traction_from_gradient,
                         builtin_catalog, FLOWS, PRESSURES, VISCOSITIES)
 from cauchyflow import manufactured, transform
-from helpers import (flat_patch, max_abs_diff, rotated_field,
-                     rotated_flow, sine_patch, traction_oracle)
+from helpers import (flat_patch, max_abs_diff, normal_derivative_from_gradient,
+                     rotated_field, rotated_flow, sine_patch, traction_oracle)
 
 slope = st.floats(-5, 5)
 viscosity = st.floats(0.1, 10)
