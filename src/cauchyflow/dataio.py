@@ -1,12 +1,13 @@
 """On-disk formats: boundary datasets, patch sets, and CSV export.
 
 A dataset file is a flat JSON document carrying one patch plus boundary
-data arrays; a patch-set file carries a list of patches. All numbers are
-written with 17 significant digits, which round-trips IEEE doubles bit
-for bit (-0.0 is written as -0, and the reader loads -0 as -0.0), and
-the writer emits keys in a fixed order so repeated runs produce
-byte-identical files. A file that cannot be written raises
-DatasetFormatError, as one that cannot be read does.
+data arrays; a patch-set file carries a list of patches. Numbers have 17
+significant digits, which round-trips IEEE doubles bit for bit (-0.0 is
+written as -0 and read back as -0.0), and keys come in a fixed order, so
+repeated runs write identical bytes. Writes stream one array (for CSV, a
+block of rows) at a time. Data a write refuses, such as a non-finite
+value, are refused before the file is opened, so they create no file. A
+file that cannot be written or read raises DatasetFormatError.
 
 Dataset schema (format_version 1):
 
@@ -24,6 +25,7 @@ Dataset schema (format_version 1):
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -46,6 +48,7 @@ _KIND_ARRAYS = {
 }
 _CSV_COLUMNS = ("x1", "gamma", "gamma_prime", "mu",
                 "u1", "u2", "dnu1", "dnu2", "p", "t1", "t2")
+_CSV_ROWS = 1024  # CSV rows formatted per write
 
 
 class DatasetFormatError(ValueError):
@@ -123,57 +126,52 @@ def dataset_from_traces(patch: BoundaryPatch, dn: CauchyDN | None = None,
     return Dataset(patch=patch, data_kind=kind, provenance=provenance, **fields)
 
 
-def _fmt(value) -> str:
-    v = float(value)
-    if not math.isfinite(v):
+def _check_finite(*values) -> None:
+    # every value is checked before the file is opened, so a refused write leaves no file
+    if not all(np.isfinite(v).all() for v in values):
         raise DatasetFormatError("cannot serialize non-finite value")
-    return format(v, ".17g")
 
 
-def _fmt_array(values) -> str:
-    # one %-template for the whole array; "%.17g" prints exactly what _fmt does
-    arr = np.asarray(values, dtype=float)
-    if not np.isfinite(arr).all():
-        raise DatasetFormatError("cannot serialize non-finite value")
-    return "[" + ", ".join(["%.17g"] * arr.size) % tuple(arr.tolist()) + "]"
+def _patch_values(patch: BoundaryPatch) -> tuple:
+    return patch.frame_angle, patch.h, patch.x1, patch.gamma, patch.gamma_prime, patch.mu
 
 
-def _patch_text(patch: BoundaryPatch, indent: str) -> str:
+def _fmt_array(values: np.ndarray) -> str:
+    # one %-template for the whole float array; "%.17g" prints what format(v, ".17g") does
+    return "[" + ", ".join(["%.17g"] * values.size) % tuple(values.tolist()) + "]"
+
+
+def _array_chunks(indent, items):
+    """'indent"key": [...]' for each (key, array), one array at a time, joined by ",\n"."""
+    for i, (key, values) in enumerate(items):
+        yield (",\n" if i else "") + f'{indent}"{key}": '
+        yield _fmt_array(values)
+
+
+def _patch_chunks(lead: str, patch: BoundaryPatch, indent: str):
+    """`lead`, then the patch object, one array at a time."""
     inner = indent + "  "
-    lines = [
-        f'{inner}"frame_angle": {_fmt(patch.frame_angle)},',
-        f'{inner}"h": {_fmt(patch.h)},',
-        f'{inner}"orientation": {json.dumps(patch.orientation)},',
-        f'{inner}"x1_nodes": {_fmt_array(patch.x1)},',
-        f'{inner}"gamma": {_fmt_array(patch.gamma)},',
-        f'{inner}"gamma_prime": {_fmt_array(patch.gamma_prime)},',
-        f'{inner}"mu": {_fmt_array(patch.mu)}',
-    ]
-    return "{\n" + "\n".join(lines) + "\n" + indent + "}"
-
-
-def dumps_dataset(ds: Dataset) -> str:
-    lines = ['{', f'  "format_version": {FORMAT_VERSION},',
-             f'  "patch": {_patch_text(ds.patch, "  ")},',
-             f'  "data_kind": {json.dumps(ds.data_kind)},']
-    names = _KIND_ARRAYS[ds.data_kind]
-    for i, name in enumerate(names):
-        tail = "," if (i + 1 < len(names) or ds.provenance is not None) else ""
-        lines.append(f'  "{name}": {_fmt_array(getattr(ds, name))}{tail}')
-    if ds.provenance is not None:
-        lines.append(f'  "provenance": {json.dumps(ds.provenance, sort_keys=True)}')
-    lines.append('}')
-    return "\n".join(lines) + "\n"
+    yield (f'{lead}{{\n{inner}"frame_angle": {patch.frame_angle:.17g},\n{inner}"h": {patch.h:.17g},\n'
+           f'{inner}"orientation": {json.dumps(patch.orientation)},\n')
+    yield from _array_chunks(inner, zip(_PATCH_KEYS[3:], _patch_values(patch)[2:]))
+    yield "\n" + indent + "}"
 
 
 def write_dataset(path, ds: Dataset) -> None:
-    _write_text(path, dumps_dataset(ds))
+    _check_finite(*_patch_values(ds.patch), *ds.arrays.values())
+    provenance = ("" if ds.provenance is None
+                  else f',\n  "provenance": {json.dumps(ds.provenance, sort_keys=True)}')
+    _write_text(path, itertools.chain(
+        _patch_chunks(f'{{\n  "format_version": {FORMAT_VERSION},\n  "patch": ', ds.patch, "  "),
+        [f',\n  "data_kind": {json.dumps(ds.data_kind)},\n'], _array_chunks("  ", ds.arrays.items()),
+        [provenance + "\n}\n"]))
 
 
-def _write_text(path, text, newline=None) -> None:
+def _write_text(path, chunks, newline=None) -> None:
+    """Write an iterable of strings, one at a time, so no whole-file string is built."""
     try:
         with open(path, "w", newline=newline, encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
     except OSError as exc:
         raise DatasetFormatError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
@@ -182,7 +180,8 @@ def _reject_constant(name):
     raise DatasetFormatError(f"non-finite number {name!r} in document")
 
 
-def _load_json(path):
+def _load_json(path) -> dict:
+    """The JSON object in `path`, with format_version checked."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -190,11 +189,17 @@ def _load_json(path):
     except UnicodeDecodeError as exc:
         raise DatasetFormatError(f"{path} is not UTF-8 text: {exc}") from exc
     try:
-        return json.loads(text, parse_int=_parse_int, parse_constant=_reject_constant)
+        doc = json.loads(text, parse_int=_parse_int, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise DatasetFormatError(f"invalid JSON in {path}: {exc}") from exc
     except RecursionError:  # the decoder recurses once per nesting level
         raise DatasetFormatError(f"invalid JSON in {path}: nested too deeply") from None
+    if not isinstance(doc, dict):
+        raise DatasetFormatError(f"{path} does not hold a JSON object")
+    # type(), as in _floats: JSON true and 1.0 compare equal to the integer 1
+    if type(doc.get("format_version")) is not int or doc["format_version"] != FORMAT_VERSION:
+        raise DatasetFormatError("unsupported or missing format_version")
+    return doc
 
 
 def _parse_int(literal):
@@ -255,10 +260,6 @@ def _patch_from_doc(doc) -> BoundaryPatch:
 
 def read_dataset(path) -> Dataset:
     doc = _load_json(path)
-    if not isinstance(doc, dict):
-        raise DatasetFormatError("dataset document must be a JSON object")
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise DatasetFormatError("unsupported or missing format_version")
     kind = doc.get("data_kind")
     if kind not in DATA_KINDS:
         raise DatasetFormatError(f"unknown data_kind {kind!r}")
@@ -270,20 +271,21 @@ def read_dataset(path) -> Dataset:
     return Dataset(patch=patch, data_kind=kind, provenance=provenance, **arrays)
 
 
-def dumps_patch_set(patches) -> str:
-    body = ",\n".join("    " + _patch_text(p, "    ") for p in patches)
-    return ('{\n  "format_version": %d,\n  "patches": [\n%s\n  ]\n}\n'
-            % (FORMAT_VERSION, body))
-
-
 def write_patch_set(path, patches) -> None:
-    _write_text(path, dumps_patch_set(patches))
+    patches = list(patches)  # checked first, then written
+    _check_finite(*(v for patch in patches for v in _patch_values(patch)))
+
+    def chunks():
+        yield f'{{\n  "format_version": {FORMAT_VERSION},\n  "patches": [\n'
+        for i, patch in enumerate(patches):
+            yield from _patch_chunks(",\n    " if i else "    ", patch, "    ")
+        yield "\n  ]\n}\n"
+
+    _write_text(path, chunks())
 
 
 def read_patch_set(path) -> list[BoundaryPatch]:
     doc = _load_json(path)
-    if not isinstance(doc, dict) or doc.get("format_version") != FORMAT_VERSION:
-        raise DatasetFormatError("unsupported or missing format_version")
     items = doc.get("patches")
     if not isinstance(items, list) or not items:
         raise DatasetFormatError("patch-set document must carry a non-empty patch list")
@@ -297,11 +299,12 @@ def write_csv(path, ds: Dataset) -> None:
     """
     present = ds.arrays | {"x1": ds.patch.x1, "gamma": ds.patch.gamma,
                            "gamma_prime": ds.patch.gamma_prime, "mu": ds.patch.mu}
-    columns = [present.get(name) for name in _CSV_COLUMNS]
-    values = np.stack([c for c in columns if c is not None], axis=-1)
-    if not np.isfinite(values).all():
-        raise DatasetFormatError("cannot serialize non-finite value")
-    # one %-template per row, as in _fmt_array; "%.17g" prints what _fmt does
-    row = ",".join("" if c is None else "%.17g" for c in columns) + "\r\n"
-    text = ",".join(_CSV_COLUMNS) + "\r\n" + (row * ds.patch.n) % tuple(values.ravel().tolist())
-    _write_text(path, text, newline="")
+    given = [present[name] for name in _CSV_COLUMNS if name in present]
+    _check_finite(*given)
+    # one %-template per row, as in _fmt_array, filled _CSV_ROWS rows at a time
+    row = ",".join("%.17g" if name in present else "" for name in _CSV_COLUMNS) + "\r\n"
+    blocks = (np.stack([c[i:i + _CSV_ROWS] for c in given], axis=-1)
+              for i in range(0, ds.patch.n, _CSV_ROWS))
+    _write_text(path, itertools.chain([",".join(_CSV_COLUMNS) + "\r\n"],
+                                      ((row * len(b)) % tuple(b.ravel().tolist()) for b in blocks)),
+                newline="")

@@ -109,9 +109,6 @@ class ScalarTrace:
         if not self.h > 0:
             raise ValueError("grid spacing must be positive")
 
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
     @property
     def n(self) -> int:
         return self.values.shape[0]

@@ -205,10 +205,10 @@ def tolerance(patch: BoundaryPatch, u1, u2, *arrays, residual: bool = False) -> 
     reads the largest 5th to 7th differences of u1 or u2; a defect in u
     about doubles each order, so it drops out. R = 1.5 (eps max(M0, X S) +
     2^-1074) / h is the rounding noise of u at nodes up to X = max |(x1,
-    gamma)| from the origin; M0 = max |u|, S = max |u or arrays|. The gain
-    is G = 8 max(1, max mu) for the outputs, which carry mu through p and
-    t, and G = 8 for the residual |tau.a + nu.dnu|, which does not. Below 8
-    nodes: ValueError.
+    gamma)| from the origin; M0 = max |u| and S = max(M0, max |arrays| on
+    the interior nodes, the only ones the checks read). The gain G = 8 max(1,
+    max mu) for the outputs, which carry mu through p and t; G = 8 for the
+    residual |tau.a + nu.dnu|, which does not. Below 8 nodes: ValueError.
     """
     if patch.n < 8:
         raise ValueError(f"{patch.n} nodes, fewer than the 8 the error model needs")
@@ -216,7 +216,7 @@ def tolerance(patch: BoundaryPatch, u1, u2, *arrays, residual: bool = False) -> 
     tops = ([float(np.max(np.abs(np.diff(v, k)))) for k in (5, 6, 7)] for v in (u1, u2))
     t = max(0.0, *(d5 - d6 / 2.0 - d7 / 4.0 for d5, d6, d7 in tops))
     m0 = max(float(np.max(np.abs(v))) for v in (u1, u2))
-    s = max([m0] + [float(np.max(np.abs(v))) for v in arrays])
+    s = max([m0] + [float(np.max(np.abs(v[MARGIN:-MARGIN]))) for v in arrays])
     x = float(np.max(np.hypot(patch.x1, patch.gamma)))
     gain = 8.0 if residual else 8.0 * max(1.0, float(np.max(patch.mu)))
     return 2.0 * gain * (t / (30.0 * h) + 1.5 * (eps * max(m0, x * s) + 2.0 ** -1074) / h

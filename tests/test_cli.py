@@ -416,6 +416,24 @@ def test_verify_flags_a_defect_in_the_velocity(tmp_path, capsys, kind):
     assert re.search(r"cross-format max deviation = \S+ \(tol \S+\): FAIL", printed)
 
 
+def test_margin_values_do_not_widen_the_tolerance(tmp_path, capsys):
+    # no check reads dnu, p or t at the margin nodes, so huge values there
+    # must not widen the tolerances and hide a defect in u
+    out = tmp_path / "trig.json"
+    assert run(["generate", "--flow", "trig", "--pressure", "trig", "--viscosity", "unit",
+                "--curve", "circle:1", "--nodes", 64, "--out", out]) == 0
+    doc = json.loads((tmp_path / "trig-p00.json").read_text())
+    doc["u1"][32] += 1e-4
+    doc["dnu1"][0], doc["p"][-1], doc["t1"][1] = 1e12, -1e12, 1e12
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["verify", bad]) == 4
+    printed = capsys.readouterr().out
+    assert re.search(r"consistency residual max = \S+ \(tol \S+\): FAIL", printed)
+    assert re.search(r"cross-format max deviation = \S+ \(tol \S+\): FAIL", printed)
+
+
 def test_generate_then_verify_passes_on_every_curve_kind(tmp_path, monkeypatch):
     # exact oracle data pass both data checks: every catalog triple on each
     # builtin curve kind at 16 nodes and on one of them at 64, some at 4096
@@ -481,6 +499,19 @@ def test_verify_malformed(tmp_path):
     bad = tmp_path / "junk.json"
     bad.write_text("[1, 2, 3]")
     assert run(["verify", bad]) == 3
+
+
+@pytest.mark.parametrize("literal", ["true", "1.0"])
+def test_format_version_must_be_the_integer_1(tmp_path, capsys, literal):
+    # JSON true and 1.0 compare equal to 1, and neither is the version
+    src = generate_couette(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_text(src.read_text().replace('"format_version": 1,', f'"format_version": {literal},', 1))
+    capsys.readouterr()
+    for argv in (["verify", bad], ["convert", "stress-to-dn", "--in", bad, "--out", tmp_path / "out.json"]):
+        assert run(argv) == 3
+        assert "format_version" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
 
 
 def generate_steep(tmp_path):

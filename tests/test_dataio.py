@@ -1,5 +1,6 @@
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,10 +117,29 @@ def test_malformed_documents_rejected(tmp_path):
     def bad_kind(doc):
         doc["data_kind"] = "mystery"
 
+    def version_true(doc):
+        doc["format_version"] = True
+
+    def version_float(doc):
+        doc["format_version"] = 1.0
+
     for name, mutate in [("m1.json", drop_mu), ("m2.json", shorten_u1),
-                         ("m3.json", bump_version), ("m4.json", bad_kind)]:
+                         ("m3.json", bump_version), ("m4.json", bad_kind),
+                         ("m5.json", version_true), ("m6.json", version_float)]:
         with pytest.raises(DatasetFormatError):
             read_dataset(_corrupt(tmp_path, name, mutate))
+
+    # format_version must be the JSON integer 1: true and 1.0 compare equal to it
+    patches = tmp_path / "patches.json"
+    write_patch_set(patches, partition_curve(circle(1.0), nodes_per_patch=16))
+    for literal in ("true", "1.0"):
+        bad = tmp_path / f"patches-{literal}.json"
+        bad.write_text(patches.read_text().replace('"format_version": 1,',
+                                                   f'"format_version": {literal},', 1))
+        with pytest.raises(DatasetFormatError, match="format_version"):
+            read_patch_set(bad)
+        with pytest.raises(DatasetFormatError, match="format_version"):
+            read_dataset(bad)
 
 
 @pytest.mark.parametrize("reader", [read_dataset, read_patch_set])
@@ -166,19 +186,50 @@ def test_non_float_literals_rejected(tmp_path, literal, message):
 
 
 def test_nonfinite_rejected_on_write(tmp_path):
+    # every value is checked before the file is opened, the last array
+    # written included, so a refused write leaves no file behind
     patch = sine_patch(8)
     z = np.zeros(8)
     bad = z.copy()
     bad[3] = np.inf
-    ds = Dataset(patch=patch, data_kind="stress", u1=bad, u2=z, t1=z, t2=z)
-    with pytest.raises(DatasetFormatError):
-        write_dataset(tmp_path / "x.json", ds)
+    for k, arrays in enumerate([dict(u1=bad, u2=z, t1=z, t2=z), dict(u1=z, u2=z, t1=z, t2=bad)]):
+        ds = Dataset(patch=patch, data_kind="stress", **arrays)
+        with pytest.raises(DatasetFormatError, match="non-finite"):
+            write_dataset(tmp_path / f"x{k}.json", ds)
+        assert not (tmp_path / f"x{k}.json").exists()
+    mu = patch.mu.copy()
+    mu[-1] = np.nan
+    last = BoundaryPatch(patch.frame_angle, patch.x1, patch.gamma, patch.gamma_prime, mu,
+                         patch.orientation)
+    with pytest.raises(DatasetFormatError, match="non-finite"):
+        write_patch_set(tmp_path / "set.json", [patch, patch, last])
+    assert not (tmp_path / "set.json").exists()
+
+
+def test_dataset_write_streams_one_array_at_a_time(tmp_path):
+    # a 2^15-node "both" file is about 7 MB; built as one string it took
+    # about 22 MB of traced memory, one array at a time about 2 MB
+    n = 1 << 15
+    rng = np.random.default_rng(0)
+    arrays = {name: rng.standard_normal(n) for name in ("u1", "u2", "dnu1", "dnu2", "p", "t1", "t2")}
+    ds = Dataset(patch=sine_patch(n), data_kind="both", provenance={"note": "fixture"}, **arrays)
+    tracemalloc.start()
+    try:
+        write_dataset(tmp_path / "big.json", ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+    back = read_dataset(tmp_path / "big.json")
+    assert all(np.array_equal(getattr(back, name), arr) for name, arr in arrays.items())
 
 
 def test_patch_set_round_trip(tmp_path):
     patches = partition_curve(circle(1.0), nodes_per_patch=16)
     path = tmp_path / "patches.json"
     write_patch_set(path, patches)
+    write_patch_set(tmp_path / "again.json", iter(patches))  # any iterable, read once
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
     back = read_patch_set(path)
     assert len(back) == len(patches)
     for a, b in zip(patches, back):
@@ -235,3 +286,10 @@ def test_csv_rejects_non_finite_values(tmp_path, bad):
     ds.t2[3] = bad
     with pytest.raises(DatasetFormatError, match="non-finite"):
         write_csv(tmp_path / "bad.csv", ds)
+    assert not (tmp_path / "bad.csv").exists()
+    # the last value written: the last row of the last column, in a later block of rows
+    ds = _sample_dataset(n=2500, kind="stress")
+    ds.t2[-1] = bad
+    with pytest.raises(DatasetFormatError, match="non-finite"):
+        write_csv(tmp_path / "last.csv", ds)
+    assert not (tmp_path / "last.csv").exists()
