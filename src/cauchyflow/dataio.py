@@ -6,8 +6,11 @@ significant digits, which round-trips IEEE doubles bit for bit (-0.0 is
 written as -0 and read back as -0.0), and keys come in a fixed order, so
 repeated runs write identical bytes. Writes stream one array (for CSV, a
 block of rows) at a time. Data a write refuses, such as a non-finite
-value, are refused before the file is opened, so they create no file. A
-file that cannot be written or read raises DatasetFormatError.
+value, are refused before the file is opened, so they create no file.
+Reads go one array at a time too: each number array becomes a float array
+as soon as it is parsed, so a read holds the file's text and at most one
+parsed list. A file that cannot be written or read raises
+DatasetFormatError.
 
 Dataset schema (format_version 1):
 
@@ -19,7 +22,7 @@ Dataset schema (format_version 1):
       "u1", "u2",                      always present
       "dnu1", "dnu2", "p",             for kinds "dn" and "both"
       "t1", "t2",                      for kinds "stress" and "both"
-      "provenance": {...}              optional free-form strings and numbers
+      "provenance": {...}              optional free-form strings and finite numbers
     }
 """
 
@@ -28,6 +31,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -48,6 +52,7 @@ _KIND_ARRAYS = {
 }
 _CSV_COLUMNS = ("x1", "gamma", "gamma_prime", "mu",
                 "u1", "u2", "dnu1", "dnu2", "p", "t1", "t2")
+_NUMBER_ARRAYS = frozenset(_PATCH_KEYS[3:] + _KIND_ARRAYS["both"])
 _CSV_ROWS = 1024  # CSV rows formatted per write
 
 
@@ -159,8 +164,11 @@ def _patch_chunks(lead: str, patch: BoundaryPatch, indent: str):
 
 def write_dataset(path, ds: Dataset) -> None:
     _check_finite(*_patch_values(ds.patch), *ds.arrays.values())
-    provenance = ("" if ds.provenance is None
-                  else f',\n  "provenance": {json.dumps(ds.provenance, sort_keys=True)}')
+    try:  # allow_nan=False: bare NaN or Infinity would make a file the reader refuses
+        provenance = ("" if ds.provenance is None else
+                      f',\n  "provenance": {json.dumps(ds.provenance, sort_keys=True, allow_nan=False)}')
+    except ValueError:
+        raise DatasetFormatError("cannot serialize non-finite value") from None
     _write_text(path, itertools.chain(
         _patch_chunks(f'{{\n  "format_version": {FORMAT_VERSION},\n  "patch": ', ds.patch, "  "),
         [f',\n  "data_kind": {json.dumps(ds.data_kind)},\n'], _array_chunks("  ", ds.arrays.items()),
@@ -180,6 +188,19 @@ def _reject_constant(name):
     raise DatasetFormatError(f"non-finite number {name!r} in document")
 
 
+def _parse_int(literal):
+    if literal == "-0":  # the writer prints -0.0 so, and int() would read +0
+        return -0.0
+    try:
+        return int(literal)
+    except ValueError:  # more digits than int() converts
+        raise DatasetFormatError(f"a {len(literal.lstrip('-'))}-digit integer is beyond the float range") from None
+
+
+_DECODER = json.JSONDecoder(parse_int=_parse_int, parse_constant=_reject_constant)
+_SPACE = re.compile(r"[ \t\n\r]*").match  # JSON whitespace
+
+
 def _load_json(path) -> dict:
     """The JSON object in `path`, with format_version checked."""
     try:
@@ -189,10 +210,15 @@ def _load_json(path) -> dict:
     except UnicodeDecodeError as exc:
         raise DatasetFormatError(f"{path} is not UTF-8 text: {exc}") from exc
     try:
-        doc = json.loads(text, parse_int=_parse_int, parse_constant=_reject_constant)
+        if text.startswith("\ufeff"):  # refused as json.loads refuses it
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        doc, end = _value(text, _skip(text, 0))
+        end = _skip(text, end)
+        if end != len(text):
+            raise json.JSONDecodeError("Extra data", text, end)
     except json.JSONDecodeError as exc:
         raise DatasetFormatError(f"invalid JSON in {path}: {exc}") from exc
-    except RecursionError:  # the decoder recurses once per nesting level
+    except RecursionError:  # the decoder and _value recurse once per nesting level
         raise DatasetFormatError(f"invalid JSON in {path}: nested too deeply") from None
     if not isinstance(doc, dict):
         raise DatasetFormatError(f"{path} does not hold a JSON object")
@@ -202,13 +228,56 @@ def _load_json(path) -> dict:
     return doc
 
 
-def _parse_int(literal):
-    if literal == "-0":  # the writer prints -0.0 so, and int() would read +0
-        return -0.0
-    try:
-        return int(literal)
-    except ValueError:  # more digits than int() converts
-        raise DatasetFormatError(f"a {len(literal.lstrip('-'))}-digit integer is beyond the float range") from None
+def _skip(text, i) -> int:
+    return _SPACE(text, i).end()
+
+
+def _value(text, i, key=None):
+    """(value, end) of the JSON value at text[i], the member `key` of its object.
+
+    The top-level object, each "patch" object and each object in the
+    "patches" list are parsed here one member at a time, and a number array
+    becomes a float array as soon as it is parsed, so a read never holds
+    every parsed list at once. Every other value goes to the decoder whole.
+    """
+    if key in (None, "patch") and text.startswith("{", i):
+        members, end = _items(text, i, "}", _member)
+        return dict(members), end  # a repeated key keeps its last value, as in json.loads
+    if key == "patches" and text.startswith("[", i):
+        return _items(text, i, "]", _value)
+    value, end = _DECODER.raw_decode(text, i)
+    if key in _NUMBER_ARRAYS and isinstance(value, list):
+        value = _floats(value, key)
+    return value, end
+
+
+def _member(text, i):
+    """((key, value), end) of the object member at text[i]."""
+    if not text.startswith('"', i):
+        raise json.JSONDecodeError("Expecting property name enclosed in double quotes", text, i)
+    key, i = _DECODER.raw_decode(text, i)
+    i = _skip(text, i)
+    if not text.startswith(":", i):
+        raise json.JSONDecodeError("Expecting ':' delimiter", text, i)
+    value, end = _value(text, _skip(text, i + 1), key)
+    return (key, value), end
+
+
+def _items(text, i, close, parse):
+    """(items, end) of the object or array opened at text[i], each item read by parse(text, start)."""
+    items = []
+    i = _skip(text, i + 1)
+    if text.startswith(close, i):
+        return items, i + 1
+    while True:
+        item, i = parse(text, i)
+        items.append(item)
+        i = _skip(text, i)
+        if text.startswith(close, i):
+            return items, i + 1
+        if not text.startswith(",", i):
+            raise json.JSONDecodeError("Expecting ',' delimiter", text, i)
+        i = _skip(text, i + 1)
 
 
 def _floats(values, key) -> np.ndarray:
@@ -226,10 +295,9 @@ def _floats(values, key) -> np.ndarray:
 
 
 def _number_array(doc, key, length=None):
-    values = doc.get(key)
-    if not isinstance(values, list):
+    arr = doc.get(key)  # _value made every number array a float array
+    if not isinstance(arr, np.ndarray):
         raise DatasetFormatError(f"field {key!r} must be a numeric array")
-    arr = _floats(values, key)
     if length is not None and arr.shape != (length,):
         raise DatasetFormatError(f"field {key!r} has the wrong length")
     return arr

@@ -1,9 +1,12 @@
 import csv
 import json
+import random
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cauchyflow import (BoundaryPatch, Dataset, DatasetFormatError, dataset_from_traces,
                         evaluate_traces, partition_curve, circle, read_dataset,
@@ -25,12 +28,13 @@ def _sample_dataset(n=16, kind="both", provenance=None):
 
 @pytest.mark.parametrize("kind", ["dn", "stress", "both"])
 def test_round_trip_is_bitwise(tmp_path, kind):
-    ds = _sample_dataset(kind=kind, provenance={"note": "fixture"})
+    provenance = {"note": "fixture", "grid": [[1, 2], [3.5, [-4]]]}  # lists stay lists
+    ds = _sample_dataset(kind=kind, provenance=provenance)
     path = tmp_path / "d.json"
     write_dataset(path, ds)
     back = read_dataset(path)
     assert back.data_kind == kind
-    assert back.provenance == {"note": "fixture"}
+    assert back.provenance == provenance
     for name, arr in ds.arrays.items():
         assert np.array_equal(getattr(back, name), arr), name
     for name in ("x1", "gamma", "gamma_prime", "mu"):
@@ -222,6 +226,96 @@ def test_dataset_write_streams_one_array_at_a_time(tmp_path):
     assert peak < 4e6
     back = read_dataset(tmp_path / "big.json")
     assert all(np.array_equal(getattr(back, name), arr) for name, arr in arrays.items())
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_provenance_rejected_on_write(tmp_path, bad):
+    # json.dumps would write a bare NaN or Infinity, which the reader refuses
+    ds = _sample_dataset(kind="stress", provenance={"max_slope": bad})
+    with pytest.raises(DatasetFormatError, match="non-finite"):
+        write_dataset(tmp_path / "p.json", ds)
+    assert not (tmp_path / "p.json").exists()
+
+
+def test_dataset_read_parses_one_array_at_a_time(tmp_path):
+    # the floor is the file's bytes plus its decoded text, 2x the file; holding
+    # every parsed list as well took about 2.5x
+    n = 1 << 15
+    rng = np.random.default_rng(0)
+    arrays = {name: rng.standard_normal(n) for name in ("u1", "u2", "dnu1", "dnu2", "p", "t1", "t2")}
+    path = tmp_path / "big.json"
+    write_dataset(path, Dataset(patch=sine_patch(n), data_kind="both", provenance={"note": "fixture"},
+                                **arrays))
+    tracemalloc.start()
+    try:
+        back = read_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * path.stat().st_size
+    assert all(np.array_equal(getattr(back, name), arr) for name, arr in arrays.items())
+
+
+def _json_text(value, rng):
+    """`value` as JSON text with random whitespace between tokens; before some
+    object members, the same key with a decoy value that a later one overrides."""
+    def ws():
+        return "".join(rng.choice(" \t\r\n") for _ in range(rng.randrange(3)))
+
+    if isinstance(value, dict):
+        members = []
+        for key in rng.sample(list(value), len(value)):
+            if rng.random() < 0.3:
+                members.append((key, [7.0, -0.0]))
+            members.append((key, value[key]))
+        return "{" + ",".join(f"{ws()}{json.dumps(k)}{ws()}:{ws()}{_json_text(v, rng)}{ws()}"
+                              for k, v in members) + "}"
+    if isinstance(value, list):
+        return "[" + ",".join(f"{ws()}{_json_text(v, rng)}{ws()}" for v in value) + "]"
+    return json.dumps(value)
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**32 - 1))
+def test_reserialized_dataset_reads_as_json_loads(tmp_path, seed):
+    # any whitespace, key order or repeated key reads as json.loads reads it
+    base = sine_patch(8)
+    signed = np.array([-0.0, 0.0, -0.0, 1.0, -1.0, 1e-308, -0.0, 2.5])
+    arrays = dict(u1=signed, u2=-signed, dnu1=signed[::-1], dnu2=signed / 3, p=-signed[::-1],
+                  t1=signed * 7, t2=-signed / 7)
+    doc = {"format_version": 1, "data_kind": "both",
+           "provenance": {"grid": [[1, 2], [3.5]], "note": "fixture"},
+           "patch": {"frame_angle": -0.0, "h": base.h, "orientation": base.orientation,
+                     "x1_nodes": base.x1.tolist(), "gamma": signed.tolist(),
+                     "gamma_prime": (-signed).tolist(), "mu": base.mu.tolist()},
+           **{name: arr.tolist() for name, arr in arrays.items()}}
+    path = tmp_path / "d.json"
+    path.write_text(_json_text(doc, random.Random(seed)))
+    want = json.loads(path.read_text())
+    back = read_dataset(path)
+    for got, values in [(getattr(back, name), want[name]) for name in arrays] + [
+            (getattr(back.patch, attr), want["patch"][key])
+            for attr, key in [("x1", "x1_nodes"), ("gamma", "gamma"), ("gamma_prime", "gamma_prime"),
+                              ("mu", "mu")]]:
+        assert got.tobytes() == np.asarray(values, dtype=float).tobytes()
+    assert np.signbit(back.patch.frame_angle)
+    assert back.provenance == want["provenance"]
+
+
+@pytest.mark.parametrize("kind", ["dataset", "patch-set"])
+def test_every_prefix_is_refused(tmp_path, kind):
+    path = tmp_path / "whole.json"
+    if kind == "dataset":
+        write_dataset(path, _sample_dataset(n=8, provenance={"grid": [[1], [2]]}))
+    else:
+        write_patch_set(path, partition_curve(circle(1.0), nodes_per_patch=8)[:2])
+    text = path.read_text().rstrip()  # the last character closes the document
+    cut = tmp_path / "cut.json"
+    for k in range(len(text)):
+        cut.write_text(text[:k])
+        for reader in (read_dataset, read_patch_set):
+            with pytest.raises(DatasetFormatError):
+                reader(cut)
 
 
 def test_patch_set_round_trip(tmp_path):
