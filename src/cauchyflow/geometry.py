@@ -163,10 +163,22 @@ class BoundaryPatch:
         The checks run in a fixed order, and the first one that fails names
         the fault: non-finite x1, gamma, gamma' or mu, in that order; mu <= 0;
         h <= 0; a grid that is not uniform; then, if `max_slope` is given,
-        |gamma'| above it. The conversions run the same node checks inside
-        their node blocks and raise this method's error when one fails.
+        |gamma'| above it. Both conversions call it once, before they convert.
         """
-        _check_nodes(self.x1, self.gamma, self.gamma_prime, self.mu, np.diff(self.x1), self.h)
+        for name in ("x1", "gamma", "gamma_prime", "mu"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"patch field {name} contains non-finite values")
+        if np.any(self.mu <= 0):
+            raise ValueError("viscosity must be positive at every node")
+        h = self.h
+        if not h > 0:
+            raise ValueError("grid spacing must be positive")
+        # max |step - h| from two reductions and no temporary array: rounding is
+        # monotone, so it is the larger of max(step) - h and h - min(step)
+        steps = np.diff(self.x1)
+        tol = 1e-14 * h
+        if steps.max() - h > tol or h - steps.min() > tol:
+            raise ValueError("grid is not uniform")
         if max_slope is not None and np.max(np.abs(self.gamma_prime)) > max_slope + 1e-10:
             raise ValueError(f"slope bound |gamma'| <= {max_slope} violated")
 
@@ -186,26 +198,6 @@ class BoundaryPatch:
     def nodes_global(self) -> np.ndarray:
         """Node positions in the global frame, shape (n, 2)."""
         return np.stack(self.rotation.rotate(self.x1, self.gamma), axis=-1)
-
-
-def _check_nodes(x1, gamma, gamma_prime, mu, steps, h) -> None:
-    """BoundaryPatch.validate's node checks on some of a patch's nodes.
-
-    `steps` holds the x1 differences that end at these nodes and `h` is the
-    patch's spacing. Raises the ValueError validate raises first on them.
-    """
-    for name, values in (("x1", x1), ("gamma", gamma), ("gamma_prime", gamma_prime), ("mu", mu)):
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"patch field {name} contains non-finite values")
-    if np.any(mu <= 0):
-        raise ValueError("viscosity must be positive at every node")
-    if not h > 0:
-        raise ValueError("grid spacing must be positive")
-    # max |step - h| from two reductions and no temporary array: rounding is
-    # monotone, so it is the larger of max(step) - h and h - min(step)
-    tol = 1e-14 * abs(h)
-    if steps.max() - h > tol or h - steps.min() > tol:
-        raise ValueError("grid is not uniform")
 
 
 def normal_at(gamma_prime, orientation: str = "below") -> np.ndarray:
@@ -298,18 +290,7 @@ def circle(radius: float) -> ParametricCurve:
     """Counterclockwise circle of the given radius, centered at the origin."""
     if not 0 < radius < math.inf:
         raise ValueError(f"radius must be a positive finite number, not {radius!r}")
-    r = float(radius)
-    two_pi = 2.0 * np.pi
-
-    def position(t):
-        a = two_pi * np.asarray(t, dtype=float)
-        return r * np.cos(a), r * np.sin(a)
-
-    def velocity(t):
-        a = two_pi * np.asarray(t, dtype=float)
-        return -two_pi * r * np.sin(a), two_pi * r * np.cos(a)
-
-    return ParametricCurve(position, velocity)
+    return _conic(radius, radius)
 
 
 def ellipse(a: float, b: float) -> ParametricCurve:
@@ -317,6 +298,11 @@ def ellipse(a: float, b: float) -> ParametricCurve:
     for name, value in (("a", a), ("b", b)):
         if not 0 < value < math.inf:
             raise ValueError(f"semi-axis {name} must be a positive finite number, not {value!r}")
+    return _conic(a, b)
+
+
+def _conic(a, b) -> ParametricCurve:
+    """(a cos 2 pi t, b sin 2 pi t) with its velocity; circle and ellipse check a, b."""
     a, b = float(a), float(b)
     two_pi = 2.0 * np.pi
 

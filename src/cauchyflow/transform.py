@@ -34,11 +34,11 @@ graph-frame residual |f1 + gamma' f2 + theta n2| over theta^2). The
 orientation is the sign of nu, and no form loses digits at any slope.
 
 All operations broadcast over per-node arrays and are pure functions.
-The two conversions run their per-node formulas, stencil slopes included,
-in cache-sized node blocks on all available CPUs (traces.blockwise); the
-output does not depend on the block size or the CPU count. Each block
-computes the frame once per node, and checks its own nodes as
-BoundaryPatch.validate does, so no whole-patch pass runs before the blocks.
+The two conversions check the patch once with BoundaryPatch.validate, then
+run their per-node formulas, stencil slopes included, in cache-sized node
+blocks on all available CPUs (traces.blockwise); the output does not depend
+on the block size or the CPU count. Each block computes the frame once per
+node.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BoundaryPatch, _check_nodes, _frame, theta
+from .geometry import BoundaryPatch, _frame, theta
 from .traces import MARGIN, ScalarTrace, VectorTrace, blockwise, stencil_neighbours, \
     stencil_slope
 # perfbench/tracing.py wraps transform.tangential_derivative by name; the
@@ -282,11 +282,8 @@ def _per_node(kernel, data, patch: BoundaryPatch, u_prime, v1, v2, *rest):
     blocks on the interior nodes, where (c, c gamma') is the unit tangent,
     (nu1, nu2) the outward normal and (v1, v2) the input vector trace.
 
-    The node checks of BoundaryPatch.validate run inside the blocks, each
-    block on its own nodes and the grid steps that end at them; the margin
-    nodes are checked before the blocks start. If any check fails, the
-    error is the one patch.validate() raises, so it names the fault that
-    validate finds first on the whole patch.
+    The data grid is checked against the patch first, then the patch with
+    patch.validate(), then the shape of `u_prime`; the blocks only convert.
     """
     if data.n != patch.n:
         raise ValueError("data grid does not match the patch grid")
@@ -294,7 +291,8 @@ def _per_node(kernel, data, patch: BoundaryPatch, u_prime, v1, v2, *rest):
         raise ValueError("data grid spacing does not match the patch")
     if patch.n < 2 * MARGIN + 1:
         raise ValueError("patch too short for stencil differentiation")
-    x1, h, orientation = patch.x1, patch.h, patch.orientation
+    patch.validate()
+    h, orientation = patch.h, patch.orientation
     cut = slice(MARGIN, -MARGIN)
     if u_prime is None:
         # the stencil runs inside the blocks, on its neighbour views
@@ -305,7 +303,6 @@ def _per_node(kernel, data, patch: BoundaryPatch, u_prime, v1, v2, *rest):
     else:
         p1, p2 = (np.asarray(v, dtype=float) for v in u_prime)
         if p1.shape != (patch.n,) or p2.shape != (patch.n,):
-            patch.validate()  # a patch fault is reported first
             raise ValueError("u_prime arrays must match the full patch grid")
         slope_inputs = (p1[cut], p2[cut])
 
@@ -315,18 +312,8 @@ def _per_node(kernel, data, patch: BoundaryPatch, u_prime, v1, v2, *rest):
     inputs = (v1, v2, *rest)
     k = len(inputs)
 
-    def checked(x1, x1_left, gamma, gp, mu, *arrays):
-        _check_nodes(x1, gamma, gp, mu, x1 - x1_left, h)
+    def node_kernel(gp, mu, *arrays):
         return kernel(*_frame(gp, orientation), mu, *slopes(*arrays[k:]), *arrays[:k])
 
-    node_arrays = (x1, patch.gamma, patch.gamma_prime, patch.mu)
-    x1_left = x1[MARGIN - 1:-MARGIN - 1]  # each interior node's left neighbour
-    try:
-        for ends in (slice(None, MARGIN + 1), slice(-MARGIN - 1, None)):
-            _check_nodes(*(a[ends] for a in node_arrays), np.diff(x1[ends]), h)
-        return blockwise(checked, x1[cut], x1_left, *(a[cut] for a in node_arrays[1:]),
-                         *(a[cut] for a in inputs), *slope_inputs)
-    except ValueError:
-        # some nodes failed a check; validate names the fault it finds first
-        patch.validate()
-        raise
+    return blockwise(node_kernel, patch.gamma_prime[cut], patch.mu[cut],
+                     *(a[cut] for a in inputs), *slope_inputs)

@@ -9,10 +9,10 @@ import time
 import numpy as np
 import pytest
 
-from cauchyflow import (AnalyticScalarField, BoundaryPatch, CauchyDN,
-                        CauchyStress, VectorTrace, analytic_trace_slopes,
-                        builtin_catalog, circle, dn_to_stress, evaluate_traces,
-                        graph_patch, partition_curve, stress_to_dn, traces)
+from cauchyflow import (AnalyticScalarField, CauchyDN, CauchyStress,
+                        VectorTrace, analytic_trace_slopes, builtin_catalog,
+                        circle, dn_to_stress, evaluate_traces, graph_patch,
+                        partition_curve, stress_to_dn, traces)
 from cauchyflow.traces import blockwise
 
 BLOCK = 7
@@ -239,13 +239,3 @@ def test_patch_fault_is_reported_before_bad_slopes(monkeypatch):
     bad = with_faults(patch, ("mu", 26, FAULTS["mu zero"][1]))
     assert_conversions_raise_validate_error(bad, dn, stress, u_prime=(np.zeros(3), np.zeros(3)))
 
-
-def test_conversions_run_no_whole_patch_check(monkeypatch):
-    def whole_patch_check(self, max_slope=None):
-        raise AssertionError("validate called on a valid patch")
-
-    monkeypatch.setattr(traces, "_BLOCK_NODES", BLOCK)
-    patch, dn, stress = fault_case()
-    want = stress_to_dn(stress, patch), dn_to_stress(dn, patch)
-    monkeypatch.setattr(BoundaryPatch, "validate", whole_patch_check)
-    assert_bitwise((stress_to_dn(stress, patch), dn_to_stress(dn, patch)), want)

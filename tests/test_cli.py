@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cauchyflow import read_dataset, write_dataset, Dataset, graph_patch, normal_at
+from cauchyflow import read_dataset, write_csv, write_dataset, Dataset, graph_patch, normal_at
 from cauchyflow.cli import main
 from helpers import UNREADABLE_FILES, flat_patch
 
@@ -174,8 +174,20 @@ def test_convert_missing_arrays(tmp_path):
     src = generate_couette(tmp_path)
     dn_path = tmp_path / "dn.json"
     run(["convert", "stress-to-dn", "--in", src, "--out", dn_path])
-    # a dn-only file cannot feed stress-to-dn
+    # a dn-only file cannot feed stress-to-dn, nor a stress-only file dn-to-stress
     assert run(["convert", "stress-to-dn", "--in", dn_path, "--out", tmp_path / "y.json"]) == 2
+    stress_path = tmp_path / "stress.json"
+    assert run(["convert", "dn-to-stress", "--in", dn_path, "--out", stress_path]) == 0
+    assert run(["convert", "dn-to-stress", "--in", stress_path, "--out", tmp_path / "y.json"]) == 2
+    assert not (tmp_path / "y.json").exists()
+
+
+def test_convert_csv_is_the_csv_of_the_converted_file(tmp_path):
+    src = generate_couette(tmp_path, nodes=16)
+    out, csv_path = tmp_path / "dn.json", tmp_path / "dn.csv"
+    assert run(["convert", "stress-to-dn", "--in", src, "--out", out, "--csv", csv_path]) == 0
+    write_csv(tmp_path / "want.csv", read_dataset(out))  # the JSON round trip is bitwise
+    assert csv_path.read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_convert_malformed_file(tmp_path):
@@ -254,6 +266,19 @@ def test_verify_zeroed_viscosity(tmp_path):
     bad = tmp_path / "mu0.json"
     bad.write_text(json.dumps(doc))
     assert run(["verify", bad]) == 5
+
+
+@pytest.mark.parametrize("direction", ["stress-to-dn", "dn-to-stress"])
+def test_convert_zeroed_viscosity_exits_5(tmp_path, capsys, direction):
+    src = generate_couette(tmp_path)
+    doc = json.loads(src.read_text())
+    doc["patch"]["mu"][3] = 0.0
+    bad = tmp_path / "mu0.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["convert", direction, "--in", bad, "--out", tmp_path / "o.json"]) == 5
+    assert capsys.readouterr().err == ("error: patch invariant violated: "
+                                       "viscosity must be positive at every node\n")
+    assert not (tmp_path / "o.json").exists()
 
 
 def test_verify_perturbed_slope_fails_cross_format(tmp_path, capsys):

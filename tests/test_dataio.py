@@ -1,6 +1,7 @@
 import csv
 import json
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from cauchyflow import (BoundaryPatch, Dataset, DatasetFormatError, dataset_from
                         evaluate_traces, partition_curve, circle, read_dataset,
                         read_patch_set, write_csv, write_dataset,
                         write_patch_set, FLOWS, PRESSURES, VISCOSITIES)
+from cauchyflow.cli import main
 from helpers import UNREADABLE_FILES, sine_patch
 
 
@@ -103,7 +105,7 @@ def _corrupt(tmp_path, name, mutate):
     return bad
 
 
-def test_malformed_documents_rejected(tmp_path):
+def test_malformed_documents_rejected(tmp_path, capsys):
     garbage = tmp_path / "bad.json"
     garbage.write_text("not json at all")
     with pytest.raises(DatasetFormatError):
@@ -132,6 +134,36 @@ def test_malformed_documents_rejected(tmp_path):
                          ("m5.json", version_true), ("m6.json", version_float)]:
         with pytest.raises(DatasetFormatError):
             read_dataset(_corrupt(tmp_path, name, mutate))
+
+    # the rest through `cauchyflow verify`: exit 3 and one error line naming the fault
+    doc = json.loads((tmp_path / "good.json").read_text())
+
+    def replaced(key, value, in_patch=False):
+        edited = json.loads(json.dumps(doc))
+        (edited["patch"] if in_patch else edited)[key] = value
+        return json.dumps(edited)
+
+    text = json.dumps(doc)
+    for k, (content, message) in enumerate([
+            ("\ufeff" + text, "Unexpected UTF-8 BOM"),
+            (text + " {}", "Extra data"),
+            (replaced("patch", {}), "patch object must carry exactly the patch fields"),
+            (replaced("u1", {"0": 1.0}), "field 'u1' must be a numeric array"),
+            (replaced("orientation", "left", in_patch=True), "patch orientation must be 'below' or 'above'"),
+            (replaced("x1_nodes", [0.0], in_patch=True), "patch needs at least 2 nodes"),
+            (replaced("h", 1.5 * doc["patch"]["h"], in_patch=True), "stored spacing h disagrees"),
+            (replaced("provenance", ["a"]), "provenance must be an object")]):
+        bad = tmp_path / f"r{k}.json"
+        bad.write_text(content, encoding="utf-8")
+        assert main(["verify", str(bad)]) == 3, message
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"error: [^\n]*{re.escape(message)}[^\n]*\n", err), err
+
+    # no command reads a patch set; the library refuses an empty one
+    empty = tmp_path / "no-patches.json"
+    empty.write_text('{"format_version": 1, "patches": []}')
+    with pytest.raises(DatasetFormatError, match="non-empty patch list"):
+        read_patch_set(empty)
 
     # format_version must be the JSON integer 1: true and 1.0 compare equal to it
     patches = tmp_path / "patches.json"

@@ -1,14 +1,15 @@
 import dataclasses
 import inspect
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cauchyflow import (BoundaryPatch, CauchyDN, CauchyStress, GradientTrace,
+from cauchyflow import (BoundaryPatch, CauchyDN, CauchyStress, Dataset, GradientTrace,
                         ScalarTrace, VectorTrace, analytic_trace_slopes,
-                        assemble_system, theta, uniform_grid,
+                        assemble_system, dataset_from_traces, theta, uniform_grid,
                         determinant, dn_to_stress, evaluate_traces,
                         normal_at, rigid_motion,
                         solve_system, stress_to_dn, traction_from_gradient,
@@ -285,6 +286,72 @@ def test_grid_mismatch_rejected():
     short = VectorTrace.from_arrays(np.zeros(15), np.zeros(15), patch.h)
     with pytest.raises(ValueError, match="grid"):
         stress_to_dn(CauchyStress(short, short), patch)
+
+
+def zero_vector(n, h):
+    return VectorTrace.from_arrays(np.zeros(n), np.zeros(n), h)
+
+
+def zero_stress(n, h):
+    return CauchyStress(zero_vector(n, h), zero_vector(n, h))
+
+
+def zero_dn(n, h):
+    return CauchyDN(zero_vector(n, h), zero_vector(n, h), ScalarTrace(np.zeros(n), h))
+
+
+def zero_dataset(kind):
+    patch = flat_patch(8)
+    return dataset_from_traces(patch, **{kind: (zero_dn if kind == "dn" else zero_stress)(8, patch.h)})
+
+
+# each library refusal with its whole message; _per_node's grid checks run
+# before patch.validate(), the u_prime shape check after it
+REFUSALS = {
+    "data spacing": (lambda: stress_to_dn(zero_stress(16, 1.0), flat_patch(16)),
+                     "data grid spacing does not match the patch"),
+    "4-node patch": (lambda: dn_to_stress(zero_dn(4, flat_patch(4).h), flat_patch(4)),
+                     "patch too short for stencil differentiation"),
+    "u_prime shape": (lambda: stress_to_dn(zero_stress(16, flat_patch(16).h), flat_patch(16),
+                                           u_prime=(np.zeros(3), np.zeros(3))),
+                      "u_prime arrays must match the full patch grid"),
+    "1-node grid": (lambda: uniform_grid(0.0, 1.0, 1), "grid needs at least 2 nodes"),
+    "empty span": (lambda: uniform_grid(1.0, 0.0, 4), "grid span is empty"),
+    # the spacing 2^-1075 rounds to 0
+    "span too small": (lambda: uniform_grid(0.0, 5e-324, 3),
+                       "grid span too small for the requested node count"),
+    "patch lengths": (lambda: BoundaryPatch(0.0, np.arange(4.0), np.zeros(3), np.zeros(4), np.ones(4)),
+                      "patch arrays must share the grid length"),
+    "patch orientation": (lambda: BoundaryPatch(0.0, np.arange(4.0), np.zeros(4), np.zeros(4),
+                                                np.ones(4), "left"),
+                          "orientation must be one of ('below', 'above')"),
+    "descending grid": (lambda: BoundaryPatch(0.0, -np.arange(4.0), np.zeros(4), np.zeros(4),
+                                              np.ones(4)).validate(),
+                        "grid spacing must be positive"),
+    "interior": (lambda: flat_patch(4).interior(), "patch too short to restrict: needs at least 5 nodes"),
+    "normal orientation": (lambda: normal_at(0.0, "left"), "orientation must be one of ('below', 'above')"),
+    "trace rank": (lambda: ScalarTrace(np.zeros((2, 2)), 0.1), "trace values must be one-dimensional"),
+    "trace spacing": (lambda: ScalarTrace(np.zeros(3), 0.0), "grid spacing must be positive"),
+    "vector spacings": (lambda: VectorTrace(ScalarTrace(np.zeros(3), 0.1), ScalarTrace(np.zeros(3), 0.2)),
+                        "vector trace components must share the grid spacing"),
+    "gradient shapes": (lambda: GradientTrace(*[np.zeros(3)] * 3, np.zeros(4)),
+                        "gradient trace components must share one shape"),
+    "dn lengths": (lambda: CauchyDN(zero_vector(3, 0.1), zero_vector(3, 0.1), ScalarTrace(np.zeros(4), 0.1)),
+                   "boundary data traces must share the grid length"),
+    "stress lengths": (lambda: CauchyStress(zero_vector(3, 0.1), zero_vector(4, 0.1)),
+                       "boundary data traces must share the grid length"),
+    "data kind": (lambda: Dataset(flat_patch(8), "mystery", np.zeros(8), np.zeros(8)),
+                  "unknown data_kind 'mystery'"),
+    "dn of stress data": (lambda: zero_dataset("stress").dn(), "dataset carries no normal-derivative data"),
+    "stress of dn data": (lambda: zero_dataset("dn").stress(), "dataset carries no traction data"),
+    "no traces": (lambda: dataset_from_traces(flat_patch(8)), "need at least one of dn or stress data"),
+}
+
+
+@pytest.mark.parametrize("call, message", REFUSALS.values(), ids=list(REFUSALS))
+def test_library_refusals(call, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        call()
 
 
 def test_round_trip_analytic_both_orientations():
