@@ -8,6 +8,12 @@ Exit codes form a stable contract:
     4  consistency residual above tolerance (output still written; never
        from `convert stress-to-dn`, whose residual is always 0)
     5  invariant violation (positivity, grid uniformity, slope bound)
+
+`main` sends every ValueError a command raises, DatasetFormatError
+included, to exit 3 with one "error:" line, never a traceback. Local
+handlers map elsewhere: `generate` names the patch, `convert` sends a
+failed patch check to exit 5, and `verify` reports one as "patch
+invariants: FAIL" (exit 5) and a data check it cannot run as "skipped".
 """
 
 from __future__ import annotations
@@ -79,13 +85,12 @@ def _numbered_paths(out_path: str, count: int) -> list[Path]:
     return [out.with_name(f"{out.stem}-p{k:02d}{out.suffix}") for k in range(count)]
 
 
-def _limit_error(residual_tol, max_slope=None) -> str | None:
-    """Why a --residual-tol or --max-slope value cannot be used; None if it can."""
+def _check_limits(residual_tol, max_slope=None) -> None:
+    """Raise ValueError if a --residual-tol or --max-slope value cannot be used."""
     if residual_tol is not None and not residual_tol >= 0:
-        return f"--residual-tol must be a non-negative number, got {residual_tol}"
+        raise ValueError(f"--residual-tol must be a non-negative number, got {residual_tol}")
     if max_slope is not None and not max_slope > 0:
-        return f"--max-slope must be a positive number, got {max_slope}"
-    return None
+        raise ValueError(f"--max-slope must be a positive number, got {max_slope}")
 
 
 def _tolerance(ds, residual_tol, *arrays, residual=False) -> float:
@@ -112,11 +117,7 @@ def _cmd_generate(args) -> int:
     viscosity = manufactured.VISCOSITIES.get(args.viscosity)
     if viscosity is None:
         return _fail(EXIT_UNKNOWN_NAME, f"unknown viscosity {args.viscosity!r}")
-    try:
-        patches = _curve_patches(args, viscosity.value)
-    except ValueError as exc:
-        return _fail(EXIT_MALFORMED, str(exc))
-
+    patches = _curve_patches(args, viscosity.value)
     provenance = {"flow": args.flow, "pressure": args.pressure,
                   "viscosity": args.viscosity, "curve": args.curve, "max_slope": args.max_slope}
     paths = _numbered_paths(args.out, len(patches))
@@ -136,12 +137,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    if bad := _limit_error(args.residual_tol):
-        return _fail(EXIT_MALFORMED, bad)
-    try:
-        ds = dataio.read_dataset(args.input)
-    except dataio.DatasetFormatError as exc:
-        return _fail(EXIT_MALFORMED, str(exc))
+    _check_limits(args.residual_tol)
+    ds = dataio.read_dataset(args.input)
     try:
         ds.patch.validate()
     except ValueError as exc:
@@ -153,24 +150,18 @@ def _cmd_convert(args) -> int:
     if not to_dn and ds.data_kind == "stress":
         return _fail(EXIT_UNKNOWN_NAME, "input has no (dnu1, dnu2, p) arrays")
 
-    try:
-        if to_dn:  # traction data have no residual to bound
-            converted, residual = transform.stress_to_dn(ds.stress(), ds.patch)
-            tol = 0.0 if args.residual_tol is None else args.residual_tol
-        else:
-            converted, residual, tol = _consistency(ds, args.residual_tol)
-        inner = ds.patch.interior()
-    except ValueError as exc:
-        return _fail(EXIT_MALFORMED, str(exc))
+    if to_dn:  # traction data have no residual to bound
+        converted, residual = transform.stress_to_dn(ds.stress(), ds.patch)
+        tol = 0.0 if args.residual_tol is None else args.residual_tol
+    else:
+        converted, residual, tol = _consistency(ds, args.residual_tol)
+    inner = ds.patch.interior()
     provenance = (ds.provenance or {}) | {"converted": args.direction}
     kind = "dn" if to_dn else "stress"
     out = dataio.dataset_from_traces(inner, provenance=provenance, **{kind: converted})
-    try:
-        dataio.write_dataset(args.output, out)
-        if args.csv:
-            dataio.write_csv(args.csv, out)
-    except dataio.DatasetFormatError as exc:
-        return _fail(EXIT_MALFORMED, str(exc))
+    dataio.write_dataset(args.output, out)
+    if args.csv:
+        dataio.write_csv(args.csv, out)
     print(f"wrote {args.output} ({out.patch.n} nodes, data_kind={out.data_kind})")
     print(f"max consistency residual = {residual:.17g}")
     print(f"residual tolerance = {tol:.17g}")
@@ -178,18 +169,14 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if bad := _limit_error(args.residual_tol, args.max_slope):
-        return _fail(EXIT_MALFORMED, bad)
-    try:
-        ds = dataio.read_dataset(args.input)
-    except dataio.DatasetFormatError as exc:
-        return _fail(EXIT_MALFORMED, str(exc))
+    _check_limits(args.residual_tol, args.max_slope)
+    ds = dataio.read_dataset(args.input)
     max_slope = args.max_slope
     if max_slope is None:  # the bound generate recorded, else 1.0
         max_slope = (ds.provenance or {}).get("max_slope", 1.0)
         if type(max_slope) not in (int, float) or not 0 < max_slope <= sys.float_info.max:
-            return _fail(EXIT_MALFORMED, "provenance max_slope must be a positive finite "
-                                         f"number, got {max_slope!r}")
+            raise ValueError("provenance max_slope must be a positive finite number, "
+                             f"got {max_slope!r}")
 
     patch = ds.patch
     try:
@@ -221,14 +208,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_partition(args) -> int:
-    try:
-        patches = _curve_patches(args)
-    except ValueError as exc:
-        return _fail(EXIT_MALFORMED, str(exc))
-    try:
-        dataio.write_patch_set(args.out, patches)
-    except dataio.DatasetFormatError as exc:
-        return _fail(EXIT_MALFORMED, str(exc))
+    patches = _curve_patches(args)
+    dataio.write_patch_set(args.out, patches)
     max_slope_seen = max(float(np.max(np.abs(p.gamma_prime))) for p in patches)
     print(f"wrote {args.out}")
     print(f"patches = {len(patches)}")
@@ -242,20 +223,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Convert 2D incompressible-flow boundary data between the "
                     "(u, normal derivative, p) and (u, traction) formats.")
     sub = parser.add_subparsers(dest="command", required=True)
-    overlap_help = ("least overlap of consecutive patches, a fraction of their arc in [0, 0.5); "
-                    "values below 0.05 give 0.05")
+    curve = argparse.ArgumentParser(add_help=False)  # the flags generate and partition share
+    curve.add_argument("--curve", required=True, help="circle:R | ellipse:A,B | graph:poly:c0,c1,...")
+    curve.add_argument("--out", required=True)
+    curve.add_argument("--x1-range", default="-1,1",
+                       help="abscissa range for graph curves (use --x1-range=LO,HI)")
+    curve.add_argument("--max-slope", type=float, default=1.0)
+    curve.add_argument("--overlap", type=float, default=0.2,
+                       help="least overlap of consecutive patches, a fraction of their arc in "
+                            "[0, 0.5); values below 0.05 give 0.05")
 
-    gen = sub.add_parser("generate", help="write an analytic oracle dataset")
+    gen = sub.add_parser("generate", parents=[curve], help="write an analytic oracle dataset")
     gen.add_argument("--flow", required=True, help=f"one of {sorted(manufactured.FLOWS)}")
     gen.add_argument("--pressure", required=True, help=f"one of {sorted(manufactured.PRESSURES)}")
     gen.add_argument("--viscosity", required=True, help=f"one of {sorted(manufactured.VISCOSITIES)}")
-    gen.add_argument("--curve", required=True, help="circle:R | ellipse:A,B | graph:poly:c0,c1,...")
     gen.add_argument("--nodes", type=int, required=True, help="nodes per patch, margins included")
-    gen.add_argument("--out", required=True)
     gen.add_argument("--csv", default=None, help="also write a flat CSV export")
-    gen.add_argument("--x1-range", default="-1,1", help="abscissa range for graph curves (use --x1-range=LO,HI)")
-    gen.add_argument("--max-slope", type=float, default=1.0)
-    gen.add_argument("--overlap", type=float, default=0.2, help=overlap_help)
     gen.set_defaults(func=_cmd_generate)
 
     conv = sub.add_parser("convert", help="convert a dataset between the two formats")
@@ -279,13 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="slope bound to audit; default: the max_slope generate recorded, else 1.0")
     ver.set_defaults(func=_cmd_verify)
 
-    part = sub.add_parser("partition", help="cover a curve with graph patches")
-    part.add_argument("--curve", required=True)
-    part.add_argument("--max-slope", type=float, default=1.0)
-    part.add_argument("--overlap", type=float, default=0.2, help=overlap_help)
+    part = sub.add_parser("partition", parents=[curve], help="cover a curve with graph patches")
     part.add_argument("--nodes", type=int, default=64)
-    part.add_argument("--out", required=True)
-    part.add_argument("--x1-range", default="-1,1")
     part.set_defaults(func=_cmd_partition)
     return parser
 
@@ -296,7 +274,10 @@ def main(argv=None) -> int:
         # overflow on finite data near the float limit already shows as inf or
         # nan in the checks and outputs; numpy's RuntimeWarnings add nothing
         warnings.simplefilter("ignore", RuntimeWarning)
-        return args.func(args)
+        try:
+            return args.func(args)
+        except ValueError as exc:  # DatasetFormatError included: every malformed input or output
+            return _fail(EXIT_MALFORMED, str(exc))
 
 
 def console() -> None:

@@ -99,6 +99,8 @@ def uniform_grid(lo: float, hi: float, n: int) -> tuple[np.ndarray, float]:
     want = (hi - lo) / (n - 1)
     _, e = math.frexp(want)
     scale = math.ldexp(1.0, e - 33)
+    if scale == 0:  # a spacing below about 2**-1041 has no raster step
+        raise ValueError("grid span too small for the requested node count")
     start = math.ceil(lo / scale) * scale
     h = math.floor((hi - start) / (n - 1) / scale) * scale
     if h <= 0:

@@ -526,6 +526,33 @@ def test_verify_malformed(tmp_path):
     assert run(["verify", bad]) == 3
 
 
+@pytest.mark.parametrize("argv, target, message", [
+    (["partition", "--curve", "circle:1", "--out", "{out}"], "dataio.write_patch_set", "boom"),
+    (["partition", "--curve", "circle:1", "--out", "{out}"], "geometry.partition_curve", "boom"),
+    (["convert", "stress-to-dn", "--in", "{data}", "--out", "{out}"], "dataio.read_dataset", "boom"),
+    (["convert", "dn-to-stress", "--in", "{data}", "--out", "{out}"], "dataio.write_dataset", "boom"),
+    (["verify", "{data}"], "dataio.read_dataset", "boom"),
+    (["generate", "--flow", "couette", "--pressure", "zero", "--viscosity", "unit",
+      "--curve", "graph:poly:0", "--nodes", "16", "--out", "{out}"],
+     "manufactured.evaluate_traces", "patch 0: boom"),
+])
+def test_any_value_error_exits_3_with_one_error_line(tmp_path, capsys, monkeypatch,
+                                                     argv, target, message):
+    # main holds the one handler: a ValueError from any layer a command reaches,
+    # not only a DatasetFormatError, ends as exit 3 and one line on stderr
+    data = generate_couette(tmp_path)
+    capsys.readouterr()
+
+    def boom(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(f"cauchyflow.{target}", boom)
+    assert run([a.format(data=data, out=tmp_path / "out.json") for a in argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("literal", ["true", "1.0"])
 def test_format_version_must_be_the_integer_1(tmp_path, capsys, literal):
     # JSON true and 1.0 compare equal to 1, and neither is the version

@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cauchyflow import (BoundaryPatch, CauchyDN, CauchyStress, Dataset, GradientTrace,
-                        ScalarTrace, VectorTrace, analytic_trace_slopes,
-                        assemble_system, dataset_from_traces, theta, uniform_grid,
+                        ParametricCurve, ScalarTrace, VectorTrace, analytic_trace_slopes,
+                        assemble_system, dataset_from_traces, graph_patch, theta, uniform_grid,
                         determinant, dn_to_stress, evaluate_traces,
                         normal_at, rigid_motion,
                         solve_system, stress_to_dn, traction_from_gradient,
                         builtin_catalog, FLOWS, PRESSURES, VISCOSITIES)
-from cauchyflow import manufactured, transform
+from cauchyflow import geometry, manufactured, transform
 from helpers import (flat_patch, max_abs_diff, normal_derivative_from_gradient,
                      rotated_field, rotated_flow, sine_patch, traction_oracle)
 
@@ -320,6 +320,11 @@ REFUSALS = {
     # the spacing 2^-1075 rounds to 0
     "span too small": (lambda: uniform_grid(0.0, 5e-324, 3),
                        "grid span too small for the requested node count"),
+    # a spacing below about 2^-1041 has no raster step
+    "spacing without raster": (lambda: uniform_grid(0.0, 1e-320, 2),
+                               "grid span too small for the requested node count"),
+    "graph patch without raster": (lambda: graph_patch(0.0, 0.0, 0.0, 1e-320, 2),
+                                   "grid span too small for the requested node count"),
     "patch lengths": (lambda: BoundaryPatch(0.0, np.arange(4.0), np.zeros(3), np.zeros(4), np.ones(4)),
                       "patch arrays must share the grid length"),
     "patch orientation": (lambda: BoundaryPatch(0.0, np.arange(4.0), np.zeros(4), np.zeros(4),
@@ -345,6 +350,18 @@ REFUSALS = {
     "dn of stress data": (lambda: zero_dataset("stress").dn(), "dataset carries no normal-derivative data"),
     "stress of dn data": (lambda: zero_dataset("dn").stress(), "dataset carries no traction data"),
     "no traces": (lambda: dataset_from_traces(flat_patch(8)), "need at least one of dn or stress data"),
+    "curve kind": (lambda: ParametricCurve(np.sin, np.cos, kind="bogus"),
+                   "kind must be one of ('analytic-closed-form', 'sampled-periodic', 'open')"),
+    "curve samples": (lambda: ParametricCurve.from_samples(np.zeros((3, 2))),
+                      "need an (m, 2) array with at least 4 sample points"),
+    "non-monotone abscissa": (lambda: geometry._invert_monotone(lambda t: -t, lambda t: -np.ones_like(t),
+                                                                0.0, 1.0, np.array([-0.5])),
+                              "local abscissa is not monotone over the patch window"),
+    "matrix shape": (lambda: determinant(np.zeros((3, 3))), "expected trailing shape (4, 4)"),
+    "system viscosity": (lambda: assemble_system(0.0, 0.0), "viscosity must be positive"),
+    "traction viscosity": (lambda: traction_from_gradient(GradientTrace(1.0, 2.0, 3.0, 0.0), 0.0, -1.0),
+                           "viscosity must be positive"),
+    "rhs length": (lambda: solve_system(0.0, 1.0, np.zeros(3)), "rhs must have trailing length 4"),
 }
 
 
