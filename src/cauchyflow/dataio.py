@@ -7,9 +7,10 @@ written as -0 and read back as -0.0), and keys come in a fixed order, so
 repeated runs write identical bytes. Writes stream one array (for CSV, a
 block of rows) at a time. Data a write refuses, such as a non-finite
 value, are refused before the file is opened, so they create no file.
-Reads go one array at a time too: each number array becomes a float array
-as soon as it is parsed, so a read holds the file's text and at most one
-parsed list. A file that cannot be written or read raises
+Reads go one array at a time too: the file is read through a window of
+text that drops what is parsed, and each number array becomes a float
+array as soon as it is parsed, so a read holds one array's text, one
+chunk and one parsed list. A file that cannot be written or read raises
 DatasetFormatError.
 
 Dataset schema (format_version 1):
@@ -33,7 +34,6 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -54,6 +54,7 @@ _CSV_COLUMNS = ("x1", "gamma", "gamma_prime", "mu",
                 "u1", "u2", "dnu1", "dnu2", "p", "t1", "t2")
 _NUMBER_ARRAYS = frozenset(_PATCH_KEYS[3:] + _KIND_ARRAYS["both"])
 _CSV_ROWS = 1024  # CSV rows formatted per write
+_CHUNK_CHARS = 1 << 16  # characters a read adds to its window, at least
 
 
 class DatasetFormatError(ValueError):
@@ -202,24 +203,16 @@ _SPACE = re.compile(r"[ \t\n\r]*").match  # JSON whitespace
 
 
 def _load_json(path) -> dict:
-    """The JSON object in `path`, with format_version checked."""
+    """The JSON object in `path`, with format_version checked.
+
+    A failed parse runs again with the whole text in one window, so that a
+    fault is named as in the whole file: its line, column and char, and a
+    byte that is not UTF-8 ahead of any other fault.
+    """
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DatasetFormatError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DatasetFormatError(f"{path} is not UTF-8 text: {exc}") from exc
-    try:
-        if text.startswith("\ufeff"):  # refused as json.loads refuses it
-            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
-        doc, end = _value(text, _skip(text, 0))
-        end = _skip(text, end)
-        if end != len(text):
-            raise json.JSONDecodeError("Extra data", text, end)
-    except json.JSONDecodeError as exc:
-        raise DatasetFormatError(f"invalid JSON in {path}: {exc}") from exc
-    except RecursionError:  # the decoder and _value recurse once per nesting level
-        raise DatasetFormatError(f"invalid JSON in {path}: nested too deeply") from None
+        doc = _parse(path, _CHUNK_CHARS)
+    except DatasetFormatError:
+        doc = _parse(path, None)
     if not isinstance(doc, dict):
         raise DatasetFormatError(f"{path} does not hold a JSON object")
     # type(), as in _floats: JSON true and 1.0 compare equal to the integer 1
@@ -228,56 +221,128 @@ def _load_json(path) -> dict:
     return doc
 
 
-def _skip(text, i) -> int:
-    return _SPACE(text, i).end()
+def _parse(path, chunk):
+    """The JSON value in `path`, read through a _Window of `chunk` characters."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            w = _Window(handle, chunk)
+            if w.text.startswith("\ufeff"):  # refused as json.loads refuses it
+                raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", w.text, 0)
+            doc, end = _value(w, _skip(w, 0))
+            end = _skip(w, end)
+            if end != len(w.text):
+                raise json.JSONDecodeError("Extra data", w.text, end)
+    except OSError as exc:
+        raise DatasetFormatError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(f"{path} is not UTF-8 text: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise DatasetFormatError(f"invalid JSON in {path}: {exc}") from exc
+    except RecursionError:  # the decoder and _value recurse once per nesting level
+        raise DatasetFormatError(f"invalid JSON in {path}: nested too deeply") from None
+    return doc
 
 
-def _value(text, i, key=None):
-    """(value, end) of the JSON value at text[i], the member `key` of its object.
+class _Window:
+    """The text of an open file that is read and not yet dropped; `eof` once it runs to the end.
+
+    An index into `text` holds until the next `fill`. A chunk of None reads the whole file at once.
+    """
+
+    def __init__(self, handle, chunk):
+        self.handle, self.chunk = handle, chunk
+        self.text, self.eof = "", False
+        self.fill(0)
+
+    def fill(self, i) -> int:
+        """Drop text[:i], then read a chunk or len(text) - i characters, whichever is more.
+
+        So the window doubles while a value outgrows it, and a long value is
+        decoded a logarithmic number of times. Returns 0, the new index of text[i].
+        """
+        size = -1 if self.chunk is None else max(self.chunk, len(self.text) - i)
+        rest, self.text = self.text[i:], ""  # the old text goes before more is read
+        more = self.handle.read(size)  # fewer than `size` characters only at the end
+        self.text, self.eof = rest + more, size < 0 or len(more) < size
+        return 0
+
+
+def _skip(w, i) -> int:
+    """The index of the first non-space at or after w.text[i], read in unless the file ends first."""
+    i = _SPACE(w.text, i).end()
+    while i == len(w.text) and not w.eof:
+        i = w.fill(i)
+        i = _SPACE(w.text, i).end()
+    return i
+
+
+def _decode(w, i):
+    """(value, end) of the JSON value at w.text[i], the window grown until it holds the value."""
+    while True:
+        try:
+            value, end = _DECODER.raw_decode(w.text, i)
+            # a number that meets the window's edge, or a "." or an "e" there,
+            # may go on past it: "1.5" of "1.5e3"
+            if w.eof or type(value) not in (int, float) or w.text[end:end + 1] not in ".eE":
+                return value, end
+        except json.JSONDecodeError:
+            if w.eof:
+                raise
+        i = w.fill(i)
+
+
+def _value(w, i, key=None):
+    """(value, end) of the JSON value at w.text[i], the member `key` of its object.
 
     The top-level object, each "patch" object and each object in the
     "patches" list are parsed here one member at a time, and a number array
     becomes a float array as soon as it is parsed, so a read never holds
-    every parsed list at once. Every other value goes to the decoder whole.
+    every parsed list at once. Every other value goes to the decoder whole;
+    a number array is read up to its first "]" first, so that one decoder
+    call parses it.
     """
-    if key in (None, "patch") and text.startswith("{", i):
-        members, end = _items(text, i, "}", _member)
+    if key in (None, "patch") and w.text.startswith("{", i):
+        members, end = _items(w, i, "}", _member)
         return dict(members), end  # a repeated key keeps its last value, as in json.loads
-    if key == "patches" and text.startswith("[", i):
-        return _items(text, i, "]", _value)
-    value, end = _DECODER.raw_decode(text, i)
+    if key == "patches" and w.text.startswith("[", i):
+        return _items(w, i, "]", _value)
+    if key in _NUMBER_ARRAYS and w.text.startswith("[", i):
+        searched = 0  # characters from text[i] on that hold no "]"
+        while w.text.find("]", i + searched) < 0 and not w.eof:
+            searched, i = len(w.text) - i, w.fill(i)
+    value, end = _decode(w, i)
     if key in _NUMBER_ARRAYS and isinstance(value, list):
         value = _floats(value, key)
     return value, end
 
 
-def _member(text, i):
-    """((key, value), end) of the object member at text[i]."""
-    if not text.startswith('"', i):
-        raise json.JSONDecodeError("Expecting property name enclosed in double quotes", text, i)
-    key, i = _DECODER.raw_decode(text, i)
-    i = _skip(text, i)
-    if not text.startswith(":", i):
-        raise json.JSONDecodeError("Expecting ':' delimiter", text, i)
-    value, end = _value(text, _skip(text, i + 1), key)
+def _member(w, i):
+    """((key, value), end) of the object member at w.text[i]."""
+    if not w.text.startswith('"', i):
+        raise json.JSONDecodeError("Expecting property name enclosed in double quotes", w.text, i)
+    key, i = _decode(w, i)
+    i = _skip(w, i)
+    if not w.text.startswith(":", i):
+        raise json.JSONDecodeError("Expecting ':' delimiter", w.text, i)
+    value, end = _value(w, _skip(w, i + 1), key)
     return (key, value), end
 
 
-def _items(text, i, close, parse):
-    """(items, end) of the object or array opened at text[i], each item read by parse(text, start)."""
+def _items(w, i, close, parse):
+    """(items, end) of the object or array opened at w.text[i], each item read by parse(w, start)."""
     items = []
-    i = _skip(text, i + 1)
-    if text.startswith(close, i):
+    i = _skip(w, i + 1)
+    if w.text.startswith(close, i):
         return items, i + 1
     while True:
-        item, i = parse(text, i)
+        item, i = parse(w, i)
         items.append(item)
-        i = _skip(text, i)
-        if text.startswith(close, i):
+        i = _skip(w, i)
+        if w.text.startswith(close, i):
             return items, i + 1
-        if not text.startswith(",", i):
-            raise json.JSONDecodeError("Expecting ',' delimiter", text, i)
-        i = _skip(text, i + 1)
+        if not w.text.startswith(",", i):
+            raise json.JSONDecodeError("Expecting ',' delimiter", w.text, i)
+        i = _skip(w, i + 1)
 
 
 def _floats(values, key) -> np.ndarray:

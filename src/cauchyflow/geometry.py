@@ -7,8 +7,8 @@ apply everywhere a converted quantity is reported. Grids are snapped onto
 a dyadic raster, which makes consecutive node differences bitwise equal to
 the stored spacing.
 
-Patch nodes are found by inverting the curve's local abscissa x(t) for all
-grid targets at once: a dense table of x brackets each target, and a
+Patch nodes are found by inverting the curve's local abscissa x(t) for the
+grid targets block by block: a dense table of x brackets each target, and a
 vectorized Newton iteration (slope from the curve velocity, bisection when
 a step leaves its bracket) refines every node to the float that fits best.
 A target outside the tabulated window, or a node that does not converge,
@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .traces import MARGIN, VectorTrace
+from .traces import MARGIN, VectorTrace, blockwise
 
 ORIENTATIONS = ("below", "above")
 CURVE_KINDS = ("analytic-closed-form", "sampled-periodic", "open")
@@ -537,21 +537,22 @@ def _build_patch(curve, frame, t_a, t_b, n_nodes, mu, orientation, max_slope):
 
 
 def _invert_monotone(fn, dfn, t_lo, t_hi, targets):
-    """Solve fn(t) = target for all targets at once; fn must increase on [t_lo, t_hi].
+    """Solve fn(t) = target for every target; fn must increase on [t_lo, t_hi].
 
-    A dense table of fn brackets each target between two neighbouring
-    samples. Newton steps with slope dfn then run on every target together;
+    A dense table of fn, built and checked block by block, brackets each
+    target between two neighbouring samples and is then dropped. Newton
+    steps with slope dfn then run on each block of targets (`blockwise`);
     a node whose step would leave its bracket, or would not halve the
     previous step, is bisected instead. A node is done once the move it
     makes is below 4 eps max(1, |t|): a Newton step at roundoff, or a
     bracket that has shrunk to that width where fn is noisy. The move is
     still taken, and the result is whichever of it and its two neighbouring
-    floats fits best. Raises ValueError for a target outside the tabulated
-    range and for a node not converged after _INVERT_MAX_STEPS steps.
+    floats fits best. Raises ValueError for targets outside the tabulated
+    range and for nodes not converged after _INVERT_MAX_STEPS steps.
     """
     dense = np.linspace(t_lo, t_hi, max(1024, 8 * len(targets)))
-    vals = np.asarray(fn(dense), dtype=float)
-    if np.any(np.diff(vals) <= 0):
+    (vals,) = blockwise(lambda d: (np.asarray(fn(d), dtype=float),), dense)
+    if np.any(blockwise(lambda a, b: (np.any(b - a <= 0),), vals[:-1], vals[1:])[0]):
         raise ValueError("local abscissa is not monotone over the patch window")
     g = np.asarray(targets, dtype=float)
     outside = int(np.count_nonzero((g < vals[0]) | (g > vals[-1])))
@@ -559,31 +560,41 @@ def _invert_monotone(fn, dfn, t_lo, t_hi, targets):
         raise ValueError(f"{outside} of {g.size} node abscissae fall outside the "
                          "patch window's local abscissa range")
 
-    # vals[k - 1] < g <= vals[k]; the start point interpolates linearly
+    # vals[k - 1] < g <= vals[k]
     k = np.clip(np.searchsorted(vals, g), 1, dense.size - 1)
-    lo, hi = dense[k - 1], dense[k]
-    t = lo + (hi - lo) * ((g - vals[k - 1]) / (vals[k] - vals[k - 1]))
-    last_step = hi - lo
-    done = np.zeros(g.shape, dtype=bool)
-    for _ in range(_INVERT_MAX_STEPS):
-        f = np.asarray(fn(t), dtype=float) - g
-        lo = np.where(f < 0, t, lo)
-        hi = np.where(f > 0, t, hi)
-        step = f / np.asarray(dfn(t), dtype=float)
-        newton = t - step
-        tol = 4.0 * _EPS * np.maximum(1.0, np.abs(t))
-        keep = (np.abs(step) <= tol) | ((newton > lo) & (newton < hi)
-                                        & (np.abs(step) <= 0.5 * last_step))
-        t_next = np.where(keep, newton, 0.5 * (lo + hi))
-        last_step = np.abs(t_next - t)
-        converged = last_step <= tol
-        t = np.where(done, t, t_next)
-        done |= converged
-        if done.all():
-            # the last step rests on a residual that carries roundoff, so it
-            # can land one float off the best fit; keep the best neighbour
-            near = np.stack([t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf)])
-            miss = np.abs(np.asarray(fn(near.ravel()), dtype=float).reshape(near.shape) - g)
-            return np.take_along_axis(near, np.argmin(miss, axis=0)[None], axis=0)[0]
-    raise ValueError(f"curve inversion did not converge at {int(np.count_nonzero(~done))} "
-                     f"of {g.size} nodes within {_INVERT_MAX_STEPS} steps")
+    brackets = dense[k - 1], dense[k], vals[k - 1], vals[k]
+    del dense, vals, k
+
+    def solve(g, lo, hi, f_lo, f_hi):
+        """The block's nodes, and how many of them did not converge."""
+        t = lo + (hi - lo) * ((g - f_lo) / (f_hi - f_lo))  # the start point interpolates linearly
+        last_step = hi - lo
+        done = np.zeros(g.shape, dtype=bool)
+        for _ in range(_INVERT_MAX_STEPS):
+            f = np.asarray(fn(t), dtype=float) - g
+            lo = np.where(f < 0, t, lo)
+            hi = np.where(f > 0, t, hi)
+            step = f / np.asarray(dfn(t), dtype=float)
+            newton = t - step
+            tol = 4.0 * _EPS * np.maximum(1.0, np.abs(t))
+            keep = (np.abs(step) <= tol) | ((newton > lo) & (newton < hi)
+                                            & (np.abs(step) <= 0.5 * last_step))
+            t_next = np.where(keep, newton, 0.5 * (lo + hi))
+            last_step = np.abs(t_next - t)
+            converged = last_step <= tol
+            t = np.where(done, t, t_next)
+            done |= converged
+            if done.all():
+                # the last step rests on a residual that carries roundoff, so it
+                # can land one float off the best fit; keep the best neighbour
+                near = np.stack([t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf)])
+                miss = np.abs(np.asarray(fn(near.ravel()), dtype=float).reshape(near.shape) - g)
+                return np.take_along_axis(near, np.argmin(miss, axis=0)[None], axis=0)[0], 0
+        return t, np.count_nonzero(~done)
+
+    t, missed = blockwise(solve, g, *brackets)
+    missed = int(np.sum(missed))
+    if missed:
+        raise ValueError(f"curve inversion did not converge at {missed} "
+                         f"of {g.size} nodes within {_INVERT_MAX_STEPS} steps")
+    return t

@@ -10,9 +10,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cauchyflow import (BoundaryPatch, Dataset, DatasetFormatError, dataset_from_traces,
-                        evaluate_traces, partition_curve, circle, read_dataset,
+                        evaluate_traces, graph_patch, partition_curve, circle, read_dataset,
                         read_patch_set, write_csv, write_dataset,
                         write_patch_set, FLOWS, PRESSURES, VISCOSITIES)
+from cauchyflow import dataio
 from cauchyflow.cli import main
 from helpers import UNREADABLE_FILES, sine_patch
 
@@ -270,8 +271,9 @@ def test_non_finite_provenance_rejected_on_write(tmp_path, bad):
 
 
 def test_dataset_read_parses_one_array_at_a_time(tmp_path):
-    # the floor is the file's bytes plus its decoded text, 2x the file; holding
-    # every parsed list as well took about 2.5x
+    # the peak holds the float arrays read so far (2.9 MB), one parsed list
+    # (1.0 MB) and a window of about one array's text: 0.88x the file. The
+    # file's bytes and whole text took 2.0x, with every parsed list 2.5x
     n = 1 << 15
     rng = np.random.default_rng(0)
     arrays = {name: rng.standard_normal(n) for name in ("u1", "u2", "dnu1", "dnu2", "p", "t1", "t2")}
@@ -284,7 +286,7 @@ def test_dataset_read_parses_one_array_at_a_time(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.1 * path.stat().st_size
+    assert peak <= 0.95 * path.stat().st_size
     assert all(np.array_equal(getattr(back, name), arr) for name, arr in arrays.items())
 
 
@@ -348,6 +350,124 @@ def test_every_prefix_is_refused(tmp_path, kind):
         for reader in (read_dataset, read_patch_set):
             with pytest.raises(DatasetFormatError):
                 reader(cut)
+
+
+def _small_window(monkeypatch, chunk) -> list:
+    """Read through windows of `chunk` characters; the list gathers the window of each parse.
+
+    A failed windowed parse runs again on the whole text (window None),
+    which would hide a fault of the windowed parse from a test of results.
+    """
+    parses = []
+    parse = dataio._parse
+    monkeypatch.setattr(dataio, "_CHUNK_CHARS", chunk)
+    monkeypatch.setattr(dataio, "_parse", lambda path, size: parses.append(size) or parse(path, size))
+    return parses
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("kind", ["dataset", "patch-set"])
+def test_every_prefix_is_refused_through_a_small_window(tmp_path, monkeypatch, kind, chunk):
+    _small_window(monkeypatch, chunk)
+    test_every_prefix_is_refused(tmp_path, kind)
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture], max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1), chunk=st.integers(1, 9))
+def test_reserialized_dataset_reads_through_a_small_window(tmp_path, monkeypatch, seed, chunk):
+    with monkeypatch.context() as patched:
+        parses = _small_window(patched, chunk)
+        test_reserialized_dataset_reads_as_json_loads.hypothesis.inner_test(tmp_path, seed)
+    assert parses == [chunk]
+
+
+@pytest.mark.parametrize("chunk", range(1, 60))
+def test_a_number_cut_by_the_window_edge_reads_whole(tmp_path, monkeypatch, chunk):
+    # a window that ends in 1.25e-3 holds "1.2", "1.25" or "1.25e", which
+    # decode to another number or fail; each is decoded again once whole
+    path = tmp_path / "d.json"
+    path.write_text('{"format_version": 1, "a": 1.25e-3, "b": 10, "c": 1e5, "d": -0}')
+    parses = _small_window(monkeypatch, chunk)
+    doc = dataio._load_json(path)
+    assert doc == {"format_version": 1, "a": 1.25e-3, "b": 10, "c": 1e5, "d": 0.0}
+    assert type(doc["b"]) is int and np.signbit(doc["d"])
+    assert parses == [chunk]
+
+
+def _arithmetic_dataset(n, provenance=None):
+    """A "both" dataset from arithmetic alone, so its file has the same bytes on every platform."""
+    patch = graph_patch(lambda x: 0.25 * x * x, lambda x: 0.5 * x, -1.0, 1.0, n, mu=lambda x, g: 1.0 + g)
+    x = patch.x1
+    arrays = dict(u1=x / 3, u2=-x * x / 7, dnu1=1 / (2 + x), dnu2=x / 11 - 0.25, p=x * x * x / 13,
+                  t1=0.1 - x / 9, t2=(x + 3) / 17)
+    return Dataset(patch=patch, data_kind="both", provenance=provenance, **arrays)
+
+
+@pytest.mark.parametrize("chunk", [16, 1000])
+def test_long_values_read_through_a_small_window(tmp_path, monkeypatch, chunk):
+    # a provenance string many windows long, and number arrays that each
+    # take many refills, read bitwise as json.loads reads them
+    ds = _arithmetic_dataset(1024, provenance={"note": "x" * 20 * chunk, "grid": [[1.5e-3, -0.0]] * 50})
+    path = tmp_path / "d.json"
+    write_dataset(path, ds)
+    parses = _small_window(monkeypatch, chunk)
+    want = json.loads(path.read_text())
+    back = read_dataset(path)
+    assert parses == [chunk]
+    for name in ("u1", "u2", "dnu1", "dnu2", "p", "t1", "t2"):
+        assert getattr(back, name).tobytes() == np.asarray(want[name], dtype=float).tobytes()
+    for attr, key in [("x1", "x1_nodes"), ("gamma", "gamma"), ("gamma_prime", "gamma_prime"), ("mu", "mu")]:
+        assert getattr(back.patch, attr).tobytes() == np.asarray(want["patch"][key], dtype=float).tobytes()
+    assert back.provenance == want["provenance"]
+
+
+def _late_fault(data: bytes, fault: str) -> bytes:
+    """`data`, a file of _arithmetic_dataset(4096), with `fault` placed far past the first window."""
+    if fault.startswith("crlf "):  # every array item on its own line, each line ending in CRLF
+        data = json.dumps(json.loads(data), indent=1).replace("\n", "\r\n").encode()
+        fault = fault[5:]
+    cut = data.index(b",", data.index(b'"t1"') + 5000)  # a separator 5 kB into t1
+    start = re.compile(rb"\s*").match(data, cut + 1).end()
+    after = data.index(b",", start)  # the number from start to after
+    return {"stray comma": data[:start] + b"," + data[start:],
+            "NaN": data[:start] + b"NaN" + data[after:],
+            "not UTF-8": data[:start] + b"\xff" + data[start:],
+            "NaN, then not UTF-8": data[:start] + b"NaN" + data[after:-200] + b"\xff" + data[-200:],
+            "trailing data": data + b"x",
+            "truncated": data[:start + 5]}[fault]
+
+
+# the error lines the reader printed when it held the whole file, with the
+# file's path as {path}
+LATE_FAULT_ERRORS = {
+    "stray comma": "error: invalid JSON in {path}: Expecting value: line 18 column 5022 (char 805831)",
+    "NaN": "error: non-finite number 'NaN' in document",
+    "not UTF-8": ("error: {path} is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in "
+                  "position 805831: invalid start byte"),
+    "NaN, then not UTF-8": ("error: {path} is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in "
+                            "position 974402: invalid start byte"),
+    "trailing data": "error: invalid JSON in {path}: Extra data: line 21 column 1 (char 974618)",
+    "truncated": "error: invalid JSON in {path}: Expecting ',' delimiter: line 18 column 5027 (char 805836)",
+    "crlf stray comma": "error: invalid JSON in {path}: Expecting value: line 37103 column 3 (char 877806)",
+    "crlf NaN": "error: non-finite number 'NaN' in document",
+    "crlf not UTF-8": ("error: {path} is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in "
+                       "position 914908: invalid start byte"),
+    "crlf trailing data": "error: invalid JSON in {path}: Extra data: line 45087 column 2 (char 1060593)",
+    "crlf truncated": ("error: invalid JSON in {path}: Expecting ',' delimiter: "
+                       "line 37103 column 8 (char 877811)"),
+}
+
+
+@pytest.mark.parametrize("chunk", [dataio._CHUNK_CHARS, 64])
+@pytest.mark.parametrize("fault", sorted(LATE_FAULT_ERRORS))
+def test_late_faults_read_as_in_the_whole_file(tmp_path, monkeypatch, capsys, fault, chunk):
+    monkeypatch.setattr(dataio, "_CHUNK_CHARS", chunk)
+    good = tmp_path / "good.json"
+    write_dataset(good, _arithmetic_dataset(4096))
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(_late_fault(good.read_bytes(), fault))
+    assert main(["verify", str(bad)]) == 3
+    assert capsys.readouterr().err == LATE_FAULT_ERRORS[fault].format(path=bad) + "\n"
 
 
 def test_patch_set_round_trip(tmp_path):

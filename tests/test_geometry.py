@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,6 +9,7 @@ from cauchyflow import (BoundaryPatch, FrameRotation, ParametricCurve,
                         VectorTrace, circle, ellipse, geometry, graph_patch,
                         normal_at, partition_curve, polynomial_graph,
                         rotate_vector_trace, theta, uniform_grid)
+from cauchyflow import traces
 from helpers import rotate_rows, rotation_matrix
 
 finite_slope = st.floats(-20, 20, allow_nan=False)
@@ -468,6 +471,44 @@ def test_inversion_raises_when_not_converged(monkeypatch):
     monkeypatch.setattr(geometry, "_INVERT_MAX_STEPS", 1)
     with pytest.raises(ValueError, match="did not converge at 2 of 2"):
         geometry._invert_monotone(np.exp, np.exp, 0.0, 1.0, np.exp([0.3, 0.6]))
+
+
+BLOCKED_CURVES = {
+    "ellipse": (lambda: ellipse(2.0, 1.0), 64),
+    "circle": (lambda: circle(1.0), 64),
+    "warped-sampled-circle": (lambda: sampled_circle(0.15), 48),
+    "cubic-graph-2^15": (lambda: polynomial_graph([0.1, 0.3, -0.2, 0.25], -1.0, 1.0), 1 << 15),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCKED_CURVES))
+def test_partition_does_not_depend_on_the_block_size(monkeypatch, name):
+    # 7-node blocks cut the table and the targets at odd offsets; at 2^15
+    # nodes both end in a one-node block
+    make, nodes = BLOCKED_CURVES[name]
+    want = partition_curve(make(), nodes_per_patch=nodes)
+    monkeypatch.setattr(traces, "_BLOCK_NODES", 7)
+    got = partition_curve(make(), nodes_per_patch=nodes)
+    assert len(got) == len(want)
+    for pa, pb in zip(got, want):
+        assert (pa.frame_angle, pa.orientation) == (pb.frame_angle, pb.orientation)
+        for field in ("x1", "gamma", "gamma_prime", "mu"):
+            assert getattr(pa, field).tobytes() == getattr(pb, field).tobytes()
+
+
+def test_partition_memory_is_bounded_by_the_table():
+    # the 8-sample-a-node table and its sample times (4 MiB at 2^15 nodes)
+    # plus one block of work per thread peaked at 6.1-6.3 MiB; the table at
+    # full length with its rotation temporaries and Newton on every node at
+    # once took 12.5 MiB
+    curve = polynomial_graph([0.1, 0.3, -0.2, 0.25], -1.0, 1.0)
+    tracemalloc.start()
+    try:
+        partition_curve(curve, nodes_per_patch=1 << 15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.5 * 2**20
 
 
 def sampled_shape(m):
