@@ -4,9 +4,11 @@ A dataset file is a flat JSON document carrying one patch plus boundary
 data arrays; a patch-set file carries a list of patches. Numbers have 17
 significant digits, which round-trips IEEE doubles bit for bit (-0.0 is
 written as -0 and read back as -0.0), and keys come in a fixed order, so
-repeated runs write identical bytes. Writes stream one array (for CSV, a
-block of rows) at a time. Data a write refuses, such as a non-finite
-value, are refused before the file is opened, so they create no file.
+repeated runs write identical bytes. Writes stream a block at a time:
+each number array is formatted _ARRAY_VALUES values at a time, and a CSV
+file _CSV_ROWS rows at a time, so a write holds one block's text. Data a
+write refuses, such as a non-finite value, are refused before the file
+is opened, so they create no file.
 Reads go one array at a time too: the file is read through a window of
 text that drops what is parsed, and each number array becomes a float
 array as soon as it is parsed, so a read holds one array's text, one
@@ -54,6 +56,7 @@ _CSV_COLUMNS = ("x1", "gamma", "gamma_prime", "mu",
                 "u1", "u2", "dnu1", "dnu2", "p", "t1", "t2")
 _NUMBER_ARRAYS = frozenset(_PATCH_KEYS[3:] + _KIND_ARRAYS["both"])
 _CSV_ROWS = 1024  # CSV rows formatted per write
+_ARRAY_VALUES = 4096  # JSON array values formatted per write
 _CHUNK_CHARS = 1 << 16  # characters a read adds to its window, at least
 
 
@@ -142,16 +145,21 @@ def _patch_values(patch: BoundaryPatch) -> tuple:
     return patch.frame_angle, patch.h, patch.x1, patch.gamma, patch.gamma_prime, patch.mu
 
 
-def _fmt_array(values: np.ndarray) -> str:
-    # one %-template for the whole float array; "%.17g" prints what format(v, ".17g") does
-    return "[" + ", ".join(["%.17g"] * values.size) % tuple(values.tolist()) + "]"
+def _fmt_array(values: np.ndarray):
+    """The JSON text of a float array: "[", the text of each block of _ARRAY_VALUES values, "]"."""
+    yield "["
+    # one %-template per block; "%.17g" prints what format(v, ".17g") does
+    for i in range(0, values.size, _ARRAY_VALUES):
+        block = values[i:i + _ARRAY_VALUES]
+        yield (", " if i else "") + ", ".join(["%.17g"] * block.size) % tuple(block.tolist())
+    yield "]"
 
 
 def _array_chunks(indent, items):
-    """'indent"key": [...]' for each (key, array), one array at a time, joined by ",\n"."""
+    """'indent"key": [...]' for each (key, array), joined by ",\n", a block of values at a time."""
     for i, (key, values) in enumerate(items):
         yield (",\n" if i else "") + f'{indent}"{key}": '
-        yield _fmt_array(values)
+        yield from _fmt_array(values)
 
 
 def _patch_chunks(lead: str, patch: BoundaryPatch, indent: str):

@@ -8,13 +8,14 @@ a dyadic raster, which makes consecutive node differences bitwise equal to
 the stored spacing.
 
 Patch nodes are found by inverting the curve's local abscissa x(t) for the
-grid targets block by block: a dense table of x brackets each target, and a
-vectorized Newton iteration (slope from the curve velocity, bisection when
-a step leaves its bracket) refines every node to the float that fits best.
-A target outside the tabulated window, or a node that does not converge,
-raises ValueError. Every curve then gives gamma and gamma' at a node from
-its own position and velocity there, so no patch differentiates gamma
-numerically. Curves given by samples use a periodic cubic spline on
+grid targets block by block: a dense table of x, built and dropped a block
+of samples at a time, brackets each target, and a vectorized Newton
+iteration (slope from the curve velocity, bisection when a step leaves its
+bracket) refines every node to the float that fits best. A table sample
+that is not finite, a target outside the tabulated window, or a node that
+does not converge raises ValueError. Every curve then gives gamma and
+gamma' at a node from its own position and velocity there, so no patch
+differentiates gamma numerically. Curves given by samples use a periodic cubic spline on
 uniform knots whose circulant system is solved with one FFT, and its
 velocity is the spline's exact derivative.
 
@@ -38,6 +39,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import traces
 from .traces import MARGIN, VectorTrace, blockwise
 
 ORIENTATIONS = ("below", "above")
@@ -531,6 +533,9 @@ def _build_patch(curve, frame, t_a, t_b, n_nodes, mu, orientation, max_slope):
     if peak > max_slope:
         raise ValueError(f"max_slope is too small for this curve: "
                          f"a patch reaches |gamma'| = {peak:.3g}")
+    # a curve not finite at a node alone slips past the table's samples
+    if not (np.isfinite(gamma).all() and np.isfinite(gp).all()):
+        raise ValueError("curve samples are not finite")
 
     mu_vals = on_grid(mu(*rotation.rotate(x1, gamma)) if callable(mu) else mu, x1)
     return BoundaryPatch(frame, x1, gamma, gp, mu_vals, orientation)
@@ -539,31 +544,54 @@ def _build_patch(curve, frame, t_a, t_b, n_nodes, mu, orientation, max_slope):
 def _invert_monotone(fn, dfn, t_lo, t_hi, targets):
     """Solve fn(t) = target for every target; fn must increase on [t_lo, t_hi].
 
-    A dense table of fn, built and checked block by block, brackets each
-    target between two neighbouring samples and is then dropped. Newton
-    steps with slope dfn then run on each block of targets (`blockwise`);
-    a node whose step would leave its bracket, or would not halve the
-    previous step, is bisected instead. A node is done once the move it
-    makes is below 4 eps max(1, |t|): a Newton step at roundoff, or a
-    bracket that has shrunk to that width where fn is noisy. The move is
-    still taken, and the result is whichever of it and its two neighbouring
-    floats fits best. Raises ValueError for targets outside the tabulated
-    range and for nodes not converged after _INVERT_MAX_STEPS steps.
+    The targets must ascend, as a uniform grid does. A dense table of fn at
+    max(1024, 8 n) times, those of np.linspace(t_lo, t_hi), is built
+    traces._BLOCK_NODES samples at a time: each block is checked, fills in
+    the bracket, the samples either side, of each target up to its last
+    value, and is dropped. Newton steps with slope dfn then run on each
+    block of targets (`blockwise`); a node whose step would leave its
+    bracket, or would not halve the previous step, is bisected instead. A
+    node is done once the move it makes is below 4 eps max(1, |t|): a
+    Newton step at roundoff, or a bracket that has shrunk to that width
+    where fn is noisy. The move is still taken, and the result is whichever
+    of it and its two neighbouring floats fits best. Raises ValueError, in
+    this order, for a table sample that is not finite, a table that does
+    not increase, targets outside the tabulated range and nodes not
+    converged after _INVERT_MAX_STEPS steps.
     """
-    dense = np.linspace(t_lo, t_hi, max(1024, 8 * len(targets)))
-    (vals,) = blockwise(lambda d: (np.asarray(fn(d), dtype=float),), dense)
-    if np.any(blockwise(lambda a, b: (np.any(b - a <= 0),), vals[:-1], vals[1:])[0]):
-        raise ValueError("local abscissa is not monotone over the patch window")
     g = np.asarray(targets, dtype=float)
-    outside = int(np.count_nonzero((g < vals[0]) | (g > vals[-1])))
+    brackets = tuple(np.empty(g.shape) for _ in range(4))  # lo, hi, f_lo, f_hi per target
+    num = max(1024, 8 * g.size)
+    dt = (t_hi - t_lo) / (num - 1)  # the sample times are np.linspace's, bit for bit
+    finite = increasing = True
+    t_prev = f_prev = np.empty(0)
+    j = 0  # the targets before g[j] are bracketed
+    for i in range(0, num, traces._BLOCK_NODES):
+        tb = np.arange(i, min(i + traces._BLOCK_NODES, num), dtype=float) * dt + t_lo
+        if i + tb.size == num:
+            tb[-1] = t_hi
+        fb = np.asarray(fn(tb), dtype=float)
+        if not i:
+            f_first = fb[0]
+        # the previous block's last sample brackets the targets below this block's first
+        tb, fb = np.concatenate((t_prev, tb)), np.concatenate((f_prev, fb))
+        finite = finite and bool(np.isfinite(fb).all())
+        increasing = increasing and not np.any(np.diff(fb) <= 0)
+        # fb[k - 1] < g <= fb[k], as a search of the whole table places g;
+        # a first block of one sample brackets nothing
+        end = int(np.searchsorted(g, fb[-1], side="right")) if fb.size > 1 else j
+        k = np.clip(np.searchsorted(fb, g[j:end]), 1, fb.size - 1)
+        for out, v in zip(brackets, (tb[k - 1], tb[k], fb[k - 1], fb[k])):
+            out[j:end] = v
+        j, t_prev, f_prev = end, tb[-1:], fb[-1:]
+    if not finite:
+        raise ValueError("curve samples are not finite")
+    if not increasing:
+        raise ValueError("local abscissa is not monotone over the patch window")
+    outside = int(np.count_nonzero((g < f_first) | (g > f_prev[0])))
     if outside:
         raise ValueError(f"{outside} of {g.size} node abscissae fall outside the "
                          "patch window's local abscissa range")
-
-    # vals[k - 1] < g <= vals[k]
-    k = np.clip(np.searchsorted(vals, g), 1, dense.size - 1)
-    brackets = dense[k - 1], dense[k], vals[k - 1], vals[k]
-    del dense, vals, k
 
     def solve(g, lo, hi, f_lo, f_hi):
         """The block's nodes, and how many of them did not converge."""

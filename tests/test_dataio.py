@@ -245,7 +245,9 @@ def test_nonfinite_rejected_on_write(tmp_path):
 
 def test_dataset_write_streams_one_array_at_a_time(tmp_path):
     # a 2^15-node "both" file is about 7 MB; built as one string it took
-    # about 22 MB of traced memory, one array at a time about 2 MB
+    # about 22 MB of traced memory, one array at a time 2.16 MB. A block of
+    # 4096 values at a time (its float list, tuple, template and text)
+    # peaks at 0.28 MB; the bound leaves 25% above that
     n = 1 << 15
     rng = np.random.default_rng(0)
     arrays = {name: rng.standard_normal(n) for name in ("u1", "u2", "dnu1", "dnu2", "p", "t1", "t2")}
@@ -256,9 +258,45 @@ def test_dataset_write_streams_one_array_at_a_time(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4e6
+    assert peak < 0.35e6
     back = read_dataset(tmp_path / "big.json")
     assert all(np.array_equal(getattr(back, name), arr) for name, arr in arrays.items())
+
+
+# -0.0, the smallest subnormal, the largest doubles, and the values either
+# side of the points where %.17g turns to e-notation (1e16 and 1e17, 1e-4
+# and 1e-5)
+AWKWARD = np.array([-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                    1e16, 1e17, 1e-4, 1e-5, 0.1, -1.0 / 3.0, 2.0 ** 52, 0.0])
+
+
+def one_list(values):
+    """The reference JSON text of a float array: every value's format(v, ".17g") in one list."""
+    return ["[" + ", ".join(format(v, ".17g") for v in values.tolist()) + "]"]
+
+
+@pytest.mark.parametrize("block", [7, dataio._ARRAY_VALUES])
+@pytest.mark.parametrize("n", [2, 6, 7, 8, 15, (1 << 15) + 1])
+def test_arrays_write_as_one_list_in_any_block(tmp_path, monkeypatch, block, n):
+    values = np.resize(AWKWARD, n)
+    patch = BoundaryPatch(-0.0, np.arange(n) * 0.25 - 1.0, values, np.roll(values, 1),
+                          np.roll(values, 2), "above")
+    arrays = {name: np.roll(values, k + 3)
+              for k, name in enumerate(("u1", "u2", "dnu1", "dnu2", "p", "t1", "t2"))}
+    ds = Dataset(patch=patch, data_kind="both", provenance={"note": "fixture"}, **arrays)
+    with monkeypatch.context() as m:
+        m.setattr(dataio, "_ARRAY_VALUES", block)
+        write_dataset(tmp_path / "d.json", ds)
+        write_patch_set(tmp_path / "s.json", [patch, patch])
+    with monkeypatch.context() as m:
+        m.setattr(dataio, "_fmt_array", one_list)
+        write_dataset(tmp_path / "d-ref.json", ds)
+        write_patch_set(tmp_path / "s-ref.json", [patch, patch])
+    for name in ("d", "s"):
+        assert (tmp_path / f"{name}.json").read_bytes() == (tmp_path / f"{name}-ref.json").read_bytes()
+    assert one_list(AWKWARD[[0, 1, 4, 5, 6, 7]]) == [
+        "[-0, 4.9406564584124654e-324, 10000000000000000, 1e+17, 0.0001, "
+        "1.0000000000000001e-05]"]
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

@@ -484,23 +484,120 @@ BLOCKED_CURVES = {
 @pytest.mark.parametrize("name", sorted(BLOCKED_CURVES))
 def test_partition_does_not_depend_on_the_block_size(monkeypatch, name):
     # 7-node blocks cut the table and the targets at odd offsets; at 2^15
-    # nodes both end in a one-node block
+    # nodes both end in a one-node block. A block longer than the table
+    # builds it in one piece
     make, nodes = BLOCKED_CURVES[name]
     want = partition_curve(make(), nodes_per_patch=nodes)
-    monkeypatch.setattr(traces, "_BLOCK_NODES", 7)
-    got = partition_curve(make(), nodes_per_patch=nodes)
-    assert len(got) == len(want)
-    for pa, pb in zip(got, want):
-        assert (pa.frame_angle, pa.orientation) == (pb.frame_angle, pb.orientation)
-        for field in ("x1", "gamma", "gamma_prime", "mu"):
-            assert getattr(pa, field).tobytes() == getattr(pb, field).tobytes()
+    for block in (7, 1 << 30):
+        monkeypatch.setattr(traces, "_BLOCK_NODES", block)
+        got = partition_curve(make(), nodes_per_patch=nodes)
+        assert len(got) == len(want)
+        for pa, pb in zip(got, want):
+            assert (pa.frame_angle, pa.orientation) == (pb.frame_angle, pb.orientation)
+            for field in ("x1", "gamma", "gamma_prime", "mu"):
+                assert getattr(pa, field).tobytes() == getattr(pb, field).tobytes()
+
+
+# on [0.2, 0.9] the last sample time is t_hi, not t_lo + (num - 1) * step
+@pytest.mark.parametrize("block", [7, 1 << 14, 1 << 30])
+@pytest.mark.parametrize("t_lo, t_hi, nodes", [(0.0, 1.0, 64), (0.2, 0.9, 1000), (0.3, 1.9, 4099)])
+def test_inversion_table_times_are_linspace(monkeypatch, block, t_lo, t_hi, nodes):
+    # the table's blocks are the first calls of fn, in order
+    monkeypatch.setattr(traces, "_BLOCK_NODES", block)
+    calls = []
+
+    def fn(t):
+        calls.append(t.copy())
+        return t
+
+    geometry._invert_monotone(fn, np.ones_like, t_lo, t_hi, np.linspace(t_lo, t_hi, nodes)[1:-1])
+    want = np.linspace(t_lo, t_hi, max(1024, 8 * (nodes - 2)))
+    blocks = -(-want.size // block)
+    assert [c.size for c in calls[:blocks - 1]] == [block] * (blocks - 1)
+    assert np.concatenate(calls[:blocks]).tobytes() == want.tobytes()
+
+
+# the 1024 sample times of a table on [0, 1] for up to 128 targets; with
+# 7-sample blocks, sample 7 opens the second block
+TABLE = np.linspace(0.0, 1.0, 1024)
+TABLE_FAULTS = {
+    "drop at the seam": (lambda t: np.where(t >= TABLE[7], t - 1.0, t), "not monotone"),
+    "tie at the seam": (lambda t: np.where(t == TABLE[7], TABLE[6], t), "not monotone"),
+    "flat at the end": (lambda t: np.minimum(t, TABLE[-2]), "not monotone"),
+    "nan in the middle": (lambda t: np.where((t > 0.3) & (t < 0.7), np.nan, t), "not finite"),
+    "inf at the end": (lambda t: np.where(t == 1.0, np.inf, t), "not finite"),
+    # a later non-finite sample is named before an earlier break
+    "break, then nan": (lambda t: np.where(t == TABLE[3], 0.0, np.where(t > 0.9, np.nan, t)),
+                        "not finite"),
+}
+
+
+@pytest.mark.parametrize("block", [7, 1 << 30])
+@pytest.mark.parametrize("fault", sorted(TABLE_FAULTS))
+def test_inversion_refuses_a_bad_table_in_any_block(monkeypatch, block, fault):
+    monkeypatch.setattr(traces, "_BLOCK_NODES", block)
+    fn, message = TABLE_FAULTS[fault]
+    message = {"not monotone": "^local abscissa is not monotone over the patch window$",
+               "not finite": "^curve samples are not finite$"}[message]
+    # targets outside the window too: the table's faults are named first
+    targets = np.linspace(-0.5, 1.5, 64)
+    with pytest.raises(ValueError, match=message):
+        geometry._invert_monotone(fn, np.ones_like, 0.0, 1.0, targets)
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 30])
+def test_inversion_counts_targets_outside_the_table_in_any_block(monkeypatch, block):
+    monkeypatch.setattr(traces, "_BLOCK_NODES", block)
+    with pytest.raises(ValueError, match="^3 of 6 node abscissae fall outside"):
+        geometry._invert_monotone(lambda t: t, np.ones_like, 0.0, 1.0,
+                                  [-0.5, -1e-300, 0.0, 0.5, 1.0, np.nextafter(1.0, 2.0)])
+    # the window's two ends are inside it; a first block of one sample
+    # leaves the first target to the next block's bracket
+    t = geometry._invert_monotone(lambda t: t, np.ones_like, 0.0, 1.0, [0.0, TABLE[7], 1.0])
+    assert t.tolist() == [0.0, TABLE[7], 1.0]
+
+
+def test_partition_refuses_a_curve_not_finite_between_its_check_samples():
+    # NaN only on t in (0.50001, 0.50023), between the partitioner's samples
+    # at 2048/4096 and 2049/4096, but inside the node tables of the patches
+    # that cover it
+    base = circle(1.0)
+
+    def position(t):
+        t = np.asarray(t, dtype=float)
+        hole = (t > 0.50001) & (t < 0.50023)
+        return tuple(np.where(hole, np.nan, v) for v in base.position(t))
+
+    curve = ParametricCurve(position, base.velocity)
+    for nodes in (64, 1024):
+        with pytest.raises(ValueError, match="^curve samples are not finite$"):
+            partition_curve(curve, nodes_per_patch=nodes)
+
+
+@pytest.mark.parametrize("part", ["position", "velocity"])
+def test_partition_refuses_a_curve_not_finite_at_a_node_alone(part):
+    # NaN within 1e-13 of node 20 of a one-patch graph, far narrower than
+    # the node table's spacing: the node's gamma or gamma' would be NaN
+    x1, _ = uniform_grid(-1.0, 1.0, 64)
+
+    def at_node_20(f):
+        return lambda x: np.where(np.abs(x - x1[20]) < 1e-13, np.nan, f(x))
+
+    f, fprime = (lambda x: 0.1 * x), (lambda x: np.full_like(x, 0.1))
+    if part == "position":
+        curve = geometry.graph_curve(at_node_20(f), fprime, -1.0, 1.0)
+    else:
+        curve = geometry.graph_curve(f, at_node_20(fprime), -1.0, 1.0)
+    with pytest.raises(ValueError, match="^curve samples are not finite$"):
+        partition_curve(curve, nodes_per_patch=64)
 
 
 def test_partition_memory_is_bounded_by_the_table():
-    # the 8-sample-a-node table and its sample times (4 MiB at 2^15 nodes)
-    # plus one block of work per thread peaked at 6.1-6.3 MiB; the table at
-    # full length with its rotation temporaries and Newton on every node at
-    # once took 12.5 MiB
+    # the table is built and dropped a block at a time, so a 2^14-node
+    # Newton block and the four bracket arrays (1 MiB) set the peak:
+    # 5.47 MiB measured, bound 5% above it. The whole table and its sample
+    # times (4 MiB at 2^15 nodes) peaked at 5.8-6.3 MiB, and with Newton on
+    # every node at once at 12.5 MiB
     curve = polynomial_graph([0.1, 0.3, -0.2, 0.25], -1.0, 1.0)
     tracemalloc.start()
     try:
@@ -508,7 +605,7 @@ def test_partition_memory_is_bounded_by_the_table():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6.5 * 2**20
+    assert peak <= 5.75 * 2**20
 
 
 def sampled_shape(m):
