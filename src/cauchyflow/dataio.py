@@ -9,11 +9,10 @@ each number array is formatted _ARRAY_VALUES values at a time, and a CSV
 file _CSV_ROWS rows at a time, so a write holds one block's text. Data a
 write refuses, such as a non-finite value, are refused before the file
 is opened, so they create no file.
-Reads go one array at a time too: the file is read through a window of
-text that drops what is parsed, and each number array becomes a float
-array as soon as it is parsed, so a read holds one array's text, one
-chunk and one parsed list. A file that cannot be written or read raises
-DatasetFormatError.
+Reads stream too: the file is read through a window of text that drops
+what is parsed, and a number array is decoded to floats a window of text
+at a time, so a read holds one window's text and list beside the float
+arrays. A file that cannot be written or read raises DatasetFormatError.
 
 Dataset schema (format_version 1):
 
@@ -304,24 +303,50 @@ def _value(w, i, key=None):
 
     The top-level object, each "patch" object and each object in the
     "patches" list are parsed here one member at a time, and a number array
-    becomes a float array as soon as it is parsed, so a read never holds
-    every parsed list at once. Every other value goes to the decoder whole;
-    a number array is read up to its first "]" first, so that one decoder
-    call parses it.
+    is decoded a window at a time by _float_blocks. Every other value goes
+    to the decoder whole, and so does a number array when the window holds
+    the whole file, so that a fault is named where json.loads names it.
     """
     if key in (None, "patch") and w.text.startswith("{", i):
         members, end = _items(w, i, "}", _member)
         return dict(members), end  # a repeated key keeps its last value, as in json.loads
     if key == "patches" and w.text.startswith("[", i):
         return _items(w, i, "]", _value)
-    if key in _NUMBER_ARRAYS and w.text.startswith("[", i):
-        searched = 0  # characters from text[i] on that hold no "]"
-        while w.text.find("]", i + searched) < 0 and not w.eof:
-            searched, i = len(w.text) - i, w.fill(i)
+    if key in _NUMBER_ARRAYS and w.text.startswith("[", i) and w.chunk is not None:
+        return _float_blocks(w, i, key)
     value, end = _decode(w, i)
     if key in _NUMBER_ARRAYS and isinstance(value, list):
         value = _floats(value, key)
     return value, end
+
+
+def _float_blocks(w, i, key):
+    """(float array, end) of the number array opened at w.text[i], decoded a block at a time.
+
+    A block is what the window holds of the array: its values up to the
+    window's last comma, or up to the "]" that closes the array. Each block
+    becomes floats before the window drops its text and reads on, so a read
+    holds one window of text and one block's list, never the array's. A
+    block that is not a list of numbers raises, empty blocks between commas
+    included, and the whole-text parse then names the fault.
+    """
+    blocks = []
+    i += 1
+    while True:
+        close = w.text.find("]", i)
+        cut = close if close >= 0 else w.text.rfind(",", i)
+        if cut < 0:  # not one whole value in the window yet
+            if w.eof:
+                raise json.JSONDecodeError("Expecting ',' delimiter", w.text, len(w.text))
+            i = w.fill(i)
+            continue
+        values = _DECODER.raw_decode("[" + w.text[i:cut] + "]")[0]
+        if not values and (blocks or close < 0):  # "[,", ",,", ",]"
+            raise json.JSONDecodeError("Expecting value", w.text, cut)
+        blocks.append(_floats(values, key))
+        if close >= 0:
+            return np.concatenate(blocks) if len(blocks) > 1 else blocks[0], close + 1
+        i = w.fill(cut + 1)
 
 
 def _member(w, i):

@@ -1,6 +1,8 @@
+import gc
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 
 from cauchyflow import read_dataset, write_csv, write_dataset, Dataset, graph_patch, normal_at
+from cauchyflow import cli
 from cauchyflow.cli import main
 from helpers import UNREADABLE_FILES, flat_patch
 
@@ -866,3 +869,48 @@ def test_startup_loads_no_scipy(code):
 def test_startup_loads_no_executor(code):
     # blockwise starts plain threads only when a call spans several blocks
     assert modules_loaded_at_startup(code, "concurrent") == []
+
+
+def _record_freezes(monkeypatch, calls):
+    """Replace gc.freeze with a recorder, so this process's heap is never frozen."""
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+
+
+def test_console_freezes_the_collector_after_main_then_exits_with_its_code(monkeypatch):
+    calls = []
+    _record_freezes(monkeypatch, calls)
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 4)
+    with pytest.raises(SystemExit) as exc:
+        cli.console()
+    assert exc.value.code == 4
+    assert calls == ["main", "freeze"]
+
+
+def test_main_never_freezes_the_collector(tmp_path, monkeypatch):
+    calls = []
+    _record_freezes(monkeypatch, calls)
+    frozen = gc.get_freeze_count()
+    assert main(["verify", str(generate_couette(tmp_path))]) == 0
+    assert calls == []
+    assert gc.get_freeze_count() == frozen
+
+
+def test_module_entry_runs_through_console(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "console", lambda: calls.append("console"))
+    runpy.run_module("cauchyflow", run_name="__main__")
+    assert calls == ["console"]
+
+
+def test_a_cli_process_prints_and_exits_as_main_returns(tmp_path, capsys):
+    # the process exits with the collector frozen: its output is still flushed
+    # whole. One pressure value changed fails the cross-format check: exit 4
+    path = generate_couette(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["p"][20] = 1e-3
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 4
+    printed = capsys.readouterr()
+    done = run_cli("verify", path)
+    assert (done.returncode, done.stdout, done.stderr) == (4, printed.out, printed.err)
