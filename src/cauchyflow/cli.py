@@ -5,7 +5,7 @@ Exit codes form a stable contract:
     2  unknown catalog name or missing data arrays
     3  malformed input (file, curve spec, or parameters), or an output
        file that cannot be written
-    4  consistency residual above tolerance (output still written; never
+    4  a data check above its tolerance (output still written; never
        from `convert stress-to-dn`, whose residual is always 0)
     5  invariant violation (positivity, grid uniformity, slope bound)
 
@@ -94,20 +94,6 @@ def _check_limits(residual_tol, max_slope=None) -> None:
         raise ValueError(f"--max-slope must be a positive number, got {max_slope}")
 
 
-def _tolerance(ds, residual_tol, *arrays, residual=False) -> float:
-    """--residual-tol if given, else transform.tolerance of a check reading u and `arrays`."""
-    if residual_tol is not None:
-        return residual_tol
-    return transform.tolerance(ds.patch, ds.u1, ds.u2, *arrays, residual=residual)
-
-
-def _consistency(ds, residual_tol):
-    """dn_to_stress on the (u, dnu, p) data: (traction, consistency residual, its tolerance)."""
-    tol = _tolerance(ds, residual_tol, ds.dnu1, ds.dnu2, ds.p, residual=True)
-    converted, residual = transform.dn_to_stress(ds.dn(), ds.patch)
-    return converted, residual, tol
-
-
 def _cmd_generate(args) -> int:
     flow = manufactured.FLOWS.get(args.flow)
     if flow is None:
@@ -151,11 +137,14 @@ def _cmd_convert(args) -> int:
     if not to_dn and ds.data_kind == "stress":
         return _fail(EXIT_UNKNOWN_NAME, "input has no (dnu1, dnu2, p) arrays")
 
+    tol = args.residual_tol
     if to_dn:  # traction data have no residual to bound
         converted, residual = transform.stress_to_dn(ds.stress(), ds.patch)
-        tol = 0.0 if args.residual_tol is None else args.residual_tol
+        tol = 0.0 if tol is None else tol
     else:
-        converted, residual, tol = _consistency(ds, args.residual_tol)
+        if tol is None:
+            tol = transform.tolerance(ds.patch, ds.u1, ds.u2, ds.dnu1, ds.dnu2, ds.p, residual=True)
+        converted, residual = transform.dn_to_stress(ds.dn(), ds.patch)
     inner = ds.patch.interior()
     provenance = (ds.provenance or {}) | {"converted": args.direction}
     kind = "dn" if to_dn else "stress"
@@ -179,9 +168,8 @@ def _cmd_verify(args) -> int:
             raise ValueError("provenance max_slope must be a positive finite number, "
                              f"got {max_slope!r}")
 
-    patch = ds.patch
     try:
-        patch.validate(max_slope=max_slope)
+        ds.patch.validate(max_slope=max_slope)
     except ValueError as exc:
         print(f"patch invariants: FAIL ({exc})")
         return EXIT_INVARIANT
@@ -189,17 +177,9 @@ def _cmd_verify(args) -> int:
     if ds.data_kind == "stress":
         return EXIT_OK
 
+    traction = ds.stress().traction if ds.data_kind == "both" else None
     try:
-        _, residual, tol = _consistency(ds, args.residual_tol)
-        checks = [("consistency residual max", residual, tol)]
-        if ds.data_kind == "both":
-            dn_conv, _ = transform.stress_to_dn(ds.stress(), patch)
-            cut = slice(geometry.MARGIN, -geometry.MARGIN)
-            deviation = float(np.max([np.max(np.abs(dn_conv.dnu.c1.values - ds.dnu1[cut])),
-                                      np.max(np.abs(dn_conv.dnu.c2.values - ds.dnu2[cut])),
-                                      np.max(np.abs(dn_conv.p.values - ds.p[cut]))]))
-            checks.append(("cross-format max deviation", deviation,
-                           _tolerance(ds, args.residual_tol, ds.t1, ds.t2, ds.dnu1, ds.dnu2, ds.p)))
+        checks = transform.data_checks(ds.patch, ds.dn(), traction, args.residual_tol)
     except ValueError as exc:
         print(f"consistency and cross-format checks: skipped ({exc})")
         return EXIT_OK

@@ -188,8 +188,8 @@ class BoundaryPatch:
 
     def interior(self) -> "BoundaryPatch":
         """Sub-patch on the nodes where stencil-derived quantities live."""
-        if self.n < 2 * MARGIN + 1:
-            raise ValueError("patch too short to restrict: needs at least 5 nodes")
+        if self.n < 2 * MARGIN + 2:  # a BoundaryPatch needs 2 nodes
+            raise ValueError("patch too short to restrict: needs at least 6 nodes")
         return BoundaryPatch(
             self.frame_angle,
             self.x1[MARGIN:-MARGIN],

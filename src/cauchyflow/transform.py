@@ -34,11 +34,11 @@ graph-frame residual |f1 + gamma' f2 + theta n2| over theta^2). The
 orientation is the sign of nu, and no form loses digits at any slope.
 
 All operations broadcast over per-node arrays and are pure functions.
-The two conversions check the patch once with BoundaryPatch.validate, then
-run their per-node formulas, stencil slopes included, in cache-sized node
-blocks on all available CPUs (traces.blockwise); the output does not depend
-on the block size or the CPU count. Each block computes the frame once per
-node.
+The two conversions and data_checks check the patch once with
+BoundaryPatch.validate, then run their per-node formulas, stencil slopes
+included, in cache-sized node blocks on all available CPUs
+(traces.blockwise); the output does not depend on the block size or the CPU
+count. Each block computes the frame once per node.
 """
 
 from __future__ import annotations
@@ -87,14 +87,6 @@ class CauchyDN:
         if not (self.u.n == self.dnu.n == self.p.n):
             raise ValueError("boundary data traces must share the grid length")
 
-    @property
-    def n(self) -> int:
-        return self.u.n
-
-    @property
-    def h(self) -> float:
-        return self.u.h
-
 
 @dataclass(frozen=True, eq=False)
 class CauchyStress:
@@ -106,14 +98,6 @@ class CauchyStress:
     def __post_init__(self):
         if self.u.n != self.traction.n:
             raise ValueError("boundary data traces must share the grid length")
-
-    @property
-    def n(self) -> int:
-        return self.u.n
-
-    @property
-    def h(self) -> float:
-        return self.u.h
 
 
 def assemble_system(gamma_prime, mu) -> np.ndarray:
@@ -253,6 +237,41 @@ def dn_to_stress(data: CauchyDN, patch: BoundaryPatch, u_prime=None):
         float(np.max(residual))
 
 
+def data_checks(patch: BoundaryPatch, dn: CauchyDN, traction: VectorTrace | None = None,
+                residual_tol=None) -> list:
+    """`verify`'s data checks, as [(name, value, tolerance)].
+
+    The consistency residual is dn_to_stress's; given the `traction`, the
+    cross-format max deviation is the largest |stress_to_dn output - (dnu,
+    p)| on the interior nodes. One blocked pass keeps each block's maxima of
+    both, NaN included. A tolerance is `residual_tol`, else `tolerance` of the
+    arrays its check reads, worked out for the residual before the grid and
+    patch checks of the conversions and for the deviation after them.
+    """
+    stored = (dn.dnu.c1.values, dn.dnu.c2.values, dn.p.values)
+    t = () if traction is None else (traction.c1.values, traction.c2.values)
+
+    def tol(*arrays, residual=False):
+        if residual_tol is None:
+            return tolerance(patch, dn.u.c1.values, dn.u.c2.values, *arrays, residual=residual)
+        return residual_tol
+
+    records = [("consistency residual max", tol(*stored, residual=True))]
+    maxima = _per_node(_checks, dn, patch, None, *stored, *t)
+    if t:
+        records.append(("cross-format max deviation", tol(*t, *stored)))
+    return [(name, float(np.max(m)), limit) for (name, limit), m in zip(records, maxima)]
+
+
+def _checks(c, w, nu1, nu2, mu, gpr, hpr, n1, n2, p, *traction):
+    """Block maxima of |tau.a + nu.dnu| and, given (t1, t2), of |implied (dnu, p) - (n1, n2, p)|."""
+    residual = _stress_from_dn(c, w, nu1, nu2, mu, gpr, hpr, n1, n2, p)[2]
+    if not traction:
+        return (residual,)
+    implied = _dn_from_stress(c, w, nu1, nu2, mu, gpr, hpr, *traction)
+    return residual, np.max([np.max(np.abs(a - b)) for a, b in zip(implied, (n1, n2, p))])
+
+
 def _dn_from_stress(c, w, nu1, nu2, mu, gpr, hpr, t1, t2):
     """(dnu1, dnu2, p) from traction and trace slopes; tau = (c, w), nu = (nu1, nu2)."""
     ta = c * (c * gpr + w * hpr)  # tau.a
@@ -283,11 +302,11 @@ def _per_node(kernel, data, patch: BoundaryPatch, u_prime, v1, v2, *rest):
     (nu1, nu2) the outward normal and (v1, v2) the input vector trace.
 
     The data grid is checked against the patch first, then the patch with
-    patch.validate(), then the shape of `u_prime`; the blocks only convert.
+    patch.validate(), then the shape of `u_prime`; the blocks only compute.
     """
-    if data.n != patch.n:
+    if data.u.n != patch.n:
         raise ValueError("data grid does not match the patch grid")
-    if abs(data.h - patch.h) > 1e-12 * abs(patch.h):
+    if abs(data.u.h - patch.h) > 1e-12 * abs(patch.h):
         raise ValueError("data grid spacing does not match the patch")
     if patch.n < 2 * MARGIN + 1:
         raise ValueError("patch too short for stencil differentiation")

@@ -185,7 +185,7 @@ def with_faults(patch, *faults):
 
 def on_grid_of(patch, dn, stress):
     """The data, restated with the faulty patch's spacing when it has one."""
-    h = patch.h if patch.h > 0 else dn.h
+    h = patch.h if patch.h > 0 else dn.u.h
 
     def vec(v):
         return VectorTrace.from_arrays(v.c1.values, v.c2.values, h)

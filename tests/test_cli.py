@@ -223,10 +223,19 @@ def test_convert_rejects_boolean_and_out_of_range_numbers(tmp_path):
         assert run(["convert", "stress-to-dn", "--in", bad, "--out", tmp_path / "o.json"]) == 3
 
 
-def test_convert_minimal_patch_too_short_to_restrict(tmp_path):
-    src = generate_couette(tmp_path, name="five.json", nodes=5)
-    # the 1-node interior cannot carry a grid spacing, so this is malformed
-    assert run(["convert", "stress-to-dn", "--in", src, "--out", tmp_path / "o.json"]) == 3
+def test_convert_minimal_patch_too_short_to_restrict(tmp_path, capsys):
+    # the 1-node interior of a 5-node patch cannot carry a grid spacing, so
+    # this is malformed; six nodes leave a 2-node interior
+    for direction, tol in (("stress-to-dn", []), ("dn-to-stress", ["--residual-tol", "1"])):
+        for nodes, code in ((5, 3), (6, 0)):
+            src = generate_trig(tmp_path, "graph:poly:0,0.2", nodes, name=f"n{nodes}.json")
+            out = tmp_path / f"{direction}-{nodes}.json"
+            capsys.readouterr()
+            assert run(["convert", direction, "--in", src, "--out", out, *tol]) == code
+            assert out.exists() == (code == 0)
+            if code:
+                assert capsys.readouterr().err == \
+                    "error: patch too short to restrict: needs at least 6 nodes\n"
 
 
 def test_convert_flags_non_divergence_free_input(tmp_path, capsys):

@@ -333,7 +333,10 @@ REFUSALS = {
     "descending grid": (lambda: BoundaryPatch(0.0, -np.arange(4.0), np.zeros(4), np.zeros(4),
                                               np.ones(4)).validate(),
                         "grid spacing must be positive"),
-    "interior": (lambda: flat_patch(4).interior(), "patch too short to restrict: needs at least 5 nodes"),
+    "interior": (lambda: flat_patch(4).interior(), "patch too short to restrict: needs at least 6 nodes"),
+    # five nodes would leave a 1-node interior, which is no patch
+    "5-node interior": (lambda: flat_patch(5).interior(),
+                        "patch too short to restrict: needs at least 6 nodes"),
     "normal orientation": (lambda: normal_at(0.0, "left"), "orientation must be one of ('below', 'above')"),
     "trace rank": (lambda: ScalarTrace(np.zeros((2, 2)), 0.1), "trace values must be one-dimensional"),
     "trace spacing": (lambda: ScalarTrace(np.zeros(3), 0.0), "grid spacing must be positive"),
