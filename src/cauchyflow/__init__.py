@@ -7,22 +7,30 @@ surface traction). Ships curve partitioning into rotated graph patches,
 manufactured-solution oracles, and a batch CLI.
 """
 
-from .dataio import (Dataset, DatasetFormatError, dataset_from_traces,
-                     read_dataset, read_patch_set, write_csv, write_dataset,
-                     write_patch_set)
-from .geometry import (MARGIN, ORIENTATIONS, BoundaryPatch, FrameRotation,
-                       ParametricCurve, circle, ellipse, graph_curve,
-                       graph_patch, normal_at, partition_curve,
-                       polynomial_graph, rotate_vector_trace, theta,
-                       uniform_grid)
-from .manufactured import (FLOWS, PRESSURES, VISCOSITIES, AnalyticFlow,
-                           AnalyticScalarField, CatalogTriple,
-                           analytic_trace_slopes, builtin_catalog,
-                           evaluate_traces, rigid_motion)
-from .traces import ScalarTrace, VectorTrace, tangential_derivative
-from .transform import (CauchyDN, CauchyStress, GradientTrace,
-                        assemble_system, determinant, dn_to_stress,
-                        solve_system, stress_to_dn, tolerance,
-                        traction_from_gradient)
-
+_MODULES = {  # public names by module; each loads with its module on first use (PEP 562)
+    "dataio": "Dataset DatasetFormatError dataset_from_traces read_dataset read_patch_set "
+              "write_csv write_dataset write_patch_set",
+    "geometry": "MARGIN ORIENTATIONS BoundaryPatch FrameRotation ParametricCurve circle ellipse "
+                "graph_curve graph_patch normal_at partition_curve polynomial_graph "
+                "rotate_vector_trace theta uniform_grid",
+    "manufactured": "FLOWS PRESSURES VISCOSITIES AnalyticFlow AnalyticScalarField CatalogTriple "
+                    "analytic_trace_slopes builtin_catalog evaluate_traces rigid_motion",
+    "traces": "ScalarTrace VectorTrace tangential_derivative",
+    "transform": "CauchyDN CauchyStress GradientTrace assemble_system determinant dn_to_stress "
+                 "solve_system stress_to_dn tolerance traction_from_gradient",
+}
+_WHERE = {name: module for module, names in _MODULES.items() for name in names.split()}
+__all__ = sorted(_WHERE)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name not in _WHERE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+    value = globals()[name] = getattr(importlib.import_module(f".{_WHERE[name]}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

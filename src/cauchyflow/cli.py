@@ -2,6 +2,7 @@
 
 Exit codes form a stable contract:
     0  success
+    1  standard output closed before everything was printed
     2  unknown catalog name or missing data arrays
     3  malformed input (file, curve spec, or parameters), or an output
        file that cannot be written
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -262,7 +264,12 @@ def main(argv=None) -> int:
 
 
 def console() -> None:
-    code = main()
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # stdout closed early: devnull takes the exit's flush, no traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
     # every output file is closed; frozen, the exit's full collections skip what numpy and the
     # package left (about 20 ms). Streams still flush and atexit handlers run; only cyclic
     # garbage goes unfinalized, for the OS to reclaim. main never freezes: it also runs in-process

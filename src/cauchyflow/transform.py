@@ -197,8 +197,11 @@ def tolerance(patch: BoundaryPatch, u1, u2, *arrays, residual: bool = False) -> 
     if patch.n < 8:
         raise ValueError(f"{patch.n} nodes, fewer than the 8 the error model needs")
     eps, h = float(np.finfo(float).eps), patch.h
-    tops = ([float(np.max(np.abs(np.diff(v, k)))) for k in (5, 6, 7)] for v in (u1, u2))
-    t = max(0.0, *(d5 - d6 / 2.0 - d7 / 4.0 for d5, d6, d7 in tops))
+    t = 0.0
+    for v in (u1, u2):  # np.diff(v, k) is k first differences, so each order extends the last
+        d6 = np.diff(d5 := np.diff(v, 5))
+        top5, top6, top7 = (float(np.max(np.abs(d))) for d in (d5, d6, np.diff(d6)))
+        t = max(t, top5 - top6 / 2.0 - top7 / 4.0)
     m0 = max(float(np.max(np.abs(v))) for v in (u1, u2))
     s = max([m0] + [float(np.max(np.abs(v[MARGIN:-MARGIN]))) for v in arrays])
     x = float(np.max(np.hypot(patch.x1, patch.gamma)))

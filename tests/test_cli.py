@@ -20,6 +20,18 @@ def run(args):
     return main([str(a) for a in args])
 
 
+@pytest.fixture(autouse=True)
+def blas_threads_restored():
+    """A test that runs `python -m cauchyflow` in-process sets OPENBLAS_NUM_THREADS in this
+    process; the variable is back as it was once the test ends."""
+    before = os.environ.get("OPENBLAS_NUM_THREADS")
+    yield
+    if before is None:
+        os.environ.pop("OPENBLAS_NUM_THREADS", None)
+    else:
+        os.environ["OPENBLAS_NUM_THREADS"] = before
+
+
 def generate_couette(tmp_path, name="couette.json", nodes=64):
     out = tmp_path / name
     code = run(["generate", "--flow", "couette", "--pressure", "zero",
@@ -923,3 +935,103 @@ def test_a_cli_process_prints_and_exits_as_main_returns(tmp_path, capsys):
     printed = capsys.readouterr()
     done = run_cli("verify", path)
     assert (done.returncode, done.stdout, done.stderr) == (4, printed.out, printed.err)
+
+
+def run_child(code, **env):
+    """Run `code` in a new interpreter importing src/, OPENBLAS_NUM_THREADS unset unless given;
+    returns the JSON value of its last stdout line."""
+    child_env = {k: v for k, v in SRC_ENV.items() if k != "OPENBLAS_NUM_THREADS"} | env
+    done = subprocess.run([sys.executable, "-c", code], env=child_env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def test_import_loads_neither_numpy_nor_a_submodule():
+    assert modules_loaded_at_startup("import cauchyflow", "numpy") == []
+    assert modules_loaded_at_startup("import cauchyflow", "cauchyflow") == ["cauchyflow"]
+
+
+def test_every_root_name_resolves_to_its_submodule_attribute():
+    found = run_child("""
+import json, sys, cauchyflow
+names = list(cauchyflow.__all__)
+values = {name: getattr(cauchyflow, name) for name in names}
+from cauchyflow import dataio, geometry, manufactured, traces, transform
+owners = {name: [m.__name__ for m in (dataio, geometry, manufactured, traces, transform)
+                 if name in vars(m)] for name in names}
+same = all(owners[n] and all(values[n] is getattr(sys.modules[m], n) for m in owners[n])
+           for n in names)
+try:
+    cauchyflow.nosuch
+    missing = None
+except AttributeError as exc:
+    missing = str(exc)
+print(json.dumps([names, same, sorted(set(names) - set(dir(cauchyflow))), missing]))
+""")
+    names, same, undir, missing = found
+    assert len(names) == 46 and names == sorted(names)
+    assert same
+    assert undir == []
+    assert missing == "module 'cauchyflow' has no attribute 'nosuch'"
+
+
+# `python -m cauchyflow` with cli.console replaced by a recorder of the variable and of numpy
+ENTRY_PROBE = """
+import json, os, runpy, sys, types
+import cauchyflow
+seen = []
+cli = types.ModuleType("cauchyflow.cli")
+cli.console = lambda: seen.append([os.environ.get("OPENBLAS_NUM_THREADS"), "numpy" in sys.modules])
+sys.modules["cauchyflow.cli"] = cauchyflow.cli = cli
+runpy.run_module("cauchyflow", run_name="__main__", alter_sys=True)
+print(json.dumps(seen))
+"""
+
+
+@pytest.mark.parametrize("preset, seen", [(None, "1"), ("2", "2")], ids=["unset", "user-set"])
+def test_module_entry_sets_one_blas_thread_before_numpy_loads(preset, seen):
+    env = {} if preset is None else {"OPENBLAS_NUM_THREADS": preset}
+    assert run_child(ENTRY_PROBE, **env) == [[seen, False]]
+
+
+def test_console_script_module_loads_no_numpy():
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    module, func = re.search(r'^cauchyflow = "([\w.]+):(\w+)"$', text, re.M).groups()
+    loaded = run_child(f"import importlib, json, sys\nm = importlib.import_module({module!r})\n"
+                       f"print(json.dumps([callable(m.{func}), 'numpy' in sys.modules]))")
+    assert loaded == [True, False]
+
+
+def test_library_use_leaves_the_environment_alone(tmp_path):
+    unchanged = run_child(f"""
+import json, os
+before = dict(os.environ)
+import cauchyflow
+cauchyflow.circle(1.0)
+from cauchyflow import cli
+code = cli.main(["partition", "--curve", "circle:1", "--out", {str(tmp_path / "p.json")!r}])
+print(json.dumps([code, dict(os.environ) == before]))
+""")
+    assert unchanged == [0, True]
+
+
+def closed_stdout_run(*argv):
+    """Run the CLI with its stdout a pipe whose read end is already closed."""
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        return subprocess.run([sys.executable, "-m", "cauchyflow", *map(str, argv)], stdout=w,
+                              stderr=subprocess.PIPE, env=SRC_ENV, text=True, timeout=120)
+    finally:
+        os.close(w)
+
+
+def test_a_closed_stdout_exits_1_without_a_traceback(tmp_path):
+    path = generate_couette(tmp_path)
+    done = closed_stdout_run("verify", path)
+    assert (done.returncode, done.stderr) == (1, "")
+    assert run_cli("convert", "stress-to-dn", "--in", path, "--out", tmp_path / "a.json").returncode == 0
+    done = closed_stdout_run("convert", "stress-to-dn", "--in", path, "--out", tmp_path / "b.json")
+    assert (done.returncode, done.stderr) == (1, "")
+    assert (tmp_path / "b.json").read_bytes() == (tmp_path / "a.json").read_bytes()

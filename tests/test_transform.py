@@ -719,3 +719,31 @@ def test_oracle_uses_no_transform_formula(monkeypatch):
         dn, stress, _ = evaluate_traces(flow, pres, visc, patch)
         assert np.all(np.isfinite(dn.dnu.stacked()))
         assert np.all(np.isfinite(stress.traction.stacked()))
+
+
+def tolerance_by_fresh_differences(patch, u1, u2, *arrays, residual=False):
+    """`transform.tolerance` with each difference order taken from u by np.diff(v, k)."""
+    eps, h = float(np.finfo(float).eps), patch.h
+    tops = ([float(np.max(np.abs(np.diff(v, k)))) for k in (5, 6, 7)] for v in (u1, u2))
+    t = max(0.0, *(d5 - d6 / 2.0 - d7 / 4.0 for d5, d6, d7 in tops))
+    m0 = max(float(np.max(np.abs(v))) for v in (u1, u2))
+    s = max([m0] + [float(np.max(np.abs(v[2:-2]))) for v in arrays])
+    x = float(np.max(np.hypot(patch.x1, patch.gamma)))
+    gain = 8.0 if residual else 8.0 * max(1.0, float(np.max(patch.mu)))
+    return 2.0 * gain * (t / (30.0 * h) + 1.5 * (eps * max(m0, x * s) + 2.0 ** -1074) / h
+                         + eps * s)
+
+
+@pytest.mark.parametrize("residual", [False, True])
+@pytest.mark.parametrize("n", [8, 9, 64, 2 ** 15 + 3])
+def test_tolerance_extends_each_difference_order_bitwise(n, residual):
+    flow, pressure, viscosity = FLOWS["trig"], PRESSURES["trig"], VISCOSITIES["variable"]
+    patch = sine_patch(n)
+    patch = dataclasses.replace(patch, mu=viscosity.value(*patch.nodes_global().T))
+    dn, stress, _ = evaluate_traces(flow, pressure, viscosity, patch)
+    arrays = (*dn.dnu.stacked().T, dn.p.values, *stress.traction.stacked().T)
+    # a wave of half a radian a node that the stencil cannot resolve: the truncation term is > 0
+    wave = 1e-3 * np.sin(0.5 * np.arange(n) + np.array([[0.0], [1.0]]))
+    for u1, u2 in (dn.u.stacked().T, dn.u.stacked().T + wave):
+        got = transform.tolerance(patch, u1, u2, *arrays, residual=residual)
+        assert got == tolerance_by_fresh_differences(patch, u1, u2, *arrays, residual=residual)
