@@ -4,14 +4,14 @@ Exit codes form a stable contract:
     0  success
     1  standard output closed before everything was printed
     2  unknown catalog name or missing data arrays
-    3  malformed input (file, curve spec, or parameters), or an output
-       file that cannot be written
+    3  malformed input (file, curve spec, or parameters), an output file
+       that cannot be written, or a size that does not fit in memory
     4  a data check above its tolerance (output still written; never
        from `convert stress-to-dn`, whose residual is always 0)
     5  invariant violation (positivity, grid uniformity, slope bound)
 
-`main` sends every ValueError a command raises, DatasetFormatError
-included, to exit 3 with one "error:" line, never a traceback. Local
+`main` sends every ValueError (DatasetFormatError included) and MemoryError
+a command raises to exit 3 with one "error:" line, never a traceback. Local
 handlers map elsewhere: `generate` names the patch, `convert` sends a
 failed patch check to exit 5, and `verify` reports one as "patch
 invariants: FAIL" (exit 5) and a data check it cannot run as "skipped".
@@ -261,6 +261,8 @@ def main(argv=None) -> int:
             return args.func(args)
         except ValueError as exc:  # DatasetFormatError included: every malformed input or output
             return _fail(EXIT_MALFORMED, str(exc))
+        except MemoryError as exc:  # e.g. a --nodes value whose arrays cannot be allocated
+            return _fail(EXIT_MALFORMED, str(exc) or "out of memory")
 
 
 def console() -> None:

@@ -352,13 +352,19 @@ def graph_patch(gamma, gamma_prime, lo: float, hi: float, n: int, *,
     """Patch sampled directly from a slope-bounded graph, frame angle zero.
 
     `gamma` and `gamma_prime` may be callables of x1 or constants; `mu` may
-    be a constant or a callable of the global coordinates.
+    be a constant (a scalar or a full-length array) or a callable of the
+    global coordinates. The callables run on node blocks (traces.blockwise):
+    each must be pointwise and may run on several threads at once.
     """
     x, _ = uniform_grid(lo, hi, n)
-    g = on_grid(gamma(x) if callable(gamma) else gamma, x)
-    gp = on_grid(gamma_prime(x) if callable(gamma_prime) else gamma_prime, x)
-    mu_vals = on_grid(mu(x, g) if callable(mu) else mu, x)
-    return BoundaryPatch(0.0, x, g, gp, mu_vals, orientation)
+    given = [x if callable(f) else on_grid(f, x) for f in (gamma, gamma_prime, mu)]
+
+    def kernel(x, g, gp, m):
+        g = on_grid(gamma(x), x) if callable(gamma) else g
+        gp = on_grid(gamma_prime(x), x) if callable(gamma_prime) else gp
+        return g, gp, on_grid(mu(x, g), x) if callable(mu) else m
+
+    return BoundaryPatch(0.0, x, *blockwise(kernel, x, *given), orientation)
 
 
 def partition_curve(curve: ParametricCurve, max_slope: float = 1.0,

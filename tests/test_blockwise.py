@@ -12,7 +12,8 @@ import pytest
 from cauchyflow import (AnalyticScalarField, CauchyDN, CauchyStress,
                         VectorTrace, analytic_trace_slopes, builtin_catalog,
                         circle, dn_to_stress, evaluate_traces, graph_patch,
-                        partition_curve, stress_to_dn, traces)
+                        partition_curve, stress_to_dn, traces, uniform_grid)
+from cauchyflow.geometry import on_grid
 from cauchyflow.traces import blockwise
 
 BLOCK = 7
@@ -85,6 +86,86 @@ def test_conversions_do_not_depend_on_blocks(monkeypatch, workers, n):
                 for convert, data in ((stress_to_dn, stress), (dn_to_stress, dn)):
                     got, want = in_blocks(monkeypatch, workers, convert, data, patch, u_prime=u_prime)
                     assert_bitwise(got, want)
+
+
+def graph_inputs(n):
+    """(gamma, gamma_prime, mu) as callables, constants and full-length arrays."""
+    x = uniform_grid(-1.0, 1.0, n)[0]
+    return {
+        "callables": (lambda x: 0.3 * np.sin(2.0 * x), lambda x: 0.6 * np.cos(2.0 * x),
+                      lambda x1, x2: 1.0 + 0.5 * np.sin(x1) ** 2),
+        "scalar constants": (0.25, -0.5, 1.7),
+        "callables of scalars": (lambda x: -0.0, lambda x: 0.0, lambda x1, x2: 2.0),
+        "full-length arrays": (0.1 * x * x, 0.2 * x, 1.0 + x * x),
+        # mu reads the block's own gamma, from a callable and from an array
+        "mu reads gamma": (lambda x: 0.25 * x * x, 0.5, lambda x1, x2: 1.0 + x2),
+        "mu reads a gamma array": (0.1 * x * x, lambda x: 0.2 * x, lambda x1, x2: 1.0 + x1 * x2),
+    }
+
+
+def patch_arrays(patch):
+    return tuple(getattr(patch, name) for name in ("x1", "gamma", "gamma_prime", "mu"))
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("n", SIZES)
+def test_graph_patch_does_not_depend_on_blocks(monkeypatch, workers, n):
+    for name, (gamma, gamma_prime, mu) in graph_inputs(n).items():
+        for orientation in ("below", "above"):
+            got, want = in_blocks(monkeypatch, workers, graph_patch, gamma, gamma_prime,
+                                  -1.0, 1.0, n, mu=mu, orientation=orientation)
+            assert got.orientation == want.orientation == orientation
+            assert_bitwise(patch_arrays(got), patch_arrays(want))
+
+
+@pytest.mark.parametrize("length", [3 * BLOCK + 6, 3 * BLOCK + 8])
+@pytest.mark.parametrize("field", ["gamma", "gamma_prime", "mu"])
+def test_graph_patch_refuses_a_wrong_length_array_before_a_callable_runs(monkeypatch, field,
+                                                                          length):
+    monkeypatch.setattr(traces, "_BLOCK_NODES", BLOCK)
+    monkeypatch.setattr(traces, "_WORKERS", 3)
+    n = 3 * BLOCK + 7
+    calls = []
+
+    def called(value):
+        def f(*args):
+            calls.append(args[0].size)
+            return value
+        return f
+
+    inputs = {"gamma": called(0.1), "gamma_prime": called(0.0), "mu": called(1.0)}
+    inputs[field] = np.ones(length)
+    with pytest.raises(ValueError) as expected:  # the grid's own broadcast error
+        on_grid(np.ones(length), uniform_grid(-1.0, 1.0, n)[0])
+    with pytest.raises(ValueError, match="^" + re.escape(str(expected.value)) + "$"):
+        graph_patch(inputs["gamma"], inputs["gamma_prime"], -1.0, 1.0, n, mu=inputs["mu"])
+    assert calls == []
+
+
+class LastBlockError(Exception):
+    pass
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("field", ["gamma", "gamma_prime", "mu"])
+def test_graph_patch_raises_a_callable_error_from_the_last_block(monkeypatch, workers, field):
+    n = 3 * BLOCK + 7  # in 7-node blocks, the last holds nodes 21-27
+    x = uniform_grid(-1.0, 1.0, n)[0]
+
+    def fails_on_the_last_block(x1, *_):
+        if np.any(x1 >= x[3 * BLOCK]):
+            raise LastBlockError(field)
+        return 0.5 * x1 + 1.0
+
+    inputs = {"gamma": np.sin, "gamma_prime": np.cos, "mu": 1.0, field: fails_on_the_last_block}
+    before = threading.active_count()
+    for block in (BLOCK, 1 << 30):
+        with monkeypatch.context() as m:
+            m.setattr(traces, "_BLOCK_NODES", block)
+            m.setattr(traces, "_WORKERS", workers)
+            with pytest.raises(LastBlockError, match=f"^{field}$"):
+                graph_patch(inputs["gamma"], inputs["gamma_prime"], -1.0, 1.0, n, mu=inputs["mu"])
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("workers", [1, 3])

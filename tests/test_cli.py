@@ -820,6 +820,37 @@ def test_non_finite_curve_input_exits_3_with_one_line(tmp_path, capsys, command,
     assert not out.exists()
 
 
+# runs the CLI in a child whose address space is capped at 3 GiB; never run
+# the commands below without the cap: where memory is overcommitted, numpy
+# could start filling their 7.45 GiB arrays
+CAPPED_CLI = ("import os, resource, sys; resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)); "
+              "os.execv(sys.executable, [sys.executable, '-m', 'cauchyflow', *sys.argv[1:]])")
+
+
+@pytest.mark.parametrize("args", [
+    ["generate", "--flow", "trig", "--pressure", "trig", "--viscosity", "unit",
+     "--curve", "graph:poly:0,0.2", "--nodes", "1000000000"],
+    ["partition", "--curve", "circle:1", "--nodes", "1000000000"],
+], ids=["generate", "partition"])
+def test_nodes_too_large_for_memory_exit_3_with_one_line(tmp_path, args):
+    pytest.importorskip("resource")
+    out = tmp_path / "x.json"
+    done = subprocess.run([sys.executable, "-c", CAPPED_CLI, *args, "--out", str(out)],
+                          env=SRC_ENV, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 3, done.stderr
+    assert re.fullmatch(r"error: [^\n]+\n", done.stderr), done.stderr
+    assert not out.exists()
+
+
+def test_a_memory_error_without_a_message_exits_3(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("cauchyflow.geometry.partition_curve", exhausted)
+    assert run(["partition", "--curve", "circle:1", "--out", tmp_path / "x.json"]) == 3
+    assert capsys.readouterr().err == "error: out of memory\n"
+
+
 def test_partition_invalid_slope(tmp_path, capsys):
     code = run(["partition", "--curve", "circle:1.0", "--max-slope", 0,
                 "--out", tmp_path / "p.json"])

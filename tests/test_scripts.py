@@ -1,4 +1,5 @@
-"""Smoke tests: the example scripts run and report what they promise."""
+"""Smoke tests: the example scripts and the README's library example run and report
+what they promise."""
 
 import os
 import re
@@ -31,3 +32,12 @@ def test_circle_overlap_demo_agrees_to_roundoff():
         out = run_script("circle_overlap_demo.py", *args)
         worst = float(re.search(r"worst overlap disagreement over \d+ pairs: (\S+)", out).group(1))
         assert worst <= 1e-12, args
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library example\n", 1)[1]
+    code = re.search(r"^```python\n(.*?)^```$", section, re.S | re.M).group(1)
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert namespace["converted"].dnu.c1.n == namespace["patch"].interior().n
