@@ -5,8 +5,9 @@ Converts analytic trigonometric-flow data on a sine-shaped patch at a
 sequence of resolutions, measures the max-norm error of the converted
 (normal derivative, pressure) and traction against the closed-form
 oracle, and prints the observed convergence orders (expected: 4) and each
-level's largest error over the tolerance `transform.tolerance` works out
-from the converted arrays (at most 1 where the error model holds).
+level's largest error over the cross-format deviation's tolerance, the
+second of `transform.tolerance(patch, dn, traction)`, which reads every
+array of both formats (at most 1 where the error model holds).
 
 Usage: python scripts/convergence_study.py [--flow trig] [--shape sine]
 """
@@ -40,9 +41,8 @@ def conversion_errors(flow, pressure, viscosity, shape, n):
         np.max(np.abs(stress_num.traction.c1.values - stress.traction.c1.values[2:-2])),
         np.max(np.abs(stress_num.traction.c2.values - stress.traction.c2.values[2:-2])),
     )
-    u = (dn.u.c1.values, dn.u.c2.values)
-    ratio = max(err_dn / tolerance(patch, *u, *stress.traction.stacked().T),
-                err_tr / tolerance(patch, *u, *dn.dnu.stacked().T, dn.p.values))
+    # the cross-format deviation's tolerance reads (u, dnu, p, t) and carries mu's gain
+    ratio = max(err_dn, err_tr) / tolerance(patch, dn, stress.traction)[1]
     return patch.h, float(err_dn), float(err_tr), float(ratio)
 
 

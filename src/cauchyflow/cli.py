@@ -3,9 +3,10 @@
 Exit codes form a stable contract:
     0  success
     1  standard output closed before everything was printed
-    2  unknown catalog name or missing data arrays
-    3  malformed input (file, curve spec, or parameters), an output file
-       that cannot be written, or a size that does not fit in memory
+    2  usage error (argparse's usage text and one "error:" line, as for no
+       command or --nodes x), unknown catalog name, or missing data arrays
+    3  malformed input (file, curve spec, --x1-range, a parameter that parses
+       but cannot be used), an unwritable output, or a size too large for memory
     4  a data check above its tolerance (output still written; never
        from `convert stress-to-dn`, whose residual is always 0)
     5  invariant violation (positivity, grid uniformity, slope bound)
@@ -44,6 +45,11 @@ _PARTITION_FLAGS = {"max_slope": "--max-slope", "overlap_fraction": "--overlap",
 def parse_curve_spec(spec: str, x1_range: str = "-1,1") -> geometry.ParametricCurve:
     """Builtin curve specs: circle:R, ellipse:A,B, graph:poly:c0,c1,... over x1_range "LO,HI"."""
     head, _, rest = spec.partition(":")
+    if head == "graph":  # a range that is not two numbers is the flag's fault, not the spec's
+        try:
+            lo, hi = (float(v) for v in x1_range.split(","))
+        except ValueError:
+            raise ValueError(f"--x1-range must be two numbers LO,HI, got {x1_range!r}") from None
     try:
         if head == "circle":
             return geometry.circle(float(rest))
@@ -55,7 +61,6 @@ def parse_curve_spec(spec: str, x1_range: str = "-1,1") -> geometry.ParametricCu
             if sub != "poly" or not coeff_text:
                 raise ValueError("graph specs take the form graph:poly:c0,c1,...")
             coeffs = [float(v) for v in coeff_text.split(",")]
-            lo, hi = (float(v) for v in x1_range.split(","))
             return geometry.polynomial_graph(coeffs, lo, hi)
     except ValueError as exc:
         raise ValueError(f"malformed curve spec {spec!r}: {exc}") from exc
@@ -144,9 +149,9 @@ def _cmd_convert(args) -> int:
         converted, residual = transform.stress_to_dn(ds.stress(), ds.patch)
         tol = 0.0 if tol is None else tol
     else:
-        if tol is None:
-            tol = transform.tolerance(ds.patch, ds.u1, ds.u2, ds.dnu1, ds.dnu2, ds.p, residual=True)
-        converted, residual = transform.dn_to_stress(ds.dn(), ds.patch)
+        dn = ds.dn()
+        tol = transform.tolerance(ds.patch, dn)[0] if tol is None else tol
+        converted, residual = transform.dn_to_stress(dn, ds.patch)
     inner = ds.patch.interior()
     provenance = (ds.provenance or {}) | {"converted": args.direction}
     kind = "dn" if to_dn else "stress"

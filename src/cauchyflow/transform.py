@@ -180,34 +180,36 @@ def solve_system(gamma_prime, mu, rhs) -> np.ndarray:
     return np.linalg.solve(a, b[..., None])[..., 0]
 
 
-def tolerance(patch: BoundaryPatch, u1, u2, *arrays, residual: bool = False) -> float:
-    """Default tolerance of a check that reads the velocity (u1, u2) and `arrays`.
+def tolerance(patch: BoundaryPatch, dn: CauchyDN, traction: VectorTrace | None = None) -> list:
+    """Default tolerance of each check data_checks(patch, dn, traction) runs, in order.
 
-    2 G (T + R + eps S) bounds the stencil error in the conversions' outputs
-    or, with `residual`, in dn_to_stress's consistency residual (README,
-    "Tolerances"). The truncation term T = max(0, D5 - D6/2 - D7/4) / (30 h)
-    reads the largest 5th to 7th differences of u1 or u2; a defect in u
-    about doubles each order, so it drops out. R = 1.5 (eps max(M0, X S) +
+    2 G (T + R + eps S) bounds the stencil error in the check (README,
+    "Tolerances"). T = max(0, D5 - D6/2 - D7/4) / (30 h), from the largest
+    5th to 7th differences of u1 or u2, is the truncation error; a defect in
+    u about doubles each order, so it drops out. R = 1.5 (eps max(M0, X S) +
     2^-1074) / h is the rounding noise of u at nodes up to X = max |(x1,
-    gamma)| from the origin; M0 = max |u| and S = max(M0, max |arrays| on
-    the interior nodes, the only ones the checks read). The gain G = 8 max(1,
-    max mu) for the outputs, which carry mu through p and t; G = 8 for the
-    residual |tau.a + nu.dnu|, which does not. Below 8 nodes: ValueError.
+    gamma)| from the origin; M0 = max |u|. T, M0 and X are worked out once.
+    S = max(M0, max |arrays the check reads| on the interior nodes): (dnu, p)
+    for the residual, with G = 8; (dnu, p, t) for the deviation, which carries
+    mu through p and t, with G = 8 max(1, max mu). Below 8 nodes: ValueError.
     """
     if patch.n < 8:
         raise ValueError(f"{patch.n} nodes, fewer than the 8 the error model needs")
-    eps, h = float(np.finfo(float).eps), patch.h
+    eps, h, u = float(np.finfo(float).eps), patch.h, (dn.u.c1.values, dn.u.c2.values)
     t = 0.0
-    for v in (u1, u2):  # np.diff(v, k) is k first differences, so each order extends the last
+    for v in u:  # np.diff(v, k) is k first differences, so each order extends the last
         d6 = np.diff(d5 := np.diff(v, 5))
         top5, top6, top7 = (float(np.max(np.abs(d))) for d in (d5, d6, np.diff(d6)))
         t = max(t, top5 - top6 / 2.0 - top7 / 4.0)
-    m0 = max(float(np.max(np.abs(v))) for v in (u1, u2))
-    s = max([m0] + [float(np.max(np.abs(v[MARGIN:-MARGIN]))) for v in arrays])
+    m0 = max(float(np.max(np.abs(v))) for v in u)
     x = float(np.max(np.hypot(patch.x1, patch.gamma)))
-    gain = 8.0 if residual else 8.0 * max(1.0, float(np.max(patch.mu)))
-    return 2.0 * gain * (t / (30.0 * h) + 1.5 * (eps * max(m0, x * s) + 2.0 ** -1074) / h
-                         + eps * s)
+    read = (dn.dnu.c1, dn.dnu.c2, dn.p) + (() if traction is None else (traction.c1, traction.c2))
+    top = [float(np.max(np.abs(v.values[MARGIN:-MARGIN]))) for v in read]
+    checks = [(8.0, max(m0, *top[:3]))]
+    if traction is not None:
+        checks.append((8.0 * max(1.0, float(np.max(patch.mu))), max(m0, *top)))
+    return [2.0 * gain * (t / (30.0 * h) + 1.5 * (eps * max(m0, x * s) + 2.0 ** -1074) / h
+                          + eps * s) for gain, s in checks]
 
 
 def stress_to_dn(data: CauchyStress, patch: BoundaryPatch, u_prime=None):
@@ -247,23 +249,16 @@ def data_checks(patch: BoundaryPatch, dn: CauchyDN, traction: VectorTrace | None
     The consistency residual is dn_to_stress's; given the `traction`, the
     cross-format max deviation is the largest |stress_to_dn output - (dnu,
     p)| on the interior nodes. One blocked pass keeps each block's maxima of
-    both, NaN included. A tolerance is `residual_tol`, else `tolerance` of the
-    arrays its check reads, worked out for the residual before the grid and
-    patch checks of the conversions and for the deviation after them.
+    both, NaN included. Every tolerance is `residual_tol`, else the one
+    tolerance(patch, dn, traction) gives, worked out before the grid and patch
+    checks of the conversions.
     """
-    stored = (dn.dnu.c1.values, dn.dnu.c2.values, dn.p.values)
+    limits = [residual_tol] * 2 if residual_tol is not None else tolerance(patch, dn, traction)
     t = () if traction is None else (traction.c1.values, traction.c2.values)
-
-    def tol(*arrays, residual=False):
-        if residual_tol is None:
-            return tolerance(patch, dn.u.c1.values, dn.u.c2.values, *arrays, residual=residual)
-        return residual_tol
-
-    records = [("consistency residual max", tol(*stored, residual=True))]
-    maxima = _per_node(_checks, dn, patch, None, *stored, *t)
-    if t:
-        records.append(("cross-format max deviation", tol(*t, *stored)))
-    return [(name, float(np.max(m)), limit) for (name, limit), m in zip(records, maxima)]
+    maxima = _per_node(_checks, dn, patch, None, dn.dnu.c1.values, dn.dnu.c2.values,
+                       dn.p.values, *t)
+    return [(name, float(np.max(m)), limit) for name, m, limit in
+            zip(("consistency residual max", "cross-format max deviation"), maxima, limits)]
 
 
 def _checks(c, w, nu1, nu2, mu, gpr, hpr, n1, n2, p, *traction):

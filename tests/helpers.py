@@ -129,3 +129,22 @@ def rotated_field(field, angle):
         return field.value(q[..., 0], q[..., 1])
 
     return AnalyticScalarField(name=f"{field.name}@{angle:g}", value=value)
+
+
+def tolerance_by_fresh_differences(patch, u1, u2, *arrays, residual=False):
+    """The error model of `transform.tolerance` for one check, written out on its own.
+
+    The check reads u and `arrays`; `residual` picks the consistency
+    residual's gain 8 over the outputs' 8 max(1, max mu). Each difference
+    order is taken from u by np.diff(v, k), and T, M0 and X are recomputed
+    per call.
+    """
+    eps, h = float(np.finfo(float).eps), patch.h
+    tops = ([float(np.max(np.abs(np.diff(v, k)))) for k in (5, 6, 7)] for v in (u1, u2))
+    t = max(0.0, *(d5 - d6 / 2.0 - d7 / 4.0 for d5, d6, d7 in tops))
+    m0 = max(float(np.max(np.abs(v))) for v in (u1, u2))
+    s = max([m0] + [float(np.max(np.abs(v[2:-2]))) for v in arrays])
+    x = float(np.max(np.hypot(patch.x1, patch.gamma)))
+    gain = 8.0 if residual else 8.0 * max(1.0, float(np.max(patch.mu)))
+    return 2.0 * gain * (t / (30.0 * h) + 1.5 * (eps * max(m0, x * s) + 2.0 ** -1074) / h
+                         + eps * s)

@@ -1,3 +1,4 @@
+import csv
 import gc
 import json
 import os
@@ -117,6 +118,25 @@ def test_generate_on_huge_circle_warns_nothing(tmp_path):
                    "--curve", "circle:1e200", "--nodes", 16, "--out", tmp_path / "x.json")
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
+
+
+@pytest.mark.parametrize("args", [
+    [],
+    ["generate", "--flow", "trig", "--pressure", "trig", "--viscosity", "unit",
+     "--curve", "circle:1", "--nodes", "x", "--out", "x.json"],
+    ["verify"],
+    ["convert", "sideways", "--in", "x.json", "--out", "y.json"],
+], ids=["no-command", "nodes-not-an-int", "verify-no-file", "convert-sideways"])
+def test_usage_errors_exit_2_with_the_usage_and_one_error_line(tmp_path, args):
+    # argparse refuses these before any command runs: its usage text, then
+    # one "error:" line naming what is wrong, on stderr; nothing is written
+    done = subprocess.run([sys.executable, "-m", "cauchyflow", *args], cwd=tmp_path,
+                          env=SRC_ENV, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert re.fullmatch(r"usage: cauchyflow[^\n]*\n( [^\n]*\n)*cauchyflow[ a-z]*: error: [^\n]+\n",
+                        done.stderr), done.stderr
+    assert not list(tmp_path.iterdir())
 
 
 def test_generate_circle_writes_one_file_per_patch(tmp_path):
@@ -680,11 +700,14 @@ def test_partition_large_closed_curves(tmp_path, spec):
 
 @pytest.mark.parametrize("spec, name", [
     ("circle:nan", "radius"), ("circle:inf", "radius"),
-    ("ellipse:2,nan", "semi-axis b"), ("ellipse:inf,1", "semi-axis a"),
+    ("ellipse:2,nan", "semi-axis b"), ("ellipse:inf,1", "semi-axis a"), ("circle:0", "radius"),
 ])
 def test_partition_rejects_nonfinite_size(tmp_path, capsys, spec, name):
     assert run(["partition", "--curve", spec, "--out", tmp_path / "p.json"]) == 3
-    assert name in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert name in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "p.json").exists()
 
 
 @pytest.mark.parametrize("spec", ["circle:1e-13", "circle:1e-200"])
@@ -803,11 +826,18 @@ def test_output_in_missing_directory_exits_3(tmp_path, capsys, command):
      "malformed curve spec 'graph:poly:0': abscissa range [-inf, 1.0] must be non-empty and finite"),
     (["--curve", "graph:poly:0", "--x1-range=1,0"],
      "malformed curve spec 'graph:poly:0': abscissa range [1.0, 0.0] must be non-empty and finite"),
+    # a range that is not two numbers is the flag's fault, not the curve spec's
+    (["--curve", "graph:poly:0,0.2", "--x1-range=1"], "--x1-range must be two numbers LO,HI, got '1'"),
+    (["--curve", "graph:poly:0,0.2", "--x1-range=a,b"],
+     "--x1-range must be two numbers LO,HI, got 'a,b'"),
+    (["--curve", "graph:poly:0,0.2", "--x1-range=1,2,3"],
+     "--x1-range must be two numbers LO,HI, got '1,2,3'"),
     (["--curve", "circle:1", "--max-slope", "inf"], "--max-slope must be a positive finite number"),
     (["--curve", "circle:1", "--max-slope", "0"], "--max-slope must be a positive finite number"),
     (["--curve", "circle:1", "--overlap", "0.5"], "--overlap must lie in [0, 0.5)"),
     (["--curve", "circle:1", "--nodes", "4"], "--nodes must be at least 5"),
 ], ids=["poly-nan", "poly-inf", "poly-overflow", "range-overflow", "range-inf", "range-empty",
+        "range-one-number", "range-not-numbers", "range-three-numbers",
         "slope-inf", "slope-zero", "overlap-half", "nodes-4"])
 @pytest.mark.parametrize("command", ["partition", "generate"])
 def test_non_finite_curve_input_exits_3_with_one_line(tmp_path, capsys, command, args, message):
@@ -890,6 +920,37 @@ def test_csv_export(tmp_path):
     assert code == 0
     header = csv_path.read_text().splitlines()[0]
     assert header == "x1,gamma,gamma_prime,mu,u1,u2,dnu1,dnu2,p,t1,t2"
+
+
+def test_verify_prints_its_three_lines_on_exact_closed_curve_data(tmp_path, capsys):
+    # the invariants line, then the two data checks, residual first; exact data pass both
+    generate_trig(tmp_path, "circle:1", 64)
+    for part in sorted(tmp_path.glob("trig-p*.json")):
+        capsys.readouterr()
+        assert run(["verify", part]) == 0, part.name
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3, lines
+        assert lines[0] == "patch invariants: pass"
+        assert re.fullmatch(r"consistency residual max = \S+ \(tol \S+\): pass", lines[1])
+        assert re.fullmatch(r"cross-format max deviation = \S+ \(tol \S+\): pass", lines[2])
+
+
+def test_every_csv_field_is_the_json_number_text_at_its_node(tmp_path):
+    # the JSON and CSV writers format their numbers in blocks of different
+    # lengths (4096 values, 1024 rows); 3 * 4096 + 5 nodes cross both seams
+    n, out, csv_path = 3 * 4096 + 5, tmp_path / "big.json", tmp_path / "big.csv"
+    assert run(["generate", "--flow", "trig", "--pressure", "trig", "--viscosity", "variable",
+                "--curve", "graph:poly:0.1,0.3,-0.2,0.1", "--nodes", n,
+                "--out", out, "--csv", csv_path]) == 0
+    texts = {name.replace("_nodes", ""): body.split(", ")
+             for name, body in re.findall(r'"(\w+)": \[([^]]*)\]', out.read_text())}
+    with open(csv_path, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == n
+    assert set(rows[0]) <= set(texts)
+    for i, row in enumerate(rows):
+        for name, field in row.items():
+            assert field == texts[name][i], (name, i)
 
 
 HELP_RUN = """

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from cauchyflow import (CauchyDN, CauchyStress, ScalarTrace, VectorTrace, builtin_catalog,
-                        dn_to_stress, evaluate_traces, stress_to_dn, tolerance, traces)
+                        dn_to_stress, evaluate_traces, stress_to_dn, traces)
 from cauchyflow.transform import data_checks
-from helpers import flat_patch, sine_patch
+from helpers import flat_patch, sine_patch, tolerance_by_fresh_differences
 
 # with 7-node blocks: one block, a 1-node tail, a 2-node tail, eight blocks
 # and a 4-node tail, and thousands of blocks
@@ -44,12 +44,12 @@ def replaced(dn, **arrays):
 
 
 def reference(patch, dn, traction, residual_tol=None):
-    """The checks as the two conversions and `tolerance` give them."""
+    """The checks as the two conversions and the error model of each check's arrays give them."""
     u, stored = (dn.u.c1.values, dn.u.c2.values), (dn.dnu.c1.values, dn.dnu.c2.values, dn.p.values)
 
     def tol(*arrays, residual=False):
         return residual_tol if residual_tol is not None else \
-            tolerance(patch, *u, *arrays, residual=residual)
+            tolerance_by_fresh_differences(patch, *u, *arrays, residual=residual)
 
     checks = [(NAMES[0], dn_to_stress(dn, patch)[1], tol(*stored, residual=True))]
     if traction is not None:

@@ -16,7 +16,8 @@ from cauchyflow import (BoundaryPatch, CauchyDN, CauchyStress, Dataset, Gradient
                         builtin_catalog, FLOWS, PRESSURES, VISCOSITIES)
 from cauchyflow import geometry, manufactured, transform
 from helpers import (flat_patch, max_abs_diff, normal_derivative_from_gradient,
-                     rotated_field, rotated_flow, sine_patch, traction_oracle)
+                     rotated_field, rotated_flow, sine_patch, tolerance_by_fresh_differences,
+                     traction_oracle)
 
 slope = st.floats(-5, 5)
 viscosity = st.floats(0.1, 10)
@@ -592,8 +593,7 @@ def test_tangent_normal_forms_agree_with_graph_frame_forms(frame_angle, orientat
                                     frame_angle=frame_angle)
         patch = dataclasses.replace(patch, mu=triple.viscosity.value(*patch.nodes_global().T))
         dn, stress, _ = evaluate_traces(triple.flow, triple.pressure, triple.viscosity, patch)
-        bound = transform.tolerance(patch, *dn.u.stacked().T, *dn.dnu.stacked().T, dn.p.values,
-                                    *stress.traction.stacked().T)
+        bound = transform.tolerance(patch, dn, stress.traction)[1]
 
         new, _ = stress_to_dn(stress, patch)
         old = chained_convert(chained_dn_from_stress, patch, stress.u, *stress.traction.stacked().T)
@@ -721,19 +721,6 @@ def test_oracle_uses_no_transform_formula(monkeypatch):
         assert np.all(np.isfinite(stress.traction.stacked()))
 
 
-def tolerance_by_fresh_differences(patch, u1, u2, *arrays, residual=False):
-    """`transform.tolerance` with each difference order taken from u by np.diff(v, k)."""
-    eps, h = float(np.finfo(float).eps), patch.h
-    tops = ([float(np.max(np.abs(np.diff(v, k)))) for k in (5, 6, 7)] for v in (u1, u2))
-    t = max(0.0, *(d5 - d6 / 2.0 - d7 / 4.0 for d5, d6, d7 in tops))
-    m0 = max(float(np.max(np.abs(v))) for v in (u1, u2))
-    s = max([m0] + [float(np.max(np.abs(v[2:-2]))) for v in arrays])
-    x = float(np.max(np.hypot(patch.x1, patch.gamma)))
-    gain = 8.0 if residual else 8.0 * max(1.0, float(np.max(patch.mu)))
-    return 2.0 * gain * (t / (30.0 * h) + 1.5 * (eps * max(m0, x * s) + 2.0 ** -1074) / h
-                         + eps * s)
-
-
 @pytest.mark.parametrize("residual", [False, True])
 @pytest.mark.parametrize("n", [8, 9, 64, 2 ** 15 + 3])
 def test_tolerance_extends_each_difference_order_bitwise(n, residual):
@@ -745,5 +732,10 @@ def test_tolerance_extends_each_difference_order_bitwise(n, residual):
     # a wave of half a radian a node that the stencil cannot resolve: the truncation term is > 0
     wave = 1e-3 * np.sin(0.5 * np.arange(n) + np.array([[0.0], [1.0]]))
     for u1, u2 in (dn.u.stacked().T, dn.u.stacked().T + wave):
-        got = transform.tolerance(patch, u1, u2, *arrays, residual=residual)
-        assert got == tolerance_by_fresh_differences(patch, u1, u2, *arrays, residual=residual)
+        data = CauchyDN(VectorTrace.from_arrays(u1, u2, patch.h), dn.dnu, dn.p)
+        # the residual reads (u, dnu, p); the deviation reads t too, with mu's gain
+        got = transform.tolerance(patch, data, stress.traction)
+        assert transform.tolerance(patch, data) == got[:1]
+        want = tolerance_by_fresh_differences(patch, u1, u2, *(arrays[:3] if residual else arrays),
+                                              residual=residual)
+        assert got[0 if residual else 1] == want
