@@ -97,8 +97,8 @@ def _check_limits(residual_tol, max_slope=None) -> None:
     """Raise ValueError if a --residual-tol or --max-slope value cannot be used."""
     if residual_tol is not None and not residual_tol >= 0:
         raise ValueError(f"--residual-tol must be a non-negative number, got {residual_tol}")
-    if max_slope is not None and not max_slope > 0:
-        raise ValueError(f"--max-slope must be a positive number, got {max_slope}")
+    if max_slope is not None and not 0 < max_slope <= sys.float_info.max:
+        raise ValueError(f"--max-slope must be a positive finite number, got {max_slope}")
 
 
 def _cmd_generate(args) -> int:

@@ -93,6 +93,8 @@ def uniform_grid(lo: float, hi: float, n: int) -> tuple[np.ndarray, float]:
     successive floating-point differences then equal h bit for bit. The
     snap moves each endpoint inward by less than one raster step.
     """
+    if not isinstance(n, (int, np.integer)):
+        raise ValueError(f"node count must be an integer, got {n!r}")
     if n < 2:
         raise ValueError("grid needs at least 2 nodes")
     lo, hi = float(lo), float(hi)

@@ -33,12 +33,12 @@ with the divergence tau.a + nu.dnu as the consistency residual (the
 graph-frame residual |f1 + gamma' f2 + theta n2| over theta^2). The
 orientation is the sign of nu, and no form loses digits at any slope.
 
-All operations broadcast over per-node arrays and are pure functions.
-The two conversions and data_checks check the patch once with
-BoundaryPatch.validate, then run their per-node formulas, stencil slopes
-included, in cache-sized node blocks on all available CPUs
-(traces.blockwise); the output does not depend on the block size or the CPU
-count. Each block computes the frame once per node.
+All operations broadcast over per-node arrays and are pure functions. An
+entry checks, in order, the 8-node rule (tolerance), every array it reads
+against the patch grid (node count, then spacing), the 5-node rule, the
+patch (BoundaryPatch.validate) and u_prime's shape, then computes in
+cache-sized node blocks on all available CPUs (traces.blockwise), stencil
+slopes and frames included, to one output at any block size or CPU count.
 """
 
 from __future__ import annotations
@@ -191,11 +191,14 @@ def tolerance(patch: BoundaryPatch, dn: CauchyDN, traction: VectorTrace | None =
     gamma)| from the origin; M0 = max |u|. T, M0 and X are worked out once.
     S = max(M0, max |arrays the check reads| on the interior nodes): (dnu, p)
     for the residual, with G = 8; (dnu, p, t) for the deviation, which carries
-    mu through p and t, with G = 8 max(1, max mu). Below 8 nodes: ValueError.
+    mu through p and t, with G = 8 max(1, max mu). Below 8 nodes: ValueError,
+    then one for any array that is not on the patch grid (_on_grid).
     """
     if patch.n < 8:
         raise ValueError(f"{patch.n} nodes, fewer than the 8 the error model needs")
-    eps, h, u = float(np.finfo(float).eps), patch.h, (dn.u.c1.values, dn.u.c2.values)
+    traces = (dn.dnu.c1, dn.dnu.c2, dn.p) + (() if traction is None else (traction.c1, traction.c2))
+    u1, u2, *read = _on_grid(patch, dn.u.c1, dn.u.c2, *traces)
+    eps, h, u = float(np.finfo(float).eps), patch.h, (u1, u2)
     t = 0.0
     for v in u:  # np.diff(v, k) is k first differences, so each order extends the last
         d6 = np.diff(d5 := np.diff(v, 5))
@@ -203,8 +206,7 @@ def tolerance(patch: BoundaryPatch, dn: CauchyDN, traction: VectorTrace | None =
         t = max(t, top5 - top6 / 2.0 - top7 / 4.0)
     m0 = max(float(np.max(np.abs(v))) for v in u)
     x = float(np.max(np.hypot(patch.x1, patch.gamma)))
-    read = (dn.dnu.c1, dn.dnu.c2, dn.p) + (() if traction is None else (traction.c1, traction.c2))
-    top = [float(np.max(np.abs(v.values[MARGIN:-MARGIN]))) for v in read]
+    top = [float(np.max(np.abs(v[MARGIN:-MARGIN]))) for v in read]
     checks = [(8.0, max(m0, *top[:3]))]
     if traction is not None:
         checks.append((8.0 * max(1.0, float(np.max(patch.mu))), max(m0, *top)))
@@ -222,10 +224,9 @@ def stress_to_dn(data: CauchyStress, patch: BoundaryPatch, u_prime=None):
     redundant relation, so this direction has no consistency residual and
     the 0.0 only keeps the return shape of dn_to_stress.
     """
-    d1, d2, p = _per_node(_dn_from_stress, data, patch, u_prime,
-                          data.traction.c1.values, data.traction.c2.values)
-    return CauchyDN(_interior_u(data, patch), VectorTrace.from_arrays(d1, d2, patch.h),
-                    ScalarTrace(p, patch.h)), 0.0
+    u, d1, d2, p = _per_node(_dn_from_stress, patch, data.u,
+                             (data.traction.c1, data.traction.c2), u_prime)
+    return CauchyDN(u, VectorTrace.from_arrays(d1, d2, patch.h), ScalarTrace(p, patch.h)), 0.0
 
 
 def dn_to_stress(data: CauchyDN, patch: BoundaryPatch, u_prime=None):
@@ -236,10 +237,9 @@ def dn_to_stress(data: CauchyDN, patch: BoundaryPatch, u_prime=None):
     the boundary divergence |tau.a + nu.dnu|; large values flag data that
     no divergence-free velocity field can produce.
     """
-    t1, t2, residual = _per_node(_stress_from_dn, data, patch, u_prime,
-                                 data.dnu.c1.values, data.dnu.c2.values, data.p.values)
-    return CauchyStress(_interior_u(data, patch), VectorTrace.from_arrays(t1, t2, patch.h)), \
-        float(np.max(residual))
+    u, t1, t2, residual = _per_node(_stress_from_dn, patch, data.u,
+                                    (data.dnu.c1, data.dnu.c2, data.p), u_prime)
+    return CauchyStress(u, VectorTrace.from_arrays(t1, t2, patch.h)), float(np.max(residual))
 
 
 def data_checks(patch: BoundaryPatch, dn: CauchyDN, traction: VectorTrace | None = None,
@@ -250,13 +250,11 @@ def data_checks(patch: BoundaryPatch, dn: CauchyDN, traction: VectorTrace | None
     cross-format max deviation is the largest |stress_to_dn output - (dnu,
     p)| on the interior nodes. One blocked pass keeps each block's maxima of
     both, NaN included. Every tolerance is `residual_tol`, else the one
-    tolerance(patch, dn, traction) gives, worked out before the grid and patch
-    checks of the conversions.
+    tolerance(patch, dn, traction) gives, which checks the grid first.
     """
     limits = [residual_tol] * 2 if residual_tol is not None else tolerance(patch, dn, traction)
-    t = () if traction is None else (traction.c1.values, traction.c2.values)
-    maxima = _per_node(_checks, dn, patch, None, dn.dnu.c1.values, dn.dnu.c2.values,
-                       dn.p.values, *t)
+    traces = (dn.dnu.c1, dn.dnu.c2, dn.p) + (() if traction is None else (traction.c1, traction.c2))
+    _, *maxima = _per_node(_checks, patch, dn.u, traces)
     return [(name, float(np.max(m)), limit) for name, m, limit in
             zip(("consistency residual max", "cross-format max deviation"), maxima, limits)]
 
@@ -287,25 +285,25 @@ def _stress_from_dn(c, w, nu1, nu2, mu, gpr, hpr, n1, n2, p):
     return mu * (n1 + na * c) + q * nu1, mu * (n2 + na * w) + q * nu2, residual
 
 
-def _interior_u(data, patch: BoundaryPatch) -> VectorTrace:
-    cut = slice(MARGIN, -MARGIN)
-    return VectorTrace.from_arrays(data.u.c1.values[cut], data.u.c2.values[cut], patch.h)
+def _on_grid(patch: BoundaryPatch, *traces) -> list:
+    """The node arrays of `traces`, once every one has the patch's node count, then its spacing."""
+    if any(trace.n != patch.n for trace in traces):
+        raise ValueError("data grid does not match the patch grid")
+    if any(abs(trace.h - patch.h) > 1e-12 * abs(patch.h) for trace in traces):
+        raise ValueError("data grid spacing does not match the patch")
+    return [trace.values for trace in traces]
 
 
-def _per_node(kernel, data, patch: BoundaryPatch, u_prime, v1, v2, *rest):
+def _per_node(kernel, patch: BoundaryPatch, u: VectorTrace, traces, u_prime=None):
     """Checked interior-node conversion in each node's tangent-normal frame.
 
-    Runs kernel(c, c gamma', nu1, nu2, mu, g', h', v1, v2, *rest) by
-    blocks on the interior nodes, where (c, c gamma') is the unit tangent,
-    (nu1, nu2) the outward normal and (v1, v2) the input vector trace.
-
-    The data grid is checked against the patch first, then the patch with
-    patch.validate(), then the shape of `u_prime`; the blocks only compute.
+    Returns u on the interior nodes, then kernel(c, c gamma', nu1, nu2, mu,
+    g', h', *values) run by blocks there, where (c, c gamma') is the unit
+    tangent, (nu1, nu2) the outward normal and `values` those of `traces`.
+    The checks come first: u and every trace against the patch grid (_on_grid),
+    the 5-node rule, patch.validate(), u_prime's shape; the blocks only compute.
     """
-    if data.u.n != patch.n:
-        raise ValueError("data grid does not match the patch grid")
-    if abs(data.u.h - patch.h) > 1e-12 * abs(patch.h):
-        raise ValueError("data grid spacing does not match the patch")
+    u1, u2, *arrays = _on_grid(patch, u.c1, u.c2, *traces)
     if patch.n < 2 * MARGIN + 1:
         raise ValueError("patch too short for stencil differentiation")
     patch.validate()
@@ -313,7 +311,7 @@ def _per_node(kernel, data, patch: BoundaryPatch, u_prime, v1, v2, *rest):
     cut = slice(MARGIN, -MARGIN)
     if u_prime is None:
         # the stencil runs inside the blocks, on its neighbour views
-        slope_inputs = (*stencil_neighbours(data.u.c1.values), *stencil_neighbours(data.u.c2.values))
+        slope_inputs = (*stencil_neighbours(u1), *stencil_neighbours(u2))
 
         def slopes(*v):
             return stencil_slope(*v[:4], h), stencil_slope(*v[4:], h)
@@ -326,11 +324,11 @@ def _per_node(kernel, data, patch: BoundaryPatch, u_prime, v1, v2, *rest):
         def slopes(gpr, hpr):
             return gpr, hpr
 
-    inputs = (v1, v2, *rest)
-    k = len(inputs)
+    k = len(arrays)
 
     def node_kernel(gp, mu, *arrays):
         return kernel(*_frame(gp, orientation), mu, *slopes(*arrays[k:]), *arrays[:k])
 
-    return blockwise(node_kernel, patch.gamma_prime[cut], patch.mu[cut],
-                     *(a[cut] for a in inputs), *slope_inputs)
+    return (VectorTrace.from_arrays(u1[cut], u2[cut], h),
+            *blockwise(node_kernel, patch.gamma_prime[cut], patch.mu[cut],
+                       *(a[cut] for a in arrays), *slope_inputs))

@@ -551,6 +551,7 @@ def test_generate_then_verify_passes_on_every_curve_kind(tmp_path, monkeypatch):
     ("verify", "--max-slope", "nan"),
     ("verify", "--max-slope", "0"),
     ("verify", "--max-slope", "-1"),
+    ("verify", "--max-slope", "inf"),
 ])
 def test_malformed_limits_exit_3(tmp_path, capsys, command, option, value):
     src = generate_couette(tmp_path)

@@ -306,8 +306,15 @@ def zero_dataset(kind):
     return dataset_from_traces(patch, **{kind: (zero_dn if kind == "dn" else zero_stress)(8, patch.h)})
 
 
-# each library refusal with its whole message; _per_node's grid checks run
-# before patch.validate(), the u_prime shape check after it
+def off_grid(entry, dn_nodes, traction_nodes=None, *args):
+    """`entry` on a 64-node flat patch and zero data of the given node counts."""
+    patch = flat_patch(64)
+    traction = None if traction_nodes is None else zero_vector(traction_nodes, patch.h)
+    return entry(patch, zero_dn(dn_nodes, patch.h), traction, *args)
+
+
+# each library refusal with its whole message; the grid checks run before
+# patch.validate(), the u_prime shape check after it
 REFUSALS = {
     "data spacing": (lambda: stress_to_dn(zero_stress(16, 1.0), flat_patch(16)),
                      "data grid spacing does not match the patch"),
@@ -316,7 +323,24 @@ REFUSALS = {
     "u_prime shape": (lambda: stress_to_dn(zero_stress(16, flat_patch(16).h), flat_patch(16),
                                            u_prime=(np.zeros(3), np.zeros(3))),
                       "u_prime arrays must match the full patch grid"),
+    # every array an entry reads is checked against the patch grid, the
+    # traction and dnu included, before tolerance or the blocks read it
+    "traction grid": (lambda: off_grid(transform.data_checks, 64, 40),
+                      "data grid does not match the patch grid"),
+    "traction grid, residual_tol": (lambda: off_grid(transform.data_checks, 64, 40, 1e-3),
+                                    "data grid does not match the patch grid"),
+    "dn grid": (lambda: off_grid(transform.data_checks, 6), "data grid does not match the patch grid"),
+    "tolerance traction grid": (lambda: off_grid(transform.tolerance, 64, 40),
+                                "data grid does not match the patch grid"),
+    "traction spacing": (lambda: stress_to_dn(CauchyStress(zero_vector(16, flat_patch(16).h),
+                                                           zero_vector(16, 1.0)), flat_patch(16)),
+                         "data grid spacing does not match the patch"),
     "1-node grid": (lambda: uniform_grid(0.0, 1.0, 1), "grid needs at least 2 nodes"),
+    "fractional node count": (lambda: uniform_grid(0.0, 1.0, 5.5), "node count must be an integer, got 5.5"),
+    "fractional patch nodes": (lambda: graph_patch(0.0, 0.0, 0.0, 1.0, 5.5),
+                               "node count must be an integer, got 5.5"),
+    "fractional partition nodes": (lambda: geometry.partition_curve(geometry.circle(1.0), nodes_per_patch=16.5),
+                                   "node count must be an integer, got 16.5"),
     "empty span": (lambda: uniform_grid(1.0, 0.0, 4), "grid span is empty"),
     # the spacing 2^-1075 rounds to 0
     "span too small": (lambda: uniform_grid(0.0, 5e-324, 3),
