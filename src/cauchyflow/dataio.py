@@ -40,7 +40,7 @@ import numpy as np
 
 from .geometry import ORIENTATIONS, BoundaryPatch
 from .traces import ScalarTrace, VectorTrace
-from .transform import CauchyDN, CauchyStress
+from .transform import CauchyDN, CauchyStress, _on_grid
 
 FORMAT_VERSION = 1
 DATA_KINDS = ("dn", "stress", "both")
@@ -93,6 +93,10 @@ class Dataset:
                 object.__setattr__(self, name, arr)
             elif value is not None:
                 raise DatasetFormatError(f"array {name!r} is inconsistent with data_kind {self.data_kind!r}")
+        # what the reader accepts: a JSON object, whose keys are strings
+        if self.provenance is not None and not (isinstance(self.provenance, dict)
+                                                and all(isinstance(k, str) for k in self.provenance)):
+            raise DatasetFormatError("provenance must be an object")
 
     @property
     def arrays(self) -> dict:
@@ -121,17 +125,18 @@ class Dataset:
 def dataset_from_traces(patch: BoundaryPatch, dn: CauchyDN | None = None,
                         stress: CauchyStress | None = None,
                         provenance: dict | None = None) -> Dataset:
-    """Bundle in-memory boundary data into a Dataset of the right kind."""
+    """Bundle in-memory boundary data on the patch grid (_on_grid) into a Dataset of the right kind."""
     if dn is None and stress is None:
         raise ValueError("need at least one of dn or stress data")
     u = (dn or stress).u
-    fields = {"u1": u.c1.values, "u2": u.c2.values}
+    traces = {"u1": u.c1, "u2": u.c2}
     if dn is not None:
-        fields |= {"dnu1": dn.dnu.c1.values, "dnu2": dn.dnu.c2.values, "p": dn.p.values}
+        traces |= {"dnu1": dn.dnu.c1, "dnu2": dn.dnu.c2, "p": dn.p}
     if stress is not None:
-        fields |= {"t1": stress.traction.c1.values, "t2": stress.traction.c2.values}
+        traces |= {"t1": stress.traction.c1, "t2": stress.traction.c2}
     kind = "both" if dn is not None and stress is not None else ("dn" if dn is not None else "stress")
-    return Dataset(patch=patch, data_kind=kind, provenance=provenance, **fields)
+    return Dataset(patch=patch, data_kind=kind, provenance=provenance,
+                   **dict(zip(traces, _on_grid(patch, *traces.values()))))
 
 
 def _check_finite(*values) -> None:
@@ -177,6 +182,8 @@ def write_dataset(path, ds: Dataset) -> None:
                       f',\n  "provenance": {json.dumps(ds.provenance, sort_keys=True, allow_nan=False)}')
     except ValueError:
         raise DatasetFormatError("cannot serialize non-finite value") from None
+    except TypeError as exc:  # a value json has no form for, such as a set
+        raise DatasetFormatError(f"cannot serialize provenance: {exc}") from None
     _write_text(path, itertools.chain(
         _patch_chunks(f'{{\n  "format_version": {FORMAT_VERSION},\n  "patch": ', ds.patch, "  "),
         [f',\n  "data_kind": {json.dumps(ds.data_kind)},\n'], _array_chunks("  ", ds.arrays.items()),
@@ -431,10 +438,7 @@ def read_dataset(path) -> Dataset:
         raise DatasetFormatError(f"unknown data_kind {kind!r}")
     patch = _patch_from_doc(doc.get("patch"))
     arrays = {name: _number_array(doc, name, patch.n) for name in _KIND_ARRAYS[kind]}
-    provenance = doc.get("provenance")
-    if provenance is not None and not isinstance(provenance, dict):
-        raise DatasetFormatError("provenance must be an object")
-    return Dataset(patch=patch, data_kind=kind, provenance=provenance, **arrays)
+    return Dataset(patch=patch, data_kind=kind, provenance=doc.get("provenance"), **arrays)
 
 
 def write_patch_set(path, patches) -> None:

@@ -15,9 +15,7 @@ bracket) refines every node to the float that fits best. A table sample
 that is not finite, a target outside the tabulated window, or a node that
 does not converge raises ValueError. Every curve then gives gamma and
 gamma' at a node from its own position and velocity there, so no patch
-differentiates gamma numerically. Curves given by samples use a periodic cubic spline on
-uniform knots whose circulant system is solved with one FFT, and its
-velocity is the spline's exact derivative.
+differentiates gamma numerically.
 
 Conventions:
   * orientation "below" means the fluid domain lies locally under the
@@ -43,7 +41,7 @@ from . import traces
 from .traces import MARGIN, VectorTrace, blockwise
 
 ORIENTATIONS = ("below", "above")
-CURVE_KINDS = ("analytic-closed-form", "sampled-periodic", "open")
+CURVE_KINDS = ("analytic-closed-form", "open")
 
 # fraction of the slope cone the partitioner actually budgets per patch,
 # leaving headroom for between-sample tangent excursions
@@ -169,7 +167,8 @@ class BoundaryPatch:
         The checks run in a fixed order, and the first one that fails names
         the fault: non-finite x1, gamma, gamma' or mu, in that order; mu <= 0;
         h <= 0; a grid that is not uniform; then, if `max_slope` is given,
-        |gamma'| above it. Both conversions call it once, before they convert.
+        a bound that is not a positive finite number, and |gamma'| above it.
+        Both conversions call it once, before they convert.
         """
         for name in ("x1", "gamma", "gamma_prime", "mu"):
             if not np.all(np.isfinite(getattr(self, name))):
@@ -185,8 +184,11 @@ class BoundaryPatch:
         tol = 1e-14 * h
         if steps.max() - h > tol or h - steps.min() > tol:
             raise ValueError("grid is not uniform")
-        if max_slope is not None and np.max(np.abs(self.gamma_prime)) > max_slope + 1e-10:
-            raise ValueError(f"slope bound |gamma'| <= {max_slope} violated")
+        if max_slope is not None:
+            if not 0 < max_slope < math.inf:  # nan, inf and 0 would audit nothing
+                raise ValueError(f"max_slope must be a positive finite number, not {max_slope!r}")
+            if np.max(np.abs(self.gamma_prime)) > max_slope + 1e-10:
+                raise ValueError(f"slope bound |gamma'| <= {max_slope} violated")
 
     def interior(self) -> "BoundaryPatch":
         """Sub-patch on the nodes where stencil-derived quantities live."""
@@ -233,7 +235,7 @@ def _frame(gamma_prime, orientation):
 class ParametricCurve:
     """Plane curve given by vectorized position/velocity maps of t in [0, 1).
 
-    For the closed kinds the callables must accept any real t and wrap
+    A closed curve's callables must accept any real t and wrap
     periodically; "open" curves are only evaluated inside [0, 1].
     """
 
@@ -248,48 +250,6 @@ class ParametricCurve:
     @property
     def closed(self) -> bool:
         return self.kind != "open"
-
-    @classmethod
-    def from_samples(cls, points) -> "ParametricCurve":
-        """Closed curve through sample points via a periodic cubic spline.
-
-        Point i sits at t = i/m on a uniform knot grid of spacing h = 1/m.
-        The knot second derivatives M solve the circulant system
-        M[i-1] + 4 M[i] + M[i+1] = 6 (P[i-1] - 2 P[i] + P[i+1]) / h^2, whose
-        eigenvalues 4 + 2 cos(2 pi k / m) lie in [2, 6]; one real FFT solves
-        it. Each segment is then the closed-form cubic in its local
-        coordinate a in [0, 1).
-        """
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 4:
-            raise ValueError("need an (m, 2) array with at least 4 sample points")
-        m = pts.shape[0]
-        h = 1.0 / m
-        nxt = np.roll(pts, -1, axis=0)
-        rhs = 6.0 * (np.roll(pts, 1, axis=0) - 2.0 * pts + nxt) / (h * h)
-        eig = 4.0 + 2.0 * np.cos(2.0 * np.pi * np.arange(m // 2 + 1) / m)
-        moments = np.fft.irfft(np.fft.rfft(rhs, axis=0) / eig[:, None], n=m, axis=0)
-        m_nxt = np.roll(moments, -1, axis=0)
-
-        def segment(t):
-            u = (np.asarray(t, dtype=float) % 1.0) * m
-            i = np.minimum(np.floor(u).astype(np.intp), m - 1)
-            a = (u - i)[..., None]
-            return i, a, 1.0 - a
-
-        def position(t):
-            i, a, b = segment(t)
-            q = (b * pts[i] + a * nxt[i]
-                 + (h * h / 6.0) * ((b ** 3 - b) * moments[i] + (a ** 3 - a) * m_nxt[i]))
-            return q[..., 0], q[..., 1]
-
-        def velocity(t):
-            i, a, b = segment(t)
-            q = ((nxt[i] - pts[i]) / h
-                 + (h / 6.0) * ((1.0 - 3.0 * b * b) * moments[i] + (3.0 * a * a - 1.0) * m_nxt[i]))
-            return q[..., 0], q[..., 1]
-
-        return cls(position, velocity, kind="sampled-periodic")
 
 
 def circle(radius: float) -> ParametricCurve:

@@ -308,6 +308,17 @@ def test_non_finite_provenance_rejected_on_write(tmp_path, bad):
     assert not (tmp_path / "p.json").exists()
 
 
+@pytest.mark.parametrize("provenance, message", [
+    ([1, 2], "provenance must be an object"),
+    ({1: "a", "b": 2}, "provenance must be an object"),
+    ({"a": {1}}, "cannot serialize provenance: Object of type set is not JSON serializable"),
+], ids=["list", "integer key", "set value"])
+def test_provenance_the_reader_refuses_is_never_written(tmp_path, provenance, message):
+    with pytest.raises(DatasetFormatError, match="^" + re.escape(message) + "$"):
+        write_dataset(tmp_path / "p.json", _sample_dataset(kind="stress", provenance=provenance))
+    assert not (tmp_path / "p.json").exists()
+
+
 def test_dataset_read_parses_one_array_at_a_time(tmp_path):
     # the peak holds the float arrays read so far (2.9 MB), the float blocks
     # of one array and a window of text with its parsed list: 0.43 MB above

@@ -378,10 +378,20 @@ REFUSALS = {
     "dn of stress data": (lambda: zero_dataset("stress").dn(), "dataset carries no normal-derivative data"),
     "stress of dn data": (lambda: zero_dataset("dn").stress(), "dataset carries no traction data"),
     "no traces": (lambda: dataset_from_traces(flat_patch(8)), "need at least one of dn or stress data"),
+    # a dataset's traces lie on its patch grid, as the conversions' do
+    "dataset trace grid": (lambda: dataset_from_traces(flat_patch(8), stress=zero_stress(16, flat_patch(8).h)),
+                           "data grid does not match the patch grid"),
+    "dataset trace spacing": (lambda: dataset_from_traces(flat_patch(8), stress=zero_stress(8, 5.0)),
+                              "data grid spacing does not match the patch"),
+    # a slope bound that audits nothing is refused, not passed
+    "nan slope bound": (lambda: graph_patch(0.0, 5.0, 0.0, 1.0, 8).validate(max_slope=float("nan")),
+                        "max_slope must be a positive finite number, not nan"),
+    "inf slope bound": (lambda: graph_patch(0.0, 5.0, 0.0, 1.0, 8).validate(max_slope=float("inf")),
+                        "max_slope must be a positive finite number, not inf"),
+    "zero slope bound": (lambda: flat_patch(8).validate(max_slope=0.0),
+                         "max_slope must be a positive finite number, not 0.0"),
     "curve kind": (lambda: ParametricCurve(np.sin, np.cos, kind="bogus"),
-                   "kind must be one of ('analytic-closed-form', 'sampled-periodic', 'open')"),
-    "curve samples": (lambda: ParametricCurve.from_samples(np.zeros((3, 2))),
-                      "need an (m, 2) array with at least 4 sample points"),
+                   "kind must be one of ('analytic-closed-form', 'open')"),
     "non-monotone abscissa": (lambda: geometry._invert_monotone(lambda t: -t, lambda t: -np.ones_like(t),
                                                                 0.0, 1.0, np.array([-0.5])),
                               "local abscissa is not monotone over the patch window"),
