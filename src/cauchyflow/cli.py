@@ -97,8 +97,8 @@ def _check_limits(residual_tol, max_slope=None) -> None:
     """Raise ValueError if a --residual-tol or --max-slope value cannot be used."""
     if residual_tol is not None and not residual_tol >= 0:
         raise ValueError(f"--residual-tol must be a non-negative number, got {residual_tol}")
-    if max_slope is not None and not 0 < max_slope <= sys.float_info.max:
-        raise ValueError(f"--max-slope must be a positive finite number, got {max_slope}")
+    if max_slope is not None:
+        geometry.positive_finite("--max-slope", max_slope)
 
 
 def _cmd_generate(args) -> int:
@@ -146,13 +146,13 @@ def _cmd_convert(args) -> int:
 
     tol = args.residual_tol
     if to_dn:  # traction data have no residual to bound
-        converted, residual = transform.stress_to_dn(ds.stress(), ds.patch)
         tol = 0.0 if tol is None else tol
     else:
         dn = ds.dn()
         tol = transform.tolerance(ds.patch, dn)[0] if tol is None else tol
-        converted, residual = transform.dn_to_stress(dn, ds.patch)
-    inner = ds.patch.interior()
+    inner = ds.patch.interior()  # a patch too short to restrict is refused before either conversion
+    converted, residual = (transform.stress_to_dn(ds.stress(), ds.patch) if to_dn
+                           else transform.dn_to_stress(dn, ds.patch))
     provenance = (ds.provenance or {}) | {"converted": args.direction}
     kind = "dn" if to_dn else "stress"
     out = dataio.dataset_from_traces(inner, provenance=provenance, **{kind: converted})
@@ -171,9 +171,7 @@ def _cmd_verify(args) -> int:
     max_slope = args.max_slope
     if max_slope is None:  # the bound generate recorded, else 1.0
         max_slope = (ds.provenance or {}).get("max_slope", 1.0)
-        if type(max_slope) not in (int, float) or not 0 < max_slope <= sys.float_info.max:
-            raise ValueError("provenance max_slope must be a positive finite number, "
-                             f"got {max_slope!r}")
+        geometry.positive_finite("provenance max_slope", max_slope)
 
     try:
         ds.patch.validate(max_slope=max_slope)

@@ -24,7 +24,9 @@ Dataset schema (format_version 1):
       "u1", "u2",                      always present
       "dnu1", "dnu2", "p",             for kinds "dn" and "both"
       "t1", "t2",                      for kinds "stress" and "both"
-      "provenance": {...}              optional free-form strings and finite numbers
+      "provenance": {...}              optional: JSON objects, lists, strings,
+                                       finite numbers, booleans and null, with
+                                       string keys, that read back as written
     }
 """
 
@@ -175,13 +177,36 @@ def _patch_chunks(lead: str, patch: BoundaryPatch, indent: str):
     yield "\n" + indent + "}"
 
 
+def _check_provenance(value, outer=()) -> None:
+    """Raise DatasetFormatError unless json writes `value` as the reader reads it back.
+
+    json writes a tuple as a list, a key that is not a string as a string and a
+    non-finite float bare; `outer` holds the ids of the containers around `value`.
+    """
+    if isinstance(value, float) and not math.isfinite(value):
+        raise DatasetFormatError("cannot serialize non-finite value")
+    if isinstance(value, tuple):
+        raise DatasetFormatError("cannot serialize provenance: a tuple would read back as a list")
+    if not isinstance(value, (dict, list)):
+        return
+    if id(value) in outer:
+        raise DatasetFormatError("cannot serialize provenance: it contains itself")
+    if isinstance(value, dict):
+        for key in value:
+            if not isinstance(key, str):
+                raise DatasetFormatError(f"cannot serialize provenance: key {key!r} is not a string")
+    for item in value.values() if isinstance(value, dict) else value:
+        _check_provenance(item, (*outer, id(value)))
+
+
 def write_dataset(path, ds: Dataset) -> None:
     _check_finite(*_patch_values(ds.patch), *ds.arrays.values())
-    try:  # allow_nan=False: bare NaN or Infinity would make a file the reader refuses
+    try:
+        _check_provenance(ds.provenance)
         provenance = ("" if ds.provenance is None else
-                      f',\n  "provenance": {json.dumps(ds.provenance, sort_keys=True, allow_nan=False)}')
-    except ValueError:
-        raise DatasetFormatError("cannot serialize non-finite value") from None
+                      f',\n  "provenance": {json.dumps(ds.provenance, sort_keys=True)}')
+    except RecursionError:  # nested past the recursion limit, which the reader refuses too
+        raise DatasetFormatError("cannot serialize provenance: nested too deeply") from None
     except TypeError as exc:  # a value json has no form for, such as a set
         raise DatasetFormatError(f"cannot serialize provenance: {exc}") from None
     _write_text(path, itertools.chain(

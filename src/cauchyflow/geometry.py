@@ -31,6 +31,7 @@ Conventions:
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -56,6 +57,14 @@ _EPS = float(np.finfo(float).eps)
 # room for the bisections a noisy or flat abscissa forces (a bracket of
 # 1e-5 halves to roundoff in about 40)
 _INVERT_MAX_STEPS = 100
+
+
+def positive_finite(name: str, value) -> float:
+    """`value` as a float; ValueError unless an int or float (numpy's too) in (0, float max]."""
+    number = value.item() if isinstance(value, np.generic) else value  # a float32 can't hold max
+    if type(number) not in (int, float) or not 0 < number <= sys.float_info.max:  # 10**400 < inf
+        raise ValueError(f"{name} must be a positive finite number, not {value!r}")
+    return float(number)
 
 
 def theta(gamma_prime):
@@ -166,9 +175,9 @@ class BoundaryPatch:
 
         The checks run in a fixed order, and the first one that fails names
         the fault: non-finite x1, gamma, gamma' or mu, in that order; mu <= 0;
-        h <= 0; a grid that is not uniform; then, if `max_slope` is given,
-        a bound that is not a positive finite number, and |gamma'| above it.
-        Both conversions call it once, before they convert.
+        h <= 0; a grid that is not uniform; then, if `max_slope` is given, a
+        bound that is not a positive finite number, and |gamma'| above it with
+        no slack. Both conversions call it once, before they convert.
         """
         for name in ("x1", "gamma", "gamma_prime", "mu"):
             if not np.all(np.isfinite(getattr(self, name))):
@@ -184,10 +193,8 @@ class BoundaryPatch:
         tol = 1e-14 * h
         if steps.max() - h > tol or h - steps.min() > tol:
             raise ValueError("grid is not uniform")
-        if max_slope is not None:
-            if not 0 < max_slope < math.inf:  # nan, inf and 0 would audit nothing
-                raise ValueError(f"max_slope must be a positive finite number, not {max_slope!r}")
-            if np.max(np.abs(self.gamma_prime)) > max_slope + 1e-10:
+        if max_slope is not None:  # exact, as the partitioner's test
+            if np.max(np.abs(self.gamma_prime)) > positive_finite("max_slope", max_slope):
                 raise ValueError(f"slope bound |gamma'| <= {max_slope} violated")
 
     def interior(self) -> "BoundaryPatch":
@@ -254,22 +261,17 @@ class ParametricCurve:
 
 def circle(radius: float) -> ParametricCurve:
     """Counterclockwise circle of the given radius, centered at the origin."""
-    if not 0 < radius < math.inf:
-        raise ValueError(f"radius must be a positive finite number, not {radius!r}")
+    radius = positive_finite("radius", radius)
     return _conic(radius, radius)
 
 
 def ellipse(a: float, b: float) -> ParametricCurve:
     """Counterclockwise axis-aligned ellipse with semi-axes a and b."""
-    for name, value in (("a", a), ("b", b)):
-        if not 0 < value < math.inf:
-            raise ValueError(f"semi-axis {name} must be a positive finite number, not {value!r}")
-    return _conic(a, b)
+    return _conic(positive_finite("semi-axis a", a), positive_finite("semi-axis b", b))
 
 
 def _conic(a, b) -> ParametricCurve:
     """(a cos 2 pi t, b sin 2 pi t) with its velocity; circle and ellipse check a, b."""
-    a, b = float(a), float(b)
     two_pi = 2.0 * np.pi
 
     def position(t):
@@ -347,8 +349,7 @@ def partition_curve(curve: ParametricCurve, max_slope: float = 1.0,
     fail the closure check or whose tangent does not turn exactly once, and a
     max_slope too small for the curve's turn between tangent samples.
     """
-    if not 0 < max_slope < math.inf:
-        raise ValueError("max_slope must be a positive finite number")
+    max_slope = positive_finite("max_slope", max_slope)
     if not 0.0 <= overlap_fraction < 0.5:
         raise ValueError("overlap_fraction must lie in [0, 0.5)")
     if nodes_per_patch < 2 * MARGIN + 1:

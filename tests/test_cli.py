@@ -270,6 +270,30 @@ def test_convert_minimal_patch_too_short_to_restrict(tmp_path, capsys):
                     "error: patch too short to restrict: needs at least 6 nodes\n"
 
 
+@pytest.mark.parametrize("nodes", [3, 5])
+@pytest.mark.parametrize("direction", ["stress-to-dn", "dn-to-stress"])
+def test_convert_refuses_a_patch_too_short_to_restrict_before_converting(
+        tmp_path, capsys, monkeypatch, direction, nodes):
+    def conversion(*args):
+        raise AssertionError("a patch too short to restrict was converted")
+
+    src = generate_trig(tmp_path, "graph:poly:0,0.2", 5)
+    doc = json.loads(src.read_text())  # 3 nodes: the file generate cannot write
+    for arrays in (doc["patch"], doc):
+        for key in ("x1_nodes", "gamma", "gamma_prime", "mu", "u1", "u2", "dnu1", "dnu2", "p",
+                    "t1", "t2"):
+            if key in arrays:
+                arrays[key] = arrays[key][:nodes]
+    src.write_text(json.dumps(doc))
+    monkeypatch.setattr("cauchyflow.transform.stress_to_dn", conversion)
+    monkeypatch.setattr("cauchyflow.transform.dn_to_stress", conversion)
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    assert run(["convert", direction, "--in", src, "--out", out, "--residual-tol", "1"]) == 3
+    assert capsys.readouterr().err == "error: patch too short to restrict: needs at least 6 nodes\n"
+    assert not out.exists()
+
+
 def test_convert_flags_non_divergence_free_input(tmp_path, capsys):
     patch = flat_patch(64)
     x = patch.x1
@@ -561,7 +585,9 @@ def test_malformed_limits_exit_3(tmp_path, capsys, command, option, value):
         args = ["verify", src]
     capsys.readouterr()
     assert run([*args, f"{option}={value}"]) == 3
-    assert option in capsys.readouterr().err
+    # --max-slope in the line partition and generate print for it
+    rule = {"--residual-tol": "a non-negative number, got", "--max-slope": "a positive finite number, not"}
+    assert capsys.readouterr() == ("", f"error: {option} must be {rule[option]} {float(value)!r}\n")
     assert not (tmp_path / "out.json").exists()
 
 
@@ -656,7 +682,7 @@ def test_verify_bad_recorded_slope_bound_exits_3(tmp_path, capsys, value):
     capsys.readouterr()
     assert run(["verify", src]) == 3
     assert capsys.readouterr().err == (
-        f"error: provenance max_slope must be a positive finite number, got {value!r}\n")
+        f"error: provenance max_slope must be a positive finite number, not {value!r}\n")
     assert run(["verify", src, "--max-slope", 1]) == 0
 
 
@@ -833,8 +859,9 @@ def test_output_in_missing_directory_exits_3(tmp_path, capsys, command):
      "--x1-range must be two numbers LO,HI, got 'a,b'"),
     (["--curve", "graph:poly:0,0.2", "--x1-range=1,2,3"],
      "--x1-range must be two numbers LO,HI, got '1,2,3'"),
-    (["--curve", "circle:1", "--max-slope", "inf"], "--max-slope must be a positive finite number"),
-    (["--curve", "circle:1", "--max-slope", "0"], "--max-slope must be a positive finite number"),
+    (["--curve", "circle:1", "--max-slope", "inf"],
+     "--max-slope must be a positive finite number, not inf"),
+    (["--curve", "circle:1", "--max-slope", "0"], "--max-slope must be a positive finite number, not 0.0"),
     (["--curve", "circle:1", "--overlap", "0.5"], "--overlap must lie in [0, 0.5)"),
     (["--curve", "circle:1", "--nodes", "4"], "--nodes must be at least 5"),
 ], ids=["poly-nan", "poly-inf", "poly-overflow", "range-overflow", "range-inf", "range-empty",
@@ -886,7 +913,7 @@ def test_partition_invalid_slope(tmp_path, capsys):
     code = run(["partition", "--curve", "circle:1.0", "--max-slope", 0,
                 "--out", tmp_path / "p.json"])
     assert code == 3
-    assert capsys.readouterr().err == "error: --max-slope must be a positive finite number\n"
+    assert capsys.readouterr().err == "error: --max-slope must be a positive finite number, not 0.0\n"
 
 
 @pytest.mark.parametrize("spec, slope, why", [

@@ -308,15 +308,59 @@ def test_non_finite_provenance_rejected_on_write(tmp_path, bad):
     assert not (tmp_path / "p.json").exists()
 
 
+def _nested(depth, inner=None):
+    value = {} if inner is None else inner
+    for _ in range(depth):
+        value = {"a": value}
+    return value
+
+
+def _containing_itself():
+    value = {"note": "x", "grid": [1]}
+    value["grid"].append({"up": value})
+    return value
+
+
+def _list_containing_itself():
+    grid = [1.5]
+    grid.append([grid])
+    return {"grid": grid}
+
+
 @pytest.mark.parametrize("provenance, message", [
     ([1, 2], "provenance must be an object"),
     ({1: "a", "b": 2}, "provenance must be an object"),
     ({"a": {1}}, "cannot serialize provenance: Object of type set is not JSON serializable"),
-], ids=["list", "integer key", "set value"])
+    # nested faults: none of these would read back as written
+    ({"a": {1: 2}}, "cannot serialize provenance: key 1 is not a string"),
+    ({"b": "c", "a": [{"d": {None: 2, "e": 1}}]}, "cannot serialize provenance: key None is not a string"),
+    ({"a": (1, 2)}, "cannot serialize provenance: a tuple would read back as a list"),
+    ({"a": [[1, (2,)]]}, "cannot serialize provenance: a tuple would read back as a list"),
+    ({"a": [1.0, {"b": float("nan")}]}, "cannot serialize non-finite value"),
+    (_nested(5000), "cannot serialize provenance: nested too deeply"),
+    (_containing_itself(), "cannot serialize provenance: it contains itself"),
+    (_list_containing_itself(), "cannot serialize provenance: it contains itself"),
+], ids=["list", "integer key", "set value", "nested integer key", "nested null key", "tuple",
+        "nested tuple", "nested nan", "5000 deep", "object containing itself", "list containing itself"])
 def test_provenance_the_reader_refuses_is_never_written(tmp_path, provenance, message):
     with pytest.raises(DatasetFormatError, match="^" + re.escape(message) + "$"):
         write_dataset(tmp_path / "p.json", _sample_dataset(kind="stress", provenance=provenance))
     assert not (tmp_path / "p.json").exists()
+
+
+def _sharing_a_list():
+    grid = [1, [2.5]]  # in two places, but inside neither
+    return {"a": grid, "b": {"c": grid}}
+
+
+@pytest.mark.parametrize("provenance", [
+    {"grid": [[1, 2], [3.5, [-4]]], "flags": [True, False, None], "big": 10 ** 400, "zero": -0.0},
+    _sharing_a_list(),
+    _nested(100, [["x"]]),
+], ids=["values", "shared list", "100 deep"])
+def test_provenance_reads_back_as_written(tmp_path, provenance):
+    write_dataset(tmp_path / "p.json", _sample_dataset(kind="stress", provenance=provenance))
+    assert read_dataset(tmp_path / "p.json").provenance == provenance
 
 
 def test_dataset_read_parses_one_array_at_a_time(tmp_path):

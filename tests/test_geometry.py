@@ -1,3 +1,5 @@
+import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -343,6 +345,50 @@ def test_partition_rejects_bad_parameters():
         partition_curve(circle(1.0), overlap_fraction=0.5)
     with pytest.raises(ValueError):
         partition_curve(circle(1.0), nodes_per_patch=4)
+
+
+NOT_POSITIVE_FINITE = {"zero": 0, "negative": -2.5, "nan": float("nan"), "inf": float("inf"),
+                       "numpy-inf": np.float64(np.inf), "huge-int": 10 ** 400, "string": "2",
+                       "bool": True, "numpy-bool": np.True_, "none": None, "complex": 2j}
+
+
+@pytest.mark.parametrize("value", NOT_POSITIVE_FINITE.values(), ids=list(NOT_POSITIVE_FINITE))
+def test_bounds_and_curve_sizes_share_one_positive_finite_rule(value):
+    calls = [("radius", lambda: circle(value)),
+             ("semi-axis a", lambda: ellipse(value, 1.0)),
+             ("semi-axis b", lambda: ellipse(1.0, value)),
+             ("max_slope", lambda: partition_curve(circle(1.0), max_slope=value))]
+    if value is not None:  # validate's default, which audits no bound
+        calls.append(("max_slope", lambda: graph_patch(0.0, 0.0, 0.0, 1.0, 8).validate(max_slope=value)))
+    for name, call in calls:
+        message = f"{name} must be a positive finite number, not {value!r}"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            call()
+
+
+@pytest.mark.parametrize("value", [2, 2.0, np.float64(2.0), np.float32(2.0), np.int64(2)],
+                         ids=["int", "float", "float64", "float32", "int64"])
+def test_bounds_and_curve_sizes_accept_real_numbers(value):
+    assert type(geometry.positive_finite("x", value)) is float
+    assert circle(value).position(0.0) == circle(2.0).position(0.0)
+    assert ellipse(value, 1.0).position(0.0) == ellipse(2.0, 1.0).position(0.0)
+    patches = partition_curve(circle(1.0), max_slope=value, nodes_per_patch=16)
+    for patch, want in zip(patches, partition_curve(circle(1.0), max_slope=2.0, nodes_per_patch=16),
+                           strict=True):
+        assert np.array_equal(patch.gamma_prime, want.gamma_prime)
+        patch.validate(max_slope=value)
+    assert geometry.positive_finite("x", sys.float_info.max) == sys.float_info.max
+
+
+@pytest.mark.parametrize("bound", [1.0, 0.3, 2.5, 1e-300, 1e300])
+def test_validate_audits_the_slope_bound_exactly(bound):
+    # no slack: the partitioner's own test, so a patch at the bound passes and one a float above fails
+    gamma_prime = np.zeros(8)
+    gamma_prime[3] = -bound
+    graph_patch(0.0, gamma_prime, 0.0, 1.0, 8).validate(max_slope=bound)
+    gamma_prime[3] = -np.nextafter(bound, np.inf)
+    with pytest.raises(ValueError, match="^" + re.escape(f"slope bound |gamma'| <= {bound} violated") + "$"):
+        graph_patch(0.0, gamma_prime, 0.0, 1.0, 8).validate(max_slope=bound)
 
 
 def test_partition_rejects_open_curve_marked_closed():

@@ -250,3 +250,11 @@ def test_oracle_rotates_without_einsum(monkeypatch):
     flow, pres, visc = FLOWS["trig"], PRESSURES["trig"], VISCOSITIES["variable"]
     for patch in partition_curve(ellipse(2.0, 1.0), nodes_per_patch=16):
         evaluate_traces(flow, pres, visc, patch)
+
+
+def test_evaluate_traces_refuses_an_oracle_value_that_overflows():
+    # the cubic flow's velocity overflows on a radius-1e200 circle
+    patch = partition_curve(circle(1e200), nodes_per_patch=16)[0]
+    with pytest.raises(ValueError, match="^cannot serialize non-finite value: oracle value u1 is "
+                                         "not finite on the patch$"):
+        evaluate_traces(FLOWS["cubic"], PRESSURES["linear"], VISCOSITIES["unit"], patch)

@@ -352,6 +352,8 @@ REFUSALS = {
                                    "grid span too small for the requested node count"),
     "patch lengths": (lambda: BoundaryPatch(0.0, np.arange(4.0), np.zeros(3), np.zeros(4), np.ones(4)),
                       "patch arrays must share the grid length"),
+    "one-node patch": (lambda: BoundaryPatch(0.0, [0.0], [0.0], [0.0], [1.0]),
+                       "patch needs at least 2 nodes"),
     "patch orientation": (lambda: BoundaryPatch(0.0, np.arange(4.0), np.zeros(4), np.zeros(4),
                                                 np.ones(4), "left"),
                           "orientation must be one of ('below', 'above')"),
