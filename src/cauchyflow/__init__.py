@@ -8,8 +8,8 @@ manufactured-solution oracles, and a batch CLI.
 """
 
 _MODULES = {  # public names by module; each loads with its module on first use (PEP 562)
-    "dataio": "Dataset DatasetFormatError dataset_from_traces read_dataset read_patch_set "
-              "write_csv write_dataset write_patch_set",
+    "dataio": "Dataset DatasetFormatError dataset_from_traces read_dataset write_csv "
+              "write_dataset write_patch_set",
     "geometry": "MARGIN ORIENTATIONS BoundaryPatch FrameRotation ParametricCurve circle ellipse "
                 "graph_curve graph_patch normal_at partition_curve polynomial_graph "
                 "rotate_vector_trace theta uniform_grid",

@@ -54,8 +54,10 @@ def parse_curve_spec(spec: str, x1_range: str = "-1,1") -> geometry.ParametricCu
         if head == "circle":
             return geometry.circle(float(rest))
         if head == "ellipse":
-            a, b = (float(v) for v in rest.split(","))
-            return geometry.ellipse(a, b)
+            axes = [float(v) for v in rest.split(",")]
+            if len(axes) != 2:
+                raise ValueError("ellipse specs take the form ellipse:A,B")
+            return geometry.ellipse(*axes)
         if head == "graph":
             sub, _, coeff_text = rest.partition(":")
             if sub != "poly" or not coeff_text:

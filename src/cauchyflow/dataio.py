@@ -9,6 +9,11 @@ each number array is formatted _ARRAY_VALUES values at a time, and a CSV
 file _CSV_ROWS rows at a time, so a write holds one block's text. Data a
 write refuses, such as a non-finite value, are refused before the file
 is opened, so they create no file.
+BoundaryPatch and Dataset judge what they hold, for the writer and the
+reader alike: a patch's array lengths, orientation and node count; a
+dataset's data_kind, arrays and provenance (_check_provenance). The
+reader adds only the format's own rules: encoding, JSON syntax, number
+types and range, the patch key set, format_version, data_kind, stored h.
 Reads stream too: the file is read through a window of text that drops
 what is parsed, and a number array is decoded to floats a window of text
 at a time, so a read holds one window's text and list beside the float
@@ -24,9 +29,9 @@ Dataset schema (format_version 1):
       "u1", "u2",                      always present
       "dnu1", "dnu2", "p",             for kinds "dn" and "both"
       "t1", "t2",                      for kinds "stress" and "both"
-      "provenance": {...}              optional: JSON objects, lists, strings,
-                                       finite numbers, booleans and null, with
-                                       string keys, that read back as written
+      "provenance": {...}              optional: JSON objects with string keys,
+                                       lists, strings, finite numbers, booleans
+                                       and null, at most 200 containers deep
     }
 """
 
@@ -40,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ORIENTATIONS, BoundaryPatch
+from .geometry import BoundaryPatch
 from .traces import ScalarTrace, VectorTrace
 from .transform import CauchyDN, CauchyStress, _on_grid
 
@@ -59,6 +64,7 @@ _NUMBER_ARRAYS = frozenset(_PATCH_KEYS[3:] + _KIND_ARRAYS["both"])
 _CSV_ROWS = 1024  # CSV rows formatted per write
 _ARRAY_VALUES = 4096  # JSON array values formatted per write
 _CHUNK_CHARS = 1 << 16  # characters a read adds to its window, at least
+_PROVENANCE_DEPTH = 200  # containers in a provenance, itself included; far below any recursion limit
 
 
 class DatasetFormatError(ValueError):
@@ -95,10 +101,9 @@ class Dataset:
                 object.__setattr__(self, name, arr)
             elif value is not None:
                 raise DatasetFormatError(f"array {name!r} is inconsistent with data_kind {self.data_kind!r}")
-        # what the reader accepts: a JSON object, whose keys are strings
-        if self.provenance is not None and not (isinstance(self.provenance, dict)
-                                                and all(isinstance(k, str) for k in self.provenance)):
+        if not isinstance(self.provenance, (dict, type(None))):
             raise DatasetFormatError("provenance must be an object")
+        _check_provenance(self.provenance)
 
     @property
     def arrays(self) -> dict:
@@ -178,37 +183,38 @@ def _patch_chunks(lead: str, patch: BoundaryPatch, indent: str):
 
 
 def _check_provenance(value, outer=()) -> None:
-    """Raise DatasetFormatError unless json writes `value` as the reader reads it back.
+    """Raise DatasetFormatError unless `value` is a JSON value as the reader makes it.
 
     json writes a tuple as a list, a key that is not a string as a string and a
     non-finite float bare; `outer` holds the ids of the containers around `value`.
     """
-    if isinstance(value, float) and not math.isfinite(value):
-        raise DatasetFormatError("cannot serialize non-finite value")
-    if isinstance(value, tuple):
-        raise DatasetFormatError("cannot serialize provenance: a tuple would read back as a list")
-    if not isinstance(value, (dict, list)):
+    if type(value) not in (dict, list, str, int, float, bool, type(None)):
+        raise DatasetFormatError(f"provenance holds a value of type {type(value).__name__}, not a JSON value")
+    if type(value) is float and not math.isfinite(value):
+        raise DatasetFormatError("provenance holds a non-finite number")
+    if type(value) is int:
+        try:
+            repr(value)
+        except ValueError:  # more digits than int() converts, so the reader refuses it too
+            raise DatasetFormatError("provenance holds an integer with too many digits to write") from None
+    if type(value) not in (dict, list):
         return
     if id(value) in outer:
-        raise DatasetFormatError("cannot serialize provenance: it contains itself")
-    if isinstance(value, dict):
-        for key in value:
-            if not isinstance(key, str):
-                raise DatasetFormatError(f"cannot serialize provenance: key {key!r} is not a string")
-    for item in value.values() if isinstance(value, dict) else value:
+        raise DatasetFormatError("provenance contains itself")
+    if len(outer) == _PROVENANCE_DEPTH:
+        raise DatasetFormatError(f"provenance is nested more than {_PROVENANCE_DEPTH} deep")
+    for key in value if type(value) is dict else ():
+        if type(key) is not str:
+            raise DatasetFormatError(f"provenance key {key!r} is not a string")
+    for item in value.values() if type(value) is dict else value:
         _check_provenance(item, (*outer, id(value)))
 
 
 def write_dataset(path, ds: Dataset) -> None:
     _check_finite(*_patch_values(ds.patch), *ds.arrays.values())
-    try:
-        _check_provenance(ds.provenance)
-        provenance = ("" if ds.provenance is None else
-                      f',\n  "provenance": {json.dumps(ds.provenance, sort_keys=True)}')
-    except RecursionError:  # nested past the recursion limit, which the reader refuses too
-        raise DatasetFormatError("cannot serialize provenance: nested too deeply") from None
-    except TypeError as exc:  # a value json has no form for, such as a set
-        raise DatasetFormatError(f"cannot serialize provenance: {exc}") from None
+    _check_provenance(ds.provenance)  # again: the dict may have changed since the Dataset was built
+    provenance = ("" if ds.provenance is None else
+                  f',\n  "provenance": {json.dumps(ds.provenance, sort_keys=True)}')
     _write_text(path, itertools.chain(
         _patch_chunks(f'{{\n  "format_version": {FORMAT_VERSION},\n  "patch": ', ds.patch, "  "),
         [f',\n  "data_kind": {json.dumps(ds.data_kind)},\n'], _array_chunks("  ", ds.arrays.items()),
@@ -424,33 +430,22 @@ def _floats(values, key) -> np.ndarray:
     raise DatasetFormatError(f"field {key!r} holds a number beyond the float range")
 
 
-def _number_array(doc, key, length=None):
+def _number_array(doc, key):
     arr = doc.get(key)  # _value made every number array a float array
     if not isinstance(arr, np.ndarray):
         raise DatasetFormatError(f"field {key!r} must be a numeric array")
-    if length is not None and arr.shape != (length,):
-        raise DatasetFormatError(f"field {key!r} has the wrong length")
     return arr
 
 
 def _patch_from_doc(doc) -> BoundaryPatch:
     if not isinstance(doc, dict) or set(doc) != set(_PATCH_KEYS):
         raise DatasetFormatError("patch object must carry exactly the patch fields")
-    if doc["orientation"] not in ORIENTATIONS:
-        raise DatasetFormatError("patch orientation must be 'below' or 'above'")
     frame_angle, h = (float(_floats([doc[key]], key)[0]) for key in ("frame_angle", "h"))
-    x1 = _number_array(doc, "x1_nodes")
-    n = x1.shape[0]
-    if n < 2:
-        raise DatasetFormatError("patch needs at least 2 nodes")
-    patch = BoundaryPatch(
-        frame_angle,
-        x1,
-        _number_array(doc, "gamma", n),
-        _number_array(doc, "gamma_prime", n),
-        _number_array(doc, "mu", n),
-        doc["orientation"],
-    )
+    arrays = [_number_array(doc, key) for key in _PATCH_KEYS[3:]]
+    try:
+        patch = BoundaryPatch(frame_angle, *arrays, doc["orientation"])
+    except ValueError as exc:
+        raise DatasetFormatError(str(exc)) from None
     if not math.isclose(patch.h, h, rel_tol=1e-12, abs_tol=0.0):
         raise DatasetFormatError("stored spacing h disagrees with the x1 grid")
     return patch
@@ -462,7 +457,7 @@ def read_dataset(path) -> Dataset:
     if kind not in DATA_KINDS:
         raise DatasetFormatError(f"unknown data_kind {kind!r}")
     patch = _patch_from_doc(doc.get("patch"))
-    arrays = {name: _number_array(doc, name, patch.n) for name in _KIND_ARRAYS[kind]}
+    arrays = {name: _number_array(doc, name) for name in _KIND_ARRAYS[kind]}
     return Dataset(patch=patch, data_kind=kind, provenance=doc.get("provenance"), **arrays)
 
 
@@ -477,14 +472,6 @@ def write_patch_set(path, patches) -> None:
         yield "\n  ]\n}\n"
 
     _write_text(path, chunks())
-
-
-def read_patch_set(path) -> list[BoundaryPatch]:
-    doc = _load_json(path)
-    items = doc.get("patches")
-    if not isinstance(items, list) or not items:
-        raise DatasetFormatError("patch-set document must carry a non-empty patch list")
-    return [_patch_from_doc(item) for item in items]
 
 
 def write_csv(path, ds: Dataset) -> None:

@@ -151,12 +151,13 @@ class BoundaryPatch:
             object.__setattr__(self, name, np.atleast_1d(np.asarray(getattr(self, name), dtype=float)))
         object.__setattr__(self, "frame_angle", float(self.frame_angle))
         n = self.x1.shape[0]
-        if any(getattr(self, name).shape != (n,) for name in ("gamma", "gamma_prime", "mu")):
-            raise ValueError("patch arrays must share the grid length")
-        if self.orientation not in ORIENTATIONS:
-            raise ValueError(f"orientation must be one of {ORIENTATIONS}")
         if n < 2:
             raise ValueError("patch needs at least 2 nodes")
+        for name in ("gamma", "gamma_prime", "mu"):
+            if getattr(self, name).shape != (n,):
+                raise ValueError(f"patch array {name} does not match the x1 grid")
+        if self.orientation not in ORIENTATIONS:
+            raise ValueError(f"orientation must be one of {ORIENTATIONS}")
 
     @property
     def n(self) -> int:

@@ -4,13 +4,22 @@ import math
 
 import numpy as np
 
-from cauchyflow import (FrameRotation, graph_patch, normal_at, theta,
-                        AnalyticFlow, AnalyticScalarField)
+from cauchyflow import (BoundaryPatch, DatasetFormatError, FrameRotation, graph_patch, normal_at,
+                        theta, AnalyticFlow, AnalyticScalarField)
+from cauchyflow import dataio
 
 
 # file contents no reader can parse, each with a phrase of the error it gives
 UNREADABLE_FILES = {"not-utf8": (b"\xff\xfe\x00garbage", "not UTF-8 text"),
                     "nested-200000-deep": (b"[" * 200_000 + b"]" * 200_000, "nested too deeply")}
+
+
+def read_patch_set(path) -> list[BoundaryPatch]:
+    doc = dataio._load_json(path)
+    items = doc.get("patches")
+    if not isinstance(items, list) or not items:
+        raise DatasetFormatError("patch-set document must carry a non-empty patch list")
+    return [dataio._patch_from_doc(item) for item in items]
 
 
 def flat_patch(n=68, lo=-1.0, hi=1.0, mu=1.0, orientation="below"):

@@ -82,6 +82,15 @@ def test_generate_malformed_curve(tmp_path):
         assert code == 3, spec
 
 
+@pytest.mark.parametrize("command", ["generate", "partition"])
+@pytest.mark.parametrize("spec", ["ellipse:1", "ellipse:1,2,3"])
+def test_ellipse_spec_needs_two_axes(tmp_path, capsys, command, spec):
+    assert partition_or_generate(command, spec, tmp_path / "x.json") == 3
+    assert capsys.readouterr().err == (
+        f"error: malformed curve spec {spec!r}: ellipse specs take the form ellipse:A,B\n")
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_generate_overflow_exits_3_without_traceback(tmp_path):
     # the cubic flow overflows on a radius-1e200 circle; the writer refuses inf
     env = os.environ | {"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
@@ -291,6 +300,26 @@ def test_convert_refuses_a_patch_too_short_to_restrict_before_converting(
     capsys.readouterr()
     assert run(["convert", direction, "--in", src, "--out", out, "--residual-tol", "1"]) == 3
     assert capsys.readouterr().err == "error: patch too short to restrict: needs at least 6 nodes\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("direction", ["stress-to-dn", "dn-to-stress"])
+def test_non_finite_provenance_is_refused_on_read(tmp_path, capsys, monkeypatch, direction):
+    # 1e400 reads as inf, which no file can hold; verify passed it, and convert
+    # ran the whole conversion before the writer refused it
+    def conversion(*args):
+        raise AssertionError("a file the reader refuses was converted")
+
+    src = generate_couette(tmp_path)
+    src.write_text(src.read_text().replace('"flow": "couette"', '"flow": 1e400'))
+    capsys.readouterr()
+    assert run(["verify", src]) == 3
+    assert capsys.readouterr() == ("", "error: provenance holds a non-finite number\n")
+    monkeypatch.setattr("cauchyflow.transform.stress_to_dn", conversion)
+    monkeypatch.setattr("cauchyflow.transform.dn_to_stress", conversion)
+    out = tmp_path / "out.json"
+    assert run(["convert", direction, "--in", src, "--out", out]) == 3
+    assert capsys.readouterr() == ("", "error: provenance holds a non-finite number\n")
     assert not out.exists()
 
 
@@ -1090,7 +1119,7 @@ except AttributeError as exc:
 print(json.dumps([names, same, sorted(set(names) - set(dir(cauchyflow))), missing]))
 """)
     names, same, undir, missing = found
-    assert len(names) == 46 and names == sorted(names)
+    assert len(names) == 45 and names == sorted(names)
     assert same
     assert undir == []
     assert missing == "module 'cauchyflow' has no attribute 'nosuch'"

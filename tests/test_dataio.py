@@ -1,4 +1,6 @@
+import concurrent.futures
 import csv
+import dataclasses
 import json
 import random
 import re
@@ -11,11 +13,10 @@ from hypothesis import strategies as st
 
 from cauchyflow import (BoundaryPatch, Dataset, DatasetFormatError, dataset_from_traces,
                         evaluate_traces, graph_patch, partition_curve, circle, read_dataset,
-                        read_patch_set, write_csv, write_dataset,
-                        write_patch_set, FLOWS, PRESSURES, VISCOSITIES)
+                        write_csv, write_dataset, write_patch_set, FLOWS, PRESSURES, VISCOSITIES)
 from cauchyflow import dataio
 from cauchyflow.cli import main
-from helpers import UNREADABLE_FILES, sine_patch
+from helpers import UNREADABLE_FILES, read_patch_set, sine_patch
 
 
 def _sample_dataset(n=16, kind="both", provenance=None):
@@ -150,8 +151,10 @@ def test_malformed_documents_rejected(tmp_path, capsys):
             (text + " {}", "Extra data"),
             (replaced("patch", {}), "patch object must carry exactly the patch fields"),
             (replaced("u1", {"0": 1.0}), "field 'u1' must be a numeric array"),
-            (replaced("orientation", "left", in_patch=True), "patch orientation must be 'below' or 'above'"),
+            (replaced("orientation", "left", in_patch=True), "orientation must be one of ('below', 'above')"),
             (replaced("x1_nodes", [0.0], in_patch=True), "patch needs at least 2 nodes"),
+            (replaced("gamma", doc["patch"]["gamma"][:-1], in_patch=True),
+             "patch array gamma does not match the x1 grid"),
             (replaced("h", 1.5 * doc["patch"]["h"], in_patch=True), "stored spacing h disagrees"),
             (replaced("provenance", ["a"]), "provenance must be an object")]):
         bad = tmp_path / f"r{k}.json"
@@ -301,9 +304,13 @@ def test_arrays_write_as_one_list_in_any_block(tmp_path, monkeypatch, block, n):
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_non_finite_provenance_rejected_on_write(tmp_path, bad):
-    # json.dumps would write a bare NaN or Infinity, which the reader refuses
-    ds = _sample_dataset(kind="stress", provenance={"max_slope": bad})
-    with pytest.raises(DatasetFormatError, match="non-finite"):
+    # json.dumps would write a bare NaN or Infinity, which the reader refuses;
+    # the Dataset refuses it when it is built, and the writer when it is put in later
+    with pytest.raises(DatasetFormatError, match="^provenance holds a non-finite number$"):
+        _sample_dataset(kind="stress", provenance={"max_slope": bad})
+    ds = _sample_dataset(kind="stress", provenance={"max_slope": 1.0})
+    ds.provenance["max_slope"] = bad
+    with pytest.raises(DatasetFormatError, match="^provenance holds a non-finite number$"):
         write_dataset(tmp_path / "p.json", ds)
     assert not (tmp_path / "p.json").exists()
 
@@ -329,23 +336,74 @@ def _list_containing_itself():
 
 @pytest.mark.parametrize("provenance, message", [
     ([1, 2], "provenance must be an object"),
-    ({1: "a", "b": 2}, "provenance must be an object"),
-    ({"a": {1}}, "cannot serialize provenance: Object of type set is not JSON serializable"),
+    ({1: "a", "b": 2}, "provenance key 1 is not a string"),
+    ({"a": {1}}, "provenance holds a value of type set, not a JSON value"),
     # nested faults: none of these would read back as written
-    ({"a": {1: 2}}, "cannot serialize provenance: key 1 is not a string"),
-    ({"b": "c", "a": [{"d": {None: 2, "e": 1}}]}, "cannot serialize provenance: key None is not a string"),
-    ({"a": (1, 2)}, "cannot serialize provenance: a tuple would read back as a list"),
-    ({"a": [[1, (2,)]]}, "cannot serialize provenance: a tuple would read back as a list"),
-    ({"a": [1.0, {"b": float("nan")}]}, "cannot serialize non-finite value"),
-    (_nested(5000), "cannot serialize provenance: nested too deeply"),
-    (_containing_itself(), "cannot serialize provenance: it contains itself"),
-    (_list_containing_itself(), "cannot serialize provenance: it contains itself"),
+    ({"a": {1: 2}}, "provenance key 1 is not a string"),
+    ({"b": "c", "a": [{"d": {None: 2, "e": 1}}]}, "provenance key None is not a string"),
+    ({"a": (1, 2)}, "provenance holds a value of type tuple, not a JSON value"),
+    ({"a": [[1, (2,)]]}, "provenance holds a value of type tuple, not a JSON value"),
+    ({"a": [1.0, {"b": float("nan")}]}, "provenance holds a non-finite number"),
+    (_nested(5000), "provenance is nested more than 200 deep"),
+    (_containing_itself(), "provenance contains itself"),
+    (_list_containing_itself(), "provenance contains itself"),
+    ({"a": [1, {"b": np.int64(3)}]}, "provenance holds a value of type int64, not a JSON value"),
 ], ids=["list", "integer key", "set value", "nested integer key", "nested null key", "tuple",
-        "nested tuple", "nested nan", "5000 deep", "object containing itself", "list containing itself"])
-def test_provenance_the_reader_refuses_is_never_written(tmp_path, provenance, message):
+        "nested tuple", "nested nan", "5000 deep", "object containing itself", "list containing itself",
+        "numpy integer"])
+def test_provenance_the_reader_refuses_is_never_written(provenance, message):
+    # the Dataset refuses it when it is built, so no writer is given it
     with pytest.raises(DatasetFormatError, match="^" + re.escape(message) + "$"):
-        write_dataset(tmp_path / "p.json", _sample_dataset(kind="stress", provenance=provenance))
-    assert not (tmp_path / "p.json").exists()
+        _sample_dataset(kind="stress", provenance=provenance)
+
+
+def test_writer_and_reader_agree_at_every_provenance_depth(tmp_path):
+    # a provenance of `depth` objects is written exactly when the reader reads
+    # it back from a hand-written file. Each depth runs on a new thread, whose
+    # stack starts almost empty: called so, a provenance nested about 990 deep
+    # was once written and then refused on read as nested too deeply
+    base = _sample_dataset(n=8, kind="stress")
+    out, hand = tmp_path / "written.json", tmp_path / "hand.json"
+    write_dataset(hand, base)
+    head = hand.read_text()[:-3] + ',\n  "provenance": '
+
+    def written_and_read(depth):
+        provenance = _nested(depth - 1)
+        hand.write_text(head + '{"a": ' * (depth - 1) + "{}" + "}" * (depth - 1) + "\n}\n")
+        try:
+            write_dataset(out, dataclasses.replace(base, provenance=provenance))
+            written = out.exists()
+            out.unlink()
+        except DatasetFormatError:
+            written = out.exists()
+        try:
+            return written, read_dataset(hand).provenance == provenance
+        except DatasetFormatError:
+            return written, False
+
+    depths = [*range(1, 1001), 5000]
+    with concurrent.futures.ThreadPoolExecutor(1) as pool:
+        found = {depth: pool.submit(written_and_read, depth).result() for depth in depths}
+    assert found == {depth: (depth <= dataio._PROVENANCE_DEPTH,) * 2 for depth in depths}
+
+
+def test_writer_and_reader_refuse_the_same_provenance_numbers(tmp_path):
+    # 1e400 reads as inf, and json writes inf bare; an integer of 4301
+    # digits is past the limit int() converts on read and repr on write
+    good = tmp_path / "good.json"
+    write_dataset(good, _sample_dataset(n=8, kind="stress", provenance={"note": "x"}))
+    for literal, value in [("1e400", float("inf")), ("1" * 4301, (10 ** 4301 - 1) // 9)]:
+        hand = tmp_path / "hand.json"
+        hand.write_text(good.read_text().replace('"note": "x"', f'"note": {literal}'))
+        with pytest.raises(DatasetFormatError):
+            read_dataset(hand)
+        with pytest.raises(DatasetFormatError):
+            _sample_dataset(n=8, kind="stress", provenance={"note": value})
+        ds = _sample_dataset(n=8, kind="stress", provenance={"note": "x"})
+        ds.provenance["note"] = value
+        with pytest.raises(DatasetFormatError):
+            write_dataset(tmp_path / "p.json", ds)
+        assert not (tmp_path / "p.json").exists()
 
 
 def _sharing_a_list():

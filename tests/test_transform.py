@@ -351,7 +351,7 @@ REFUSALS = {
     "graph patch without raster": (lambda: graph_patch(0.0, 0.0, 0.0, 1e-320, 2),
                                    "grid span too small for the requested node count"),
     "patch lengths": (lambda: BoundaryPatch(0.0, np.arange(4.0), np.zeros(3), np.zeros(4), np.ones(4)),
-                      "patch arrays must share the grid length"),
+                      "patch array gamma does not match the x1 grid"),
     "one-node patch": (lambda: BoundaryPatch(0.0, [0.0], [0.0], [0.0], [1.0]),
                        "patch needs at least 2 nodes"),
     "patch orientation": (lambda: BoundaryPatch(0.0, np.arange(4.0), np.zeros(4), np.zeros(4),
