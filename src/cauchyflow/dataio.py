@@ -13,7 +13,8 @@ BoundaryPatch and Dataset judge what they hold, for the writer and the
 reader alike: a patch's array lengths, orientation and node count; a
 dataset's data_kind, arrays and provenance (_check_provenance). The
 reader adds only the format's own rules: encoding, JSON syntax, number
-types and range, the patch key set, format_version, data_kind, stored h.
+types and range, the top-level and patch key sets, format_version,
+data_kind, stored h.
 Reads stream too: the file is read through a window of text that drops
 what is parsed, and a number array is decoded to floats a window of text
 at a time, so a read holds one window's text and list beside the float
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import BoundaryPatch
-from .traces import ScalarTrace, VectorTrace
+from .traces import ScalarTrace, VectorTrace, all_finite
 from .transform import CauchyDN, CauchyStress, _on_grid
 
 FORMAT_VERSION = 1
@@ -61,6 +62,7 @@ _KIND_ARRAYS = {
 _CSV_COLUMNS = ("x1", "gamma", "gamma_prime", "mu",
                 "u1", "u2", "dnu1", "dnu2", "p", "t1", "t2")
 _NUMBER_ARRAYS = frozenset(_PATCH_KEYS[3:] + _KIND_ARRAYS["both"])
+_DATASET_KEYS = ("format_version", "patch", "data_kind", *_KIND_ARRAYS["both"], "provenance")
 _CSV_ROWS = 1024  # CSV rows formatted per write
 _ARRAY_VALUES = 4096  # JSON array values formatted per write
 _CHUNK_CHARS = 1 << 16  # characters a read adds to its window, at least
@@ -148,7 +150,7 @@ def dataset_from_traces(patch: BoundaryPatch, dn: CauchyDN | None = None,
 
 def _check_finite(*values) -> None:
     # every value is checked before the file is opened, so a refused write leaves no file
-    if not all(np.isfinite(v).all() for v in values):
+    if not all(map(all_finite, values)):
         raise DatasetFormatError("cannot serialize non-finite value")
 
 
@@ -423,7 +425,7 @@ def _floats(values, key) -> np.ndarray:
         raise DatasetFormatError(f"field {key!r} must hold numbers only")
     try:
         arr = np.asarray(values, dtype=float)
-        if np.all(np.isfinite(arr)):  # a float literal such as 1e400 loads as inf
+        if all_finite(arr):  # a float literal such as 1e400 loads as inf
             return arr
     except OverflowError:  # an integer literal such as 10**400
         pass
@@ -453,11 +455,16 @@ def _patch_from_doc(doc) -> BoundaryPatch:
 
 def read_dataset(path) -> Dataset:
     doc = _load_json(path)
+    for key in doc:
+        if key not in _DATASET_KEYS:
+            raise DatasetFormatError(f"unknown top-level key {key!r}")
     kind = doc.get("data_kind")
     if kind not in DATA_KINDS:
         raise DatasetFormatError(f"unknown data_kind {kind!r}")
     patch = _patch_from_doc(doc.get("patch"))
-    arrays = {name: _number_array(doc, name) for name in _KIND_ARRAYS[kind]}
+    # every array the file holds goes to Dataset, which refuses one its kind does not carry
+    arrays = {name: _number_array(doc, name) for name in _KIND_ARRAYS["both"]
+              if name in doc or name in _KIND_ARRAYS[kind]}
     return Dataset(patch=patch, data_kind=kind, provenance=doc.get("provenance"), **arrays)
 
 

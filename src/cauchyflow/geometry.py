@@ -39,7 +39,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import traces
-from .traces import MARGIN, VectorTrace, blockwise
+from .traces import MARGIN, VectorTrace, all_finite, blockwise
 
 ORIENTATIONS = ("below", "above")
 CURVE_KINDS = ("analytic-closed-form", "open")
@@ -57,6 +57,7 @@ _EPS = float(np.finfo(float).eps)
 # room for the bisections a noisy or flat abscissa forces (a bracket of
 # 1e-5 halves to roundoff in about 40)
 _INVERT_MAX_STEPS = 100
+_STEP_SLICE = 1 << 16  # grid steps validate differences at a time
 
 
 def positive_finite(name: str, value) -> float:
@@ -68,8 +69,12 @@ def positive_finite(name: str, value) -> float:
 
 
 def theta(gamma_prime):
-    """Graph metric factor sqrt(1 + gamma'^2)."""
-    return np.hypot(1.0, np.asarray(gamma_prime, dtype=float))
+    """Graph metric factor sqrt(1 + gamma'^2); np.hypot(1, gamma') where the square overflows."""
+    gp = np.asarray(gamma_prime, dtype=float)
+    with np.errstate(over="ignore"):
+        th = np.sqrt(1.0 + gp * gp)
+    # fmax skips a NaN, which max would return in place of an overflow's inf
+    return np.hypot(1.0, gp) if np.fmax.reduce(th, axis=None, initial=1.0) == np.inf else th
 
 
 @dataclass(frozen=True)
@@ -150,6 +155,8 @@ class BoundaryPatch:
         for name in ("x1", "gamma", "gamma_prime", "mu"):
             object.__setattr__(self, name, np.atleast_1d(np.asarray(getattr(self, name), dtype=float)))
         object.__setattr__(self, "frame_angle", float(self.frame_angle))
+        if self.x1.ndim != 1:
+            raise ValueError("patch array x1 must be one-dimensional")
         n = self.x1.shape[0]
         if n < 2:
             raise ValueError("patch needs at least 2 nodes")
@@ -181,19 +188,20 @@ class BoundaryPatch:
         no slack. Both conversions call it once, before they convert.
         """
         for name in ("x1", "gamma", "gamma_prime", "mu"):
-            if not np.all(np.isfinite(getattr(self, name))):
+            if not all_finite(getattr(self, name)):
                 raise ValueError(f"patch field {name} contains non-finite values")
-        if np.any(self.mu <= 0):
+        if not self.mu.min() > 0:
             raise ValueError("viscosity must be positive at every node")
         h = self.h
         if not h > 0:
             raise ValueError("grid spacing must be positive")
-        # max |step - h| from two reductions and no temporary array: rounding is
+        # max |step - h| from two reductions per slice of steps: rounding is
         # monotone, so it is the larger of max(step) - h and h - min(step)
-        steps = np.diff(self.x1)
         tol = 1e-14 * h
-        if steps.max() - h > tol or h - steps.min() > tol:
-            raise ValueError("grid is not uniform")
+        for i in range(0, self.n - 1, _STEP_SLICE):
+            steps = np.diff(self.x1[i:i + _STEP_SLICE + 1])
+            if steps.max() - h > tol or h - steps.min() > tol:
+                raise ValueError("grid is not uniform")
         if max_slope is not None:  # exact, as the partitioner's test
             if np.max(np.abs(self.gamma_prime)) > positive_finite("max_slope", max_slope):
                 raise ValueError(f"slope bound |gamma'| <= {max_slope} violated")
@@ -231,12 +239,12 @@ def normal_at(gamma_prime, orientation: str = "below") -> np.ndarray:
 def _frame(gamma_prime, orientation):
     """Unit tangent (c, c gamma') and outward normal s c (-gamma', 1), c = 1/theta.
 
-    s = -1 on a domain-above patch, so the orientation flips signs alone.
+    s = -1 on a domain-above patch, so the orientation flips signs alone; the
+    normal shares one array with the tangent, which no caller writes to.
     """
-    s = -1.0 if orientation == "above" else 1.0
     c = 1.0 / theta(gamma_prime)
     w = c * gamma_prime
-    return c, w, -s * w, s * c
+    return (c, w, w, -c) if orientation == "above" else (c, w, -w, c)
 
 
 @dataclass(frozen=True)
@@ -360,7 +368,7 @@ def partition_curve(curve: ParametricCurve, max_slope: float = 1.0,
     with np.errstate(all="ignore"):  # an overflow is reported below, not warned
         x, y = (np.asarray(v, dtype=float) for v in curve.position(tt))
         vx, vy = (np.asarray(v, dtype=float) for v in curve.velocity(tt))
-    if not all(np.isfinite(v).all() for v in (x, y, vx, vy)):
+    if not all(map(all_finite, (x, y, vx, vy))):
         raise ValueError("curve samples are not finite")
     speed = np.hypot(vx, vy)
     if np.min(speed) <= 1e-12 * np.max(speed):
@@ -504,7 +512,7 @@ def _build_patch(curve, frame, t_a, t_b, n_nodes, mu, orientation, max_slope):
         raise ValueError(f"max_slope is too small for this curve: "
                          f"a patch reaches |gamma'| = {peak:.3g}")
     # a curve not finite at a node alone slips past the table's samples
-    if not (np.isfinite(gamma).all() and np.isfinite(gp).all()):
+    if not (all_finite(gamma) and all_finite(gp)):
         raise ValueError("curve samples are not finite")
 
     mu_vals = on_grid(mu(*rotation.rotate(x1, gamma)) if callable(mu) else mu, x1)
@@ -545,7 +553,7 @@ def _invert_monotone(fn, dfn, t_lo, t_hi, targets):
             f_first = fb[0]
         # the previous block's last sample brackets the targets below this block's first
         tb, fb = np.concatenate((t_prev, tb)), np.concatenate((f_prev, fb))
-        finite = finite and bool(np.isfinite(fb).all())
+        finite = finite and all_finite(fb)
         increasing = increasing and not np.any(np.diff(fb) <= 0)
         # fb[k - 1] < g <= fb[k], as a search of the whole table places g;
         # a first block of one sample brackets nothing

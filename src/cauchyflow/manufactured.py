@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import BoundaryPatch, _frame, on_grid
-from .traces import ScalarTrace, VectorTrace, blockwise
+from .traces import ScalarTrace, VectorTrace, all_finite, blockwise
 from .transform import CauchyDN, CauchyStress, GradientTrace
 
 
@@ -151,7 +151,8 @@ def evaluate_traces(flow: AnalyticFlow, pressure: AnalyticScalarField,
     """Exact boundary data of an analytic flow on a patch.
 
     Evaluates velocity, velocity gradient, pressure and viscosity at the
-    patch nodes in the global frame and rotates them into the patch frame;
+    patch nodes in the global frame and rotates them into the patch frame,
+    unless the frame angle is 0, where the global values are the local ones;
     the local gradient is J applied to each local axis, read in local
     components: f1, f2, f3 of J = [[f1, f3], [f2, -f1]]. With nu the outward
     unit normal, the normal derivative is J nu and the traction is
@@ -164,34 +165,41 @@ def evaluate_traces(flow: AnalyticFlow, pressure: AnalyticScalarField,
     output that is not finite, e.g. where the fields overflow.
     """
     rotation = patch.rotation
+    rotated = patch.frame_angle != 0.0
     to_local = rotation.inverse().rotate
     (e1, e2), (e3, e4) = rotation.rotate(1.0, 0.0), rotation.rotate(0.0, 1.0)  # the local axes
 
     def kernel(x1, gamma, gamma_prime):
         with np.errstate(over="ignore", invalid="ignore"):
-            xg, yg = rotation.rotate(x1, gamma)  # patch.nodes_global()
+            xg, yg = rotation.rotate(x1, gamma) if rotated else (x1, gamma)  # patch.nodes_global()
             mu_vals = on_grid(viscosity.value(xg, yg), xg)
-            if not np.all(mu_vals > 0):
+            if not mu_vals.min() > 0:
                 raise ValueError("viscosity field is not positive on the patch")
             p_vals = on_grid(pressure.value(xg, yg), xg)
             ug1, ug2, g11, g21, g12 = (on_grid(v, xg) for v in flow.fields(xg, yg))
-
-            # column l of R^T J R is J applied to local axis l, read in local components
-            f1, f2 = to_local(g11 * e1 + g12 * e2, g21 * e1 - g11 * e2)
-            f3, _ = to_local(g11 * e3 + g12 * e4, g21 * e3 - g11 * e4)
-            u1, u2 = to_local(ug1, ug2)
+            if rotated:
+                # column l of R^T J R is J applied to local axis l, read in local components
+                f1, f2 = to_local(g11 * e1 + g12 * e2, g21 * e1 - g11 * e2)
+                f3 = to_local(g11 * e3 + g12 * e4, g21 * e3 - g11 * e4)[0]
+                u1, u2 = to_local(ug1, ug2)
+            else:  # the patch frame is the global one
+                u1, u2, f1, f2, f3 = ug1, ug2, g11, g21, g12
             # the global-frame arrays are read no more: free them before the
             # boundary formulas allocate theirs, which keeps the block's peak down
-            del xg, yg, ug1, ug2, g11, g21, g12, _
+            del xg, yg, ug1, ug2, g11, g21, g12
 
             nu1, nu2 = _frame(gamma_prime, patch.orientation)[2:]
-            d1, d2 = f1 * nu1 + f3 * nu2, f2 * nu1 - f1 * nu2
+            f1nu1, f1nu2 = f1 * nu1, f1 * nu2
+            d1, d2 = f1nu1 + f3 * nu2, f2 * nu1 - f1nu2
             # t = mu (J nu + J^T nu) - p nu, with J^T nu = (f1 nu1 + f2 nu2, f3 nu1 - f1 nu2)
-            t1 = mu_vals * (d1 + f1 * nu1 + f2 * nu2) - p_vals * nu1
-            t2 = mu_vals * (d2 + f3 * nu1 - f1 * nu2) - p_vals * nu2
-        values = (u1, u2, d1, d2, p_vals, t1, t2, f1, f2, f3)
+            t1 = mu_vals * (d1 + f1nu1 + f2 * nu2) - p_vals * nu1
+            t2 = mu_vals * (d2 + f3 * nu1 - f1nu2) - p_vals * nu2
+        # unrotated, a field may hand back a node array itself (couette's u1 is
+        # x2), which one block would return as the output: copy it
+        values = tuple(v.copy() if np.may_share_memory(v, x1) or np.may_share_memory(v, gamma) else v
+                       for v in (u1, u2, d1, d2, p_vals, t1, t2, f1, f2, f3))
         for name, v in zip(_ORACLE_OUTPUTS, values):
-            if not np.isfinite(v).all():
+            if not all_finite(v):
                 # the wording of the writer, which refuses the same values
                 raise ValueError(f"cannot serialize non-finite value: oracle value {name} "
                                  "is not finite on the patch")

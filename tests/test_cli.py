@@ -323,6 +323,29 @@ def test_non_finite_provenance_is_refused_on_read(tmp_path, capsys, monkeypatch,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fault, message", [
+    ("unknown key", "unknown top-level key 'provenence'"),
+    ("array of another kind", "array 't1' is inconsistent with data_kind 'dn'"),
+])
+def test_reader_refuses_a_key_the_file_may_not_hold(tmp_path, capsys, fault, message):
+    # the reader dropped both without a word
+    src = generate_couette(tmp_path)
+    doc = json.loads(src.read_text())
+    if fault == "unknown key":
+        doc["provenence"] = {}
+    else:
+        doc["data_kind"] = "dn"  # t1 and t2 stay
+    src.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["verify", src]) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    for direction in ("stress-to-dn", "dn-to-stress"):
+        out = tmp_path / f"{direction}.json"
+        assert run(["convert", direction, "--in", src, "--out", out]) == 3
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
+
 def test_convert_flags_non_divergence_free_input(tmp_path, capsys):
     patch = flat_patch(64)
     x = patch.x1

@@ -116,6 +116,32 @@ def test_patch_rejects_nonuniform_grid():
         p.validate()
 
 
+@pytest.mark.parametrize("step", ["last slice", "last step of a slice", "first step of a slice"])
+def test_validate_finds_one_uneven_step_in_any_slice(step):
+    # validate differences the grid a slice of steps at a time; adjacent
+    # slices share a node, so every step lies in one
+    size = geometry._STEP_SLICE
+    x, h = uniform_grid(0.0, 1.0, 2 * size + 100)
+    k = {"last slice": x.size - 1, "last step of a slice": size, "first step of a slice": size + 1}[step]
+    uneven = x.copy()
+    uneven[k:] += h  # exact on the grid's raster, so step k - 1 alone is 2 h
+    ones = np.ones(x.size)
+    BoundaryPatch(0.0, x, 0 * ones, 0 * ones, ones).validate()
+    with pytest.raises(ValueError, match="^grid is not uniform$"):
+        BoundaryPatch(0.0, uneven, 0 * ones, 0 * ones, ones).validate()
+
+
+def test_theta_is_within_one_ulp_of_hypot():
+    slopes = np.geomspace(1e-320, 1e153, 20001)
+    for gp in (slopes, -slopes):
+        th, ref = theta(gp), np.hypot(1.0, gp)
+        assert np.max(np.abs(th - ref) / np.spacing(ref)) <= 1.0
+    # where the square overflows theta is hypot's, finite up to the float max
+    huge = np.array([1e154, 1e300, 1.7e308, -1.7e308, 2.0])
+    assert np.array_equal(theta(huge), np.hypot(1.0, huge))
+    assert np.isfinite(theta(huge)).all()
+
+
 def test_partition_circle_patch_count_and_slopes():
     patches = partition_curve(circle(1.0), max_slope=1.0, overlap_fraction=0.2,
                               nodes_per_patch=64)

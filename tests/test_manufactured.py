@@ -6,10 +6,10 @@ import pytest
 
 from cauchyflow import (FLOWS, PRESSURES, VISCOSITIES, AnalyticScalarField,
                         ScalarTrace, analytic_trace_slopes, builtin_catalog, circle,
-                        ellipse, evaluate_traces, normal_at,
+                        ellipse, evaluate_traces, graph_patch, normal_at,
                         partition_curve, rigid_motion, stress_to_dn,
                         tangential_derivative)
-from cauchyflow import manufactured
+from cauchyflow import manufactured, traces
 from helpers import flat_patch, rotation_matrix, sine_patch
 
 
@@ -258,3 +258,55 @@ def test_evaluate_traces_refuses_an_oracle_value_that_overflows():
     with pytest.raises(ValueError, match="^cannot serialize non-finite value: oracle value u1 is "
                                          "not finite on the patch$"):
         evaluate_traces(FLOWS["cubic"], PRESSURES["linear"], VISCOSITIES["unit"], patch)
+
+
+def oracle_outputs(dn, stress, grad):
+    """The oracle's arrays themselves, in the order of manufactured._ORACLE_OUTPUTS."""
+    return (dn.u.c1.values, dn.u.c2.values, dn.dnu.c1.values, dn.dnu.c2.values, dn.p.values,
+            stress.traction.c1.values, stress.traction.c2.values, grad.f1, grad.f2, grad.f3)
+
+
+@pytest.mark.parametrize("nodes", [68, 2 * traces._BLOCK_NODES + 5], ids=["1 block", "3 blocks"])
+def test_no_oracle_output_shares_memory_with_the_patch(nodes):
+    # couette's u1 is x2 and stagnation's is x1: an unrotated patch evaluates
+    # the fields at its own node arrays, and one block hands them straight back
+    for orientation in ("below", "above"):
+        patch = graph_patch(lambda x: 0.3 * np.sin(x), lambda x: 0.3 * np.cos(x), -1.0, 1.0, nodes,
+                            orientation=orientation)
+        for triple in builtin_catalog():
+            dn, stress, grad = evaluate_traces(triple.flow, triple.pressure, triple.viscosity, patch)
+            for out in (*oracle_outputs(dn, stress, grad), grad.f4, stress.u.c1.values, stress.u.c2.values):
+                assert not any(np.shares_memory(out, getattr(patch, name))
+                               for name in ("x1", "gamma", "gamma_prime", "mu")), triple.name
+
+
+def oracle_by_rotation(triple, patch):
+    """The oracle's general formulas: fields at the rotated nodes, rotated back into the patch frame."""
+    rot = patch.rotation
+    to_local = rot.inverse().rotate
+    (e1, e2), (e3, e4) = rot.rotate(1.0, 0.0), rot.rotate(0.0, 1.0)
+    xg, yg = rot.rotate(patch.x1, patch.gamma)
+    ug1, ug2, g11, g21, g12 = (np.broadcast_to(v, xg.shape) for v in triple.flow.fields(xg, yg))
+    mu = np.broadcast_to(triple.viscosity.value(xg, yg), xg.shape)
+    p = np.broadcast_to(triple.pressure.value(xg, yg), xg.shape)
+    f1, f2 = to_local(g11 * e1 + g12 * e2, g21 * e1 - g11 * e2)
+    f3, _ = to_local(g11 * e3 + g12 * e4, g21 * e3 - g11 * e4)
+    nu1, nu2 = normal_at(patch.gamma_prime, patch.orientation).T
+    d1, d2 = f1 * nu1 + f3 * nu2, f2 * nu1 - f1 * nu2
+    return (*to_local(ug1, ug2), d1, d2, p, mu * (d1 + f1 * nu1 + f2 * nu2) - p * nu1,
+            mu * (d2 + f3 * nu1 - f1 * nu2) - p * nu2, f1, f2, f3)
+
+
+@pytest.mark.parametrize("frame_angle", [0.0, 0.7])
+@pytest.mark.parametrize("orientation", ["below", "above"])
+def test_oracle_equals_the_rotation_formulas(orientation, frame_angle):
+    # an unrotated patch reads the fields as local values; the rotation by 0
+    # gives the same values, and only the sign of a zero may differ
+    for triple in builtin_catalog():
+        patch = dataclasses.replace(sine_patch(40, orientation=orientation), frame_angle=frame_angle)
+        dn, stress, grad = evaluate_traces(triple.flow, triple.pressure, triple.viscosity, patch)
+        for name, a, b in zip(manufactured._ORACLE_OUTPUTS, oracle_outputs(dn, stress, grad),
+                              oracle_by_rotation(triple, patch)):
+            assert np.array_equal(a, b), (triple.name, name)
+            if frame_angle:
+                assert np.array_equal(np.signbit(a), np.signbit(b)), (triple.name, name)

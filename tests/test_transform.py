@@ -352,6 +352,8 @@ REFUSALS = {
                                    "grid span too small for the requested node count"),
     "patch lengths": (lambda: BoundaryPatch(0.0, np.arange(4.0), np.zeros(3), np.zeros(4), np.ones(4)),
                       "patch array gamma does not match the x1 grid"),
+    "2-D x1": (lambda: BoundaryPatch(0.0, np.zeros((4, 2)), np.zeros(4), np.zeros(4), np.ones(4)),
+               "patch array x1 must be one-dimensional"),
     "one-node patch": (lambda: BoundaryPatch(0.0, [0.0], [0.0], [0.0], [1.0]),
                        "patch needs at least 2 nodes"),
     "patch orientation": (lambda: BoundaryPatch(0.0, np.arange(4.0), np.zeros(4), np.zeros(4),
@@ -550,7 +552,7 @@ def assert_bitwise(got, want):
 
 def tn_frame(gp, orientation):
     s = -1.0 if orientation == "above" else 1.0
-    c = 1.0 / np.hypot(1.0, gp)
+    c = 1.0 / np.sqrt(1.0 + gp * gp)
     w = c * gp
     return c, w, -s * w, s * c
 
