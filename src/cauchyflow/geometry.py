@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -438,38 +437,37 @@ def _window_ends(s, phi, budget, n_starts, cap):
     """Per start j < n_starts, the last sample k of the longest window from j.
 
     That is the largest k with max(phi[j..k]) - min(phi[j..k]) <= budget and
-    s[k] - s[j] <= cap, found for all starts in one sliding scan.
+    s[k] - s[j] <= cap; both tests only fail more as k grows (s is sorted).
+    Every start doubles its window from one sample while the window fits,
+    reading the extremes of w samples from a table per level, and where a
+    window of 2w samples fails it bisects k in [j + w - 1, j + 2w - 2]: the
+    extremes of j..k are those of two overlapping w-sample windows, j.. and
+    ..k. Only the tables of w and 2w samples are alive at once, O(n) floats.
     """
-    hi: deque = deque()
-    lo: deque = deque()
-
-    def push(i):
-        while hi and phi[hi[-1]] <= phi[i]:
-            hi.pop()
-        hi.append(i)
-        while lo and phi[lo[-1]] >= phi[i]:
-            lo.pop()
-        lo.append(i)
-
+    n = s.shape[0]
     out = np.empty(n_starts, dtype=np.intp)
-    k = -1
-    for j in range(n_starts):
-        if k < j:
-            k = j
-            hi.clear()
-            lo.clear()
-            push(j)
-        while k + 1 < s.shape[0] and s[k + 1] - s[j] <= cap:
-            nxt = phi[k + 1]
-            if max(phi[hi[0]], nxt) - min(phi[lo[0]], nxt) > budget:
-                break
-            k += 1
-            push(k)
-        out[j] = k
-        if hi[0] == j:
-            hi.popleft()
-        if lo[0] == j:
-            lo.popleft()
+    j = np.arange(n_starts)  # the starts whose window of w samples fits
+    hi = lo = phi  # hi[i], lo[i]: max and min of phi[i:i + w]
+    w = 1
+    while j.size:
+        grow = j + (2 * w - 1) < n
+        if grow.any():
+            hi2, lo2 = np.maximum(hi[:-w], hi[w:]), np.minimum(lo[:-w], lo[w:])
+            jg = j[grow]
+            grow[grow] = (hi2[jg] - lo2[jg] <= budget) & (s[jg + (2 * w - 1)] - s[jg] <= cap)
+        stop = j[~grow]
+        a, b = stop + (w - 1), np.minimum(stop + (2 * w - 1), n)  # k = a fits, k = b does not
+        hs, ls, ss = hi[stop], lo[stop], s[stop]
+        while (b - a > 1).any():
+            k = (a + b) // 2
+            r = k - (w - 1)
+            fits = (np.maximum(hs, hi[r]) - np.minimum(ls, lo[r]) <= budget) & (s[k] - ss <= cap)
+            a, b = np.where(fits, k, a), np.where(fits, b, k)
+        out[stop] = a
+        j = j[grow]
+        if j.size:
+            hi, lo = hi2, lo2
+        w *= 2
     return out
 
 

@@ -14,6 +14,7 @@ module alone, so the oracle shares none with the conversions it checks.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable
 
@@ -58,6 +59,19 @@ def _const_field(c):
     return f
 
 
+_BLOCK_CACHE = ContextVar("_BLOCK_CACHE", default=None)  # {(name, id(x)): (x, np.<name>(x))}
+
+
+def _shared(name, x):
+    """np.<name>(x), computed once per array while evaluate_traces evaluates a block's fields."""
+    cache = _BLOCK_CACHE.get()
+    if cache is None:
+        return getattr(np, name)(x)
+    if (name, id(x)) not in cache:  # holding x keeps its id from being reused
+        cache[name, id(x)] = x, getattr(np, name)(x)
+    return cache[name, id(x)][1]
+
+
 def _floats(x1, x2):
     return np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
 
@@ -96,7 +110,7 @@ def _cubic(x1, x2):  # psi = x1^2 x2
 
 
 def _trig(x1, x2):  # psi = sin(x1) cos(x2)
-    s1, c1, s2, c2 = np.sin(x1), np.cos(x1), np.sin(x2), np.cos(x2)
+    s1, c1, s2, c2 = _shared("sin", x1), _shared("cos", x1), _shared("sin", x2), _shared("cos", x2)
     d1u2 = s1 * c2
     return -(s1 * s2), -(c1 * c2), -(c1 * s2), d1u2, -d1u2
 
@@ -115,12 +129,15 @@ PRESSURES = {
         "linear",
         lambda x1, x2: np.asarray(x1, dtype=float) + 2.0 * np.asarray(x2, dtype=float),
     ),
-    "trig": AnalyticScalarField("trig", lambda x1, x2: np.sin(x1 + x2)),
+    # sin(x1 + x2), expanded into the four values the trig flow shares
+    "trig": AnalyticScalarField("trig", lambda x1, x2: _shared("sin", x1) * _shared("cos", x2)
+                                + _shared("cos", x1) * _shared("sin", x2)),
 }
 
 VISCOSITIES = {
     "unit": AnalyticScalarField("unit", _const_field(1.0)),
-    "variable": AnalyticScalarField("variable", lambda x1, x2: 2.0 + np.sin(x1) * np.cos(x2)),
+    "variable": AnalyticScalarField(
+        "variable", lambda x1, x2: 2.0 + _shared("sin", x1) * _shared("cos", x2)),
 }
 
 
@@ -172,11 +189,15 @@ def evaluate_traces(flow: AnalyticFlow, pressure: AnalyticScalarField,
     def kernel(x1, gamma, gamma_prime):
         with np.errstate(over="ignore", invalid="ignore"):
             xg, yg = rotation.rotate(x1, gamma) if rotated else (x1, gamma)  # patch.nodes_global()
-            mu_vals = on_grid(viscosity.value(xg, yg), xg)
-            if not mu_vals.min() > 0:
-                raise ValueError("viscosity field is not positive on the patch")
-            p_vals = on_grid(pressure.value(xg, yg), xg)
-            ug1, ug2, g11, g21, g12 = (on_grid(v, xg) for v in flow.fields(xg, yg))
+            token = _BLOCK_CACHE.set({})
+            try:
+                mu_vals = on_grid(viscosity.value(xg, yg), xg)
+                if not mu_vals.min() > 0:
+                    raise ValueError("viscosity field is not positive on the patch")
+                p_vals = on_grid(pressure.value(xg, yg), xg)
+                ug1, ug2, g11, g21, g12 = (on_grid(v, xg) for v in flow.fields(xg, yg))
+            finally:  # the cached values are read no more
+                _BLOCK_CACHE.reset(token)
             if rotated:
                 # column l of R^T J R is J applied to local axis l, read in local components
                 f1, f2 = to_local(g11 * e1 + g12 * e2, g21 * e1 - g11 * e2)

@@ -1,6 +1,7 @@
 """Shared fixtures and independent oracles used across the test suite."""
 
 import math
+from collections import deque
 
 import numpy as np
 
@@ -20,6 +21,48 @@ def read_patch_set(path) -> list[BoundaryPatch]:
     if not isinstance(items, list) or not items:
         raise DatasetFormatError("patch-set document must carry a non-empty patch list")
     return [dataio._patch_from_doc(item) for item in items]
+
+
+def scan_window_ends(s, phi, budget, n_starts, cap):
+    """Per start j < n_starts, the last sample k of the longest window from j.
+
+    That is the largest k with max(phi[j..k]) - min(phi[j..k]) <= budget and
+    s[k] - s[j] <= cap, found for all starts in one sliding scan.
+
+    The partitioner's deque scan before geometry._window_ends went to
+    array passes, kept as the reference it must equal.
+    """
+    hi: deque = deque()
+    lo: deque = deque()
+
+    def push(i):
+        while hi and phi[hi[-1]] <= phi[i]:
+            hi.pop()
+        hi.append(i)
+        while lo and phi[lo[-1]] >= phi[i]:
+            lo.pop()
+        lo.append(i)
+
+    out = np.empty(n_starts, dtype=np.intp)
+    k = -1
+    for j in range(n_starts):
+        if k < j:
+            k = j
+            hi.clear()
+            lo.clear()
+            push(j)
+        while k + 1 < s.shape[0] and s[k + 1] - s[j] <= cap:
+            nxt = phi[k + 1]
+            if max(phi[hi[0]], nxt) - min(phi[lo[0]], nxt) > budget:
+                break
+            k += 1
+            push(k)
+        out[j] = k
+        if hi[0] == j:
+            hi.popleft()
+        if lo[0] == j:
+            lo.popleft()
+    return out
 
 
 def flat_patch(n=68, lo=-1.0, hi=1.0, mu=1.0, orientation="below"):

@@ -1148,13 +1148,15 @@ print(json.dumps([names, same, sorted(set(names) - set(dir(cauchyflow))), missin
     assert missing == "module 'cauchyflow' has no attribute 'nosuch'"
 
 
-# `python -m cauchyflow` with cli.console replaced by a recorder of the variable and of numpy
+# `python -m cauchyflow` with cli.console replaced by a recorder of the variable, of numpy and of
+# the collector
 ENTRY_PROBE = """
-import json, os, runpy, sys, types
+import gc, json, os, runpy, sys, types
 import cauchyflow
 seen = []
 cli = types.ModuleType("cauchyflow.cli")
-cli.console = lambda: seen.append([os.environ.get("OPENBLAS_NUM_THREADS"), "numpy" in sys.modules])
+cli.console = lambda: seen.append([os.environ.get("OPENBLAS_NUM_THREADS"), "numpy" in sys.modules,
+                                   gc.isenabled()])
 sys.modules["cauchyflow.cli"] = cauchyflow.cli = cli
 runpy.run_module("cauchyflow", run_name="__main__", alter_sys=True)
 print(json.dumps(seen))
@@ -1163,8 +1165,9 @@ print(json.dumps(seen))
 
 @pytest.mark.parametrize("preset, seen", [(None, "1"), ("2", "2")], ids=["unset", "user-set"])
 def test_module_entry_sets_one_blas_thread_before_numpy_loads(preset, seen):
+    # and turns the collector off before anything loads
     env = {} if preset is None else {"OPENBLAS_NUM_THREADS": preset}
-    assert run_child(ENTRY_PROBE, **env) == [[seen, False]]
+    assert run_child(ENTRY_PROBE, **env) == [[seen, False, False]]
 
 
 def test_console_script_module_loads_no_numpy():
@@ -1176,16 +1179,17 @@ def test_console_script_module_loads_no_numpy():
 
 
 def test_library_use_leaves_the_environment_alone(tmp_path):
+    # the environment and the collector, which only the module entry turns off
     unchanged = run_child(f"""
-import json, os
+import gc, json, os
 before = dict(os.environ)
 import cauchyflow
 cauchyflow.circle(1.0)
 from cauchyflow import cli
 code = cli.main(["partition", "--curve", "circle:1", "--out", {str(tmp_path / "p.json")!r}])
-print(json.dumps([code, dict(os.environ) == before]))
+print(json.dumps([code, dict(os.environ) == before, gc.isenabled()]))
 """)
-    assert unchanged == [0, True]
+    assert unchanged == [0, True, True]
 
 
 def closed_stdout_run(*argv):

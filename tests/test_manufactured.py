@@ -209,6 +209,10 @@ def test_trig_fields_evaluate_sin_and_cos_once_per_coordinate(monkeypatch):
     x = np.linspace(-2.0, 2.0, 9)
     FLOWS["trig"].fields(x, x[::-1])
     assert calls == {"sin": 2, "cos": 2}
+    # one oracle block: the flow, the pressure and the viscosity share the four
+    calls.clear()
+    evaluate_traces(FLOWS["trig"], PRESSURES["trig"], VISCOSITIES["variable"], sine_patch(68))
+    assert calls == {"sin": 2, "cos": 2}
 
 
 @pytest.mark.parametrize("orientation", ["below", "above"])
