@@ -6,7 +6,11 @@ significant digits, which round-trips IEEE doubles bit for bit (-0.0 is
 written as -0 and read back as -0.0), and keys come in a fixed order, so
 repeated runs write identical bytes. Writes stream a block at a time:
 each number array is formatted _ARRAY_VALUES values at a time, and a CSV
-file _CSV_ROWS rows at a time, so a write holds one block's text. Data a
+file _CSV_ROWS rows at a time, so a write holds one block's text. The
+bytes are always "%.17g"'s: a block of _VECTOR_VALUES or more values, not
+all integers and nearly all from 1e-6 to 1e17 (_g17_pays), takes its
+digits from exact products by powers of ten in array passes (_fmt_g17),
+any other block from "%.17g" itself. Data a
 write refuses, such as a non-finite value, are refused before the file
 is opened, so they create no file.
 BoundaryPatch and Dataset judge what they hold, for the writer and the
@@ -38,6 +42,7 @@ Dataset schema (format_version 1):
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -64,7 +69,8 @@ _CSV_COLUMNS = ("x1", "gamma", "gamma_prime", "mu",
 _NUMBER_ARRAYS = frozenset(_PATCH_KEYS[3:] + _KIND_ARRAYS["both"])
 _DATASET_KEYS = ("format_version", "patch", "data_kind", *_KIND_ARRAYS["both"], "provenance")
 _CSV_ROWS = 1024  # CSV rows formatted per write
-_ARRAY_VALUES = 4096  # JSON array values formatted per write
+_ARRAY_VALUES = 1024  # JSON array values formatted per write
+_VECTOR_VALUES = 256  # values in the shortest block _fmt_g17 formats
 _CHUNK_CHARS = 1 << 16  # characters a read adds to its window, at least
 _PROVENANCE_DEPTH = 200  # containers in a provenance, itself included; far below any recursion limit
 
@@ -161,11 +167,100 @@ def _patch_values(patch: BoundaryPatch) -> tuple:
 def _fmt_array(values: np.ndarray):
     """The JSON text of a float array: "[", the text of each block of _ARRAY_VALUES values, "]"."""
     yield "["
-    # one %-template per block; "%.17g" prints what format(v, ".17g") does
     for i in range(0, values.size, _ARRAY_VALUES):
         block = values[i:i + _ARRAY_VALUES]
-        yield (", " if i else "") + ", ".join(["%.17g"] * block.size) % tuple(block.tolist())
+        # one %-template ("%.17g" prints what format(v, ".17g") does) for a
+        # block that _fmt_g17's array passes would not speed up
+        yield (", " if i else "") + (
+            _fmt_g17(block) if _g17_pays(block) else ", ".join(["%.17g"] * block.size) % tuple(block.tolist()))
     yield "]"
+
+
+def _split(a):
+    """Veltkamp's split of `a` into hi + lo, each of at most 26 significant bits."""
+    t = a * 134217729.0  # 2**27 + 1
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+@functools.cache  # built on first use, so a process that formats no long block pays nothing
+def _g17_tables():
+    """_fmt_g17's pieces of a row, as little-endian uint16 character pairs, NUL where nothing prints.
+
+    "00" .. "99" with a point after each digit; per X (-5 and 17 stand for
+    e-notation) and count of digits, the mask of the 17 digit slots that
+    print their digit (0xFF) or point (0x2E00); per X and sign, the sign and
+    "0.000"; per X, the exponent and ", ".
+    """
+    pairs = (np.indices((10, 10)).reshape(2, -1).T + 0x2E30).astype("<u2", order="C")
+    x = np.arange(-5, 18, dtype=np.int8)[:, None, None]
+    point = np.where((x >= -4) & (x <= 16), x, 0)  # the digit a point may follow
+    k, count = np.arange(17, dtype=np.int8), np.arange(18, dtype=np.int8)[:, None]
+    mask = ((k < np.maximum(count, point + 1)) * np.uint16(0xFF)
+            | ((k == point) & (count > point + 1)) * np.uint16(0x2E00))
+    head = b"".join((b"-" if neg else b"\0") + (b"0.000"[:1 - x] if -4 <= x < 0 else b"").ljust(5, b"\0")
+                    for x in range(-5, 18) for neg in (0, 1))
+    tail = b"".join((b"" if -4 <= x < 17 else b"e%+03d" % x).ljust(5, b"\0") + b", \0"
+                    for x in range(-324, 309))
+    return (pairs.view("<u4").ravel(), mask.reshape(-1, 17).astype("<u2"),
+            np.frombuffer(head, "<u2").reshape(-1, 3), np.frombuffer(tail, "<u2").reshape(-1, 4))
+
+
+_TEN = np.array([10 ** k for k in range(23)], dtype=float)  # each exact in a double
+
+
+def _g17_pays(block) -> bool:
+    """Whether _fmt_g17 beats "%.17g" on a block: at least _VECTOR_VALUES values,
+    not all integers (dtoa is fast on those), and at most one in 16 of them
+    outside the reach of _digits17's product, which "%.16e" formats one by one.
+    """
+    a = np.abs(block)
+    return (block.size >= _VECTOR_VALUES and not (a == np.rint(a)).all()
+            and 16 * np.count_nonzero((a >= 1e17) | ((a < 1e-6) & (a > 0))) <= block.size)
+
+
+def _digits17(a):
+    """(N, X) of each finite a >= 0: the 17 significant digits and exponent of "%.17g", (0, 0) for 0.
+
+    N rounds a 10^q = p + e half to even, q = 16 - floor(log10 a). For
+    1e-6 <= a < 1e17, 10^q is an exact double (0 <= q <= 22) and Dekker's
+    product gives p + e exactly; p is an even integer, so N = p + rint(e).
+    Where that is not proven (a outside that range, or log10 missed by one
+    near a power of ten), N and X come from "%.16e".
+    """
+    x = np.floor(np.log10(np.where(a > 0, a, 1.0)))
+    ok = (a > 0) & (x >= -6) & (x <= 16)
+    a1, b = np.where(ok, a, 1.0), _TEN.take(np.where(ok, 16 - x, 0).astype(np.intp))
+    p = a1 * b
+    (ah, al), (bh, bl) = _split(a1), _split(b)
+    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl  # p + e = a1 b exactly
+    r = np.rint(e)
+    n = p.astype(np.int64) + r.astype(np.int64)
+    # 17 digits, and N = 10^16 only if a 10^q >= 10^16
+    ok &= (n + (e >= r) > 10 ** 16) & (n < 10 ** 17)
+    n, x = np.where(ok, n, 0), np.where(ok, x, 0).astype(np.intp)
+    rest = np.flatnonzero(~ok & (a > 0))
+    texts = ["%.16e" % value for value in a[rest].tolist()]
+    n[rest], x[rest] = [int(s[0] + s[2:18]) for s in texts], [int(s[19:]) for s in texts]
+    return n, x
+
+
+def _fmt_g17(v) -> str:
+    """", ".join(["%.17g"] * v.size) % tuple(v.tolist()) of finite `v`: rows of 48 bytes without their NULs."""
+    pairs, mask, head, tail = _g17_tables()
+    n, x = _digits17(np.abs(v))
+    lead, n = np.divmod(n, 10 ** 16)
+    quads = np.stack(np.divmod(np.stack(np.divmod(n, 10 ** 8), axis=1).astype(np.uint32), 10 ** 4), axis=2)
+    row = np.empty((v.size, 24), "<u2")
+    slots = row[:, 3:20]
+    slots[:, 0] = lead + 0x2E30
+    slots[:, 1:] = pairs.take(np.stack(np.divmod(quads, 100), axis=3).reshape(-1, 8)).view("<u2")
+    count = (17 - (slots != 0x2E30)[:, ::-1].argmax(axis=1)) * (lead > 0)  # up to the last nonzero digit
+    x5 = np.clip(x, -5, 17) + 5
+    slots &= mask.take(18 * x5 + count, axis=0)
+    row[:, :3] = head.take(2 * x5 + np.signbit(v), axis=0)
+    row[:, 20:] = tail.take(x + 324, axis=0)
+    return row.tobytes().translate(None, b"\0")[:-2].decode()
 
 
 def _array_chunks(indent, items):

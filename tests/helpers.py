@@ -200,3 +200,11 @@ def tolerance_by_fresh_differences(patch, u1, u2, *arrays, residual=False):
     gain = 8.0 if residual else 8.0 * max(1.0, float(np.max(patch.mu)))
     return 2.0 * gain * (t / (30.0 * h) + 1.5 * (eps * max(m0, x * s) + 2.0 ** -1074) / h
                          + eps * s)
+
+
+def percent_g17(values):
+    """The text of a block of floats as the JSON writer made it before dataio._fmt_g17.
+
+    One %-template per block, kept as the reference the array passes must equal byte for byte.
+    """
+    return ", ".join(["%.17g"] * values.size) % tuple(values.tolist())

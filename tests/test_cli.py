@@ -1016,8 +1016,9 @@ def test_verify_prints_its_three_lines_on_exact_closed_curve_data(tmp_path, caps
 
 
 def test_every_csv_field_is_the_json_number_text_at_its_node(tmp_path):
-    # the JSON and CSV writers format their numbers in blocks of different
-    # lengths (4096 values, 1024 rows); 3 * 4096 + 5 nodes cross both seams
+    # the JSON writer formats 1024 values a block, in array passes, and the
+    # CSV writer 1024 rows a block through "%.17g"; 3 * 4096 + 5 nodes cross
+    # many seams of both (test_dataio checks seams that fall apart)
     n, out, csv_path = 3 * 4096 + 5, tmp_path / "big.json", tmp_path / "big.csv"
     assert run(["generate", "--flow", "trig", "--pressure", "trig", "--viscosity", "variable",
                 "--curve", "graph:poly:0.1,0.3,-0.2,0.1", "--nodes", n,

@@ -249,8 +249,8 @@ def test_nonfinite_rejected_on_write(tmp_path):
 def test_dataset_write_streams_one_array_at_a_time(tmp_path):
     # a 2^15-node "both" file is about 7 MB; built as one string it took
     # about 22 MB of traced memory, one array at a time 2.16 MB. A block of
-    # 4096 values at a time (its float list, tuple, template and text)
-    # peaks at 0.28 MB; the bound leaves 25% above that
+    # 1024 values at a time (its digits, rows and text) peaks at 0.24 MB,
+    # 0.27 MB in the first long write, which builds _fmt_g17's tables
     n = 1 << 15
     rng = np.random.default_rng(0)
     arrays = {name: rng.standard_normal(n) for name in ("u1", "u2", "dnu1", "dnu2", "p", "t1", "t2")}
@@ -278,7 +278,8 @@ def one_list(values):
     return ["[" + ", ".join(format(v, ".17g") for v in values.tolist()) + "]"]
 
 
-@pytest.mark.parametrize("block", [7, dataio._ARRAY_VALUES])
+# 4096: the block before the writer formatted longer blocks in array passes
+@pytest.mark.parametrize("block", [7, dataio._ARRAY_VALUES, 4096])
 @pytest.mark.parametrize("n", [2, 6, 7, 8, 15, (1 << 15) + 1])
 def test_arrays_write_as_one_list_in_any_block(tmp_path, monkeypatch, block, n):
     values = np.resize(AWKWARD, n)
@@ -744,6 +745,25 @@ def test_csv_matches_the_row_writer(tmp_path, kind):
     reference_write_csv(tmp_path / "ref.csv", ds)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
     assert b"\r\n" in (tmp_path / "new.csv").read_bytes()
+
+
+@pytest.mark.parametrize("block", [300, 4096])
+def test_every_csv_field_is_the_json_number_text_across_both_seams(tmp_path, monkeypatch, block):
+    # JSON value blocks of another length than the CSV's row blocks, long
+    # enough for the array passes; 3 blocks of rows and 5 more cross both seams
+    n = 3 * dataio._CSV_ROWS + 5
+    ds = _sample_dataset(n=n)
+    monkeypatch.setattr(dataio, "_ARRAY_VALUES", block)
+    write_dataset(tmp_path / "d.json", ds)
+    write_csv(tmp_path / "d.csv", ds)
+    texts = {name.replace("_nodes", ""): body.split(", ")
+             for name, body in re.findall(r'"(\w+)": \[([^]]*)\]', (tmp_path / "d.json").read_text())}
+    with open(tmp_path / "d.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == n and set(rows[0]) <= set(texts)
+    for i, row in enumerate(rows):
+        for name, field in row.items():
+            assert field == texts[name][i], (name, i)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
