@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import BoundaryPatch
-from .traces import ScalarTrace, VectorTrace, all_finite
+from .traces import ScalarTrace, VectorTrace
 from .transform import CauchyDN, CauchyStress, _on_grid
 
 FORMAT_VERSION = 1
@@ -156,7 +156,7 @@ def dataset_from_traces(patch: BoundaryPatch, dn: CauchyDN | None = None,
 
 def _check_finite(*values) -> None:
     # every value is checked before the file is opened, so a refused write leaves no file
-    if not all(map(all_finite, values)):
+    if not all(np.isfinite(v).all() for v in values):
         raise DatasetFormatError("cannot serialize non-finite value")
 
 
@@ -520,7 +520,7 @@ def _floats(values, key) -> np.ndarray:
         raise DatasetFormatError(f"field {key!r} must hold numbers only")
     try:
         arr = np.asarray(values, dtype=float)
-        if all_finite(arr):  # a float literal such as 1e400 loads as inf
+        if np.isfinite(arr).all():  # a float literal such as 1e400 loads as inf
             return arr
     except OverflowError:  # an integer literal such as 10**400
         pass

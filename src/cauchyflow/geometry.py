@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import traces
-from .traces import MARGIN, VectorTrace, all_finite, blockwise
+from .traces import MARGIN, VectorTrace, blockwise
 
 ORIENTATIONS = ("below", "above")
 CURVE_KINDS = ("analytic-closed-form", "open")
@@ -187,7 +187,7 @@ class BoundaryPatch:
         no slack. Both conversions call it once, before they convert.
         """
         for name in ("x1", "gamma", "gamma_prime", "mu"):
-            if not all_finite(getattr(self, name)):
+            if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"patch field {name} contains non-finite values")
         if not self.mu.min() > 0:
             raise ValueError("viscosity must be positive at every node")
@@ -367,7 +367,7 @@ def partition_curve(curve: ParametricCurve, max_slope: float = 1.0,
     with np.errstate(all="ignore"):  # an overflow is reported below, not warned
         x, y = (np.asarray(v, dtype=float) for v in curve.position(tt))
         vx, vy = (np.asarray(v, dtype=float) for v in curve.velocity(tt))
-    if not all(map(all_finite, (x, y, vx, vy))):
+    if not all(np.isfinite(v).all() for v in (x, y, vx, vy)):
         raise ValueError("curve samples are not finite")
     speed = np.hypot(vx, vy)
     if np.min(speed) <= 1e-12 * np.max(speed):
@@ -401,7 +401,7 @@ def partition_curve(curve: ParametricCurve, max_slope: float = 1.0,
         s_ext = np.concatenate((s, s[1:] + arc_len))
         phi_ext = np.concatenate((phi, phi[1:] + turn))
         tt_ext = np.concatenate((tt, tt[1:] + 1.0))
-        ends = _window_ends(s_ext, phi_ext, budget, _SAMPLES + 1, arc_len)
+        ends = _window_ends(phi_ext, budget, _SAMPLES + 1)
         lstar = float(np.min(s_ext[ends] - s_ext[:_SAMPLES + 1]))
         if lstar <= 0:
             raise ValueError(_TURNS_TOO_FAST)
@@ -433,18 +433,19 @@ def partition_curve(curve: ParametricCurve, max_slope: float = 1.0,
     return patches
 
 
-def _window_ends(s, phi, budget, n_starts, cap):
+def _window_ends(phi, budget, n_starts):
     """Per start j < n_starts, the last sample k of the longest window from j.
 
-    That is the largest k with max(phi[j..k]) - min(phi[j..k]) <= budget and
-    s[k] - s[j] <= cap; both tests only fail more as k grows (s is sorted).
+    That is the largest k with max(phi[j..k]) - min(phi[j..k]) <= budget, a
+    test that only fails more as k grows. No arc-length cap is needed: on a
+    closed curve, samples one turn apart differ in angle by more than any budget.
     Every start doubles its window from one sample while the window fits,
     reading the extremes of w samples from a table per level, and where a
     window of 2w samples fails it bisects k in [j + w - 1, j + 2w - 2]: the
     extremes of j..k are those of two overlapping w-sample windows, j.. and
     ..k. Only the tables of w and 2w samples are alive at once, O(n) floats.
     """
-    n = s.shape[0]
+    n = phi.shape[0]
     out = np.empty(n_starts, dtype=np.intp)
     j = np.arange(n_starts)  # the starts whose window of w samples fits
     hi = lo = phi  # hi[i], lo[i]: max and min of phi[i:i + w]
@@ -454,14 +455,14 @@ def _window_ends(s, phi, budget, n_starts, cap):
         if grow.any():
             hi2, lo2 = np.maximum(hi[:-w], hi[w:]), np.minimum(lo[:-w], lo[w:])
             jg = j[grow]
-            grow[grow] = (hi2[jg] - lo2[jg] <= budget) & (s[jg + (2 * w - 1)] - s[jg] <= cap)
+            grow[grow] = hi2[jg] - lo2[jg] <= budget
         stop = j[~grow]
         a, b = stop + (w - 1), np.minimum(stop + (2 * w - 1), n)  # k = a fits, k = b does not
-        hs, ls, ss = hi[stop], lo[stop], s[stop]
+        hs, ls = hi[stop], lo[stop]
         while (b - a > 1).any():
             k = (a + b) // 2
             r = k - (w - 1)
-            fits = (np.maximum(hs, hi[r]) - np.minimum(ls, lo[r]) <= budget) & (s[k] - ss <= cap)
+            fits = np.maximum(hs, hi[r]) - np.minimum(ls, lo[r]) <= budget
             a, b = np.where(fits, k, a), np.where(fits, b, k)
         out[stop] = a
         j = j[grow]
@@ -474,7 +475,7 @@ def _window_ends(s, phi, budget, n_starts, cap):
 def _greedy_open_windows(s, phi, budget, ovl):
     """Forward cover of an open arc by maximal angle-feasible windows."""
     last = s.shape[0] - 1
-    ends = _window_ends(s, phi, budget, last + 1, math.inf)
+    ends = _window_ends(phi, budget, last + 1)
     windows = []
     a_idx = 0
     while True:
@@ -510,7 +511,7 @@ def _build_patch(curve, frame, t_a, t_b, n_nodes, mu, orientation, max_slope):
         raise ValueError(f"max_slope is too small for this curve: "
                          f"a patch reaches |gamma'| = {peak:.3g}")
     # a curve not finite at a node alone slips past the table's samples
-    if not (all_finite(gamma) and all_finite(gp)):
+    if not (np.isfinite(gamma).all() and np.isfinite(gp).all()):
         raise ValueError("curve samples are not finite")
 
     mu_vals = on_grid(mu(*rotation.rotate(x1, gamma)) if callable(mu) else mu, x1)
@@ -551,7 +552,7 @@ def _invert_monotone(fn, dfn, t_lo, t_hi, targets):
             f_first = fb[0]
         # the previous block's last sample brackets the targets below this block's first
         tb, fb = np.concatenate((t_prev, tb)), np.concatenate((f_prev, fb))
-        finite = finite and all_finite(fb)
+        finite = finite and np.isfinite(fb).all()
         increasing = increasing and not np.any(np.diff(fb) <= 0)
         # fb[k - 1] < g <= fb[k], as a search of the whole table places g;
         # a first block of one sample brackets nothing

@@ -98,18 +98,6 @@ def blockwise(kernel, *arrays):
     return tuple(outputs)
 
 
-def all_finite(v) -> bool:
-    """True if every value of the float array or number `v` is finite.
-
-    A sum is finite only if every term is, so one reduction with no temporary
-    decides; a sum that is not finite, which finite terms may overflow to, is
-    tested again term by term.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = np.add.reduce(v, axis=None)
-    return bool(np.isfinite(total)) or bool(np.isfinite(v).all())
-
-
 @dataclass(frozen=True, eq=False)
 class ScalarTrace:
     """Scalar boundary quantity sampled on a uniform grid with spacing h."""

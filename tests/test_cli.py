@@ -837,10 +837,11 @@ def steep_line_dataset(orientation, slope=1e6, nodes=33):
     return ds, jac
 
 
-@pytest.mark.parametrize("slope", [1e100, 1e300])
+@pytest.mark.parametrize("slope", [1e100, 1e300, 1e307])
 @pytest.mark.parametrize("orientation", ["below", "above"])
 def test_verify_passes_exact_data_at_any_finite_slope(tmp_path, capsys, orientation, slope):
-    # exact data pass where the determinant's (1 + gamma'^2)^2 would overflow
+    # exact data pass where the determinant's (1 + gamma'^2)^2 would overflow,
+    # and at 1e307, where the sum of the patch's 33 slopes overflows
     src = tmp_path / "steep.json"
     write_dataset(src, steep_line_dataset(orientation, slope)[0])
     capsys.readouterr()

@@ -232,7 +232,10 @@ def test_nonfinite_rejected_on_write(tmp_path):
     z = np.zeros(8)
     bad = z.copy()
     bad[3] = np.inf
-    for k, arrays in enumerate([dict(u1=bad, u2=z, t1=z, t2=z), dict(u1=z, u2=z, t1=z, t2=bad)]):
+    # and nan, inf or -inf at either end of an array
+    ends = [np.where(np.arange(8) == i, v, 0.0) for i in (0, 7) for v in (np.nan, np.inf, -np.inf)]
+    for k, arrays in enumerate([dict(u1=bad, u2=z, t1=z, t2=z), dict(u1=z, u2=z, t1=z, t2=bad),
+                                *(dict(u1=end, u2=z, t1=z, t2=z) for end in ends)]):
         ds = Dataset(patch=patch, data_kind="stress", **arrays)
         with pytest.raises(DatasetFormatError, match="non-finite"):
             write_dataset(tmp_path / f"x{k}.json", ds)

@@ -225,11 +225,16 @@ def test_partition_tilted_line_one_rotated_patch():
         assert np.array_equal(getattr(patch, name), getattr(want, name)), name
 
 
-def brute_window_ends(s, phi, budget, n_starts, cap):
+def brute_window_ends(s, phi, budget, n_starts, cap=np.inf):
     """Per start j, the largest k with span(phi[j..k]) <= budget and s[k] - s[j] <= cap."""
     return [max(k for k in range(j, len(s))
                 if phi[j:k + 1].max() - phi[j:k + 1].min() <= budget and s[k] - s[j] <= cap)
             for j in range(n_starts)]
+
+
+def extended_by_one_turn(s, phi, turn):
+    """partition_curve's closed-curve arc: the samples, then those after the first one turn on."""
+    return np.concatenate((s, s[1:] + s[-1])), np.concatenate((phi, phi[1:] + turn))
 
 
 @given(phi=st.lists(st.floats(-3, 3), min_size=2, max_size=24),
@@ -238,13 +243,29 @@ def brute_window_ends(s, phi, budget, n_starts, cap):
 def test_window_ends_match_brute_force(phi, steps, budget, turn, closed):
     phi = np.array(phi)
     s = np.concatenate(([0.0], np.cumsum(steps[:len(phi) - 1])))
-    if closed:  # partition_curve's call: one turn appended, windows capped at the arc length
-        arc_len = float(s[-1])
-        args = (np.concatenate((s, s[1:] + arc_len)), np.concatenate((phi, phi[1:] + turn)),
-                budget, len(s), arc_len)
-    else:
-        args = (s, phi, budget, len(s), np.inf)
-    assert geometry._window_ends(*args).tolist() == brute_window_ends(*args)
+    n_starts = len(s)
+    if closed:
+        s, phi = extended_by_one_turn(s, phi, turn)
+    want = brute_window_ends(s, phi, budget, n_starts)
+    assert geometry._window_ends(phi, budget, n_starts).tolist() == want
+
+
+@given(phi=st.lists(st.floats(-3, 3), min_size=2, max_size=24),
+       steps=st.lists(st.floats(1e-3, 1), min_size=23, max_size=23),
+       budget=st.floats(0, 0.95 * np.pi), ccw=st.booleans(),
+       turn=st.floats(np.pi, 3 * np.pi, exclude_min=True, exclude_max=True))
+def test_one_turn_bounds_every_window_below_the_arc_length(phi, steps, budget, turn, ccw):
+    # partition_curve's closed curves turn once, pi < |turn| < 3 pi, and its
+    # budget is below 0.95 pi: the angle test alone stops every window
+    # before it outgrows the arc length, so _window_ends takes no cap
+    turn = turn if ccw else -turn
+    phi = np.array(phi)
+    phi[-1] = phi[0] + turn
+    s = np.concatenate(([0.0], np.cumsum(steps[:len(phi) - 1])))
+    arc_len, n_starts = float(s[-1]), len(s)
+    s, phi = extended_by_one_turn(s, phi, turn)
+    assert (brute_window_ends(s, phi, budget, n_starts, arc_len)
+            == brute_window_ends(s, phi, budget, n_starts))
 
 
 def sampled_arc(curve):
@@ -256,9 +277,7 @@ def sampled_arc(curve):
     s = np.concatenate(([0.0], np.cumsum(0.5 * (speed[1:] + speed[:-1]) * np.diff(tt))))
     if not curve.closed:
         return s, phi, s.shape[0], np.inf
-    arc_len = float(s[-1])
-    return (np.concatenate((s, s[1:] + arc_len)), np.concatenate((phi, phi[1:] + phi[-1] - phi[0])),
-            s.shape[0], arc_len)
+    return (*extended_by_one_turn(s, phi, phi[-1] - phi[0]), s.shape[0], float(s[-1]))
 
 
 ARCS = {"circle:1e-3": circle(1e-3), "circle:1": circle(1.0), "circle:30": circle(30.0),
@@ -271,19 +290,22 @@ ARCS = {"circle:1e-3": circle(1e-3), "circle:1": circle(1.0), "circle:30": circl
 @pytest.mark.parametrize("max_slope", [0.1, 0.3, 1.0, 3.0, 50.0])
 @pytest.mark.parametrize("name", ARCS)
 def test_window_ends_equal_the_deque_scan(name, max_slope, every_start):
+    # the scan stops a closed curve's windows at the arc length; the search
+    # needs no such cap, and must still give the same ends
     s, phi, n_starts, cap = sampled_arc(ARCS[name])
-    args = (s, phi, 2.0 * geometry._CONE_SAFETY * np.arctan(max_slope),
-            s.shape[0] if every_start else n_starts, cap)
-    assert np.array_equal(geometry._window_ends(*args), scan_window_ends(*args))
+    budget = 2.0 * geometry._CONE_SAFETY * np.arctan(max_slope)
+    n_starts = s.shape[0] if every_start else n_starts
+    assert np.array_equal(geometry._window_ends(phi, budget, n_starts),
+                          scan_window_ends(s, phi, budget, n_starts, cap))
 
 
 def test_window_ends_memory_is_linear():
-    # two levels of max/min tables and the stopped starts' bisection: 707 kB
+    # two levels of max/min tables and the stopped starts' bisection: 676 kB
     # measured on circle:1, where a full sparse table peaked at about 1.8 MB
-    s, phi, n_starts, cap = sampled_arc(circle(1.0))
+    _, phi, n_starts, _ = sampled_arc(circle(1.0))
     tracemalloc.start()
     try:
-        geometry._window_ends(s, phi, 2.0 * geometry._CONE_SAFETY * np.arctan(1.0), n_starts, cap)
+        geometry._window_ends(phi, 2.0 * geometry._CONE_SAFETY * np.arctan(1.0), n_starts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

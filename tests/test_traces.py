@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cauchyflow import traces
 from cauchyflow import (ScalarTrace, VectorTrace, tangential_derivative,
                         uniform_grid)
 
@@ -76,17 +75,3 @@ def test_too_short_rejected():
 def test_vector_trace_requires_matching_grids():
     with pytest.raises(ValueError):
         VectorTrace(ScalarTrace(np.zeros(5), 0.1), ScalarTrace(np.zeros(6), 0.1))
-
-
-@pytest.mark.parametrize("values, finite", [
-    ([1e308, 1e308], True),  # their sum overflows, so each term is tested
-    ([], True),
-    ([1.0, np.inf], False),
-    ([-np.inf, 1.0], False),
-    ([1.0, np.nan, 2.0], False),
-    ([np.inf, -np.inf], False),  # a NaN sum
-    (2.5, True),
-    (np.nan, False),
-])
-def test_all_finite(values, finite):
-    assert traces.all_finite(np.asarray(values, dtype=float)) is finite

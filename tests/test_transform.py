@@ -341,6 +341,13 @@ REFUSALS = {
                                "node count must be an integer, got 5.5"),
     "fractional partition nodes": (lambda: geometry.partition_curve(geometry.circle(1.0), nodes_per_patch=16.5),
                                    "node count must be an integer, got 16.5"),
+    # a closed curve's velocity not finite at its first or last sample alone:
+    # the checks after the sample check would refuse it with another message
+    **{f"{value} velocity at t = {end}": (
+        lambda end=end, value=value: geometry.partition_curve(ParametricCurve(
+            geometry.circle(1.0).position,
+            lambda t: tuple(np.where(t == end, value, v) for v in geometry.circle(1.0).velocity(t)))),
+        "curve samples are not finite") for end in (0.0, 1.0) for value in (np.nan, np.inf, -np.inf)},
     "empty span": (lambda: uniform_grid(1.0, 0.0, 4), "grid span is empty"),
     # the spacing 2^-1075 rounds to 0
     "span too small": (lambda: uniform_grid(0.0, 5e-324, 3),
@@ -359,6 +366,13 @@ REFUSALS = {
     "patch orientation": (lambda: BoundaryPatch(0.0, np.arange(4.0), np.zeros(4), np.zeros(4),
                                                 np.ones(4), "left"),
                           "orientation must be one of ('below', 'above')"),
+    # a non-finite value at either end of an array is named as such, not by a later check
+    "inf at the first node": (lambda: BoundaryPatch(0.0, [np.inf, 1.0, 2.0, 3.0], np.zeros(4), np.zeros(4),
+                                                    np.ones(4)).validate(),
+                              "patch field x1 contains non-finite values"),
+    "inf at the last node": (lambda: BoundaryPatch(0.0, [0.0, 1.0, 2.0, np.inf], np.zeros(4), np.zeros(4),
+                                                   np.ones(4)).validate(),
+                             "patch field x1 contains non-finite values"),
     "descending grid": (lambda: BoundaryPatch(0.0, -np.arange(4.0), np.zeros(4), np.zeros(4),
                                               np.ones(4)).validate(),
                         "grid spacing must be positive"),
