@@ -7,7 +7,10 @@ Usage:
 
 The script does no timing itself. It checks both commits out as git
 worktrees under a temporary directory and removes them afterwards, so no
-run writes into a checkout's perfbench/results/. For each seed it runs
+run writes into a checkout's perfbench/results/. The two worktrees sit at
+paths of equal length, <tmp>/parent and <tmp>/change: a CLI process's
+peak RSS moves by up to 0.4 MB with the length of its source path, which
+would otherwise read as a change of the code. For each seed it runs
 the change's BENCHMARK.json command with `--workload NAME --seed S
 --seconds T --trace 0`, T its run_seconds, in both checkouts: the parent
 first for the 1st, 3rd, ... seed, the change first for the others. It

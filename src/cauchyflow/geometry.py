@@ -8,10 +8,10 @@ a dyadic raster, which makes consecutive node differences bitwise equal to
 the stored spacing.
 
 Patch nodes are found by inverting the curve's local abscissa x(t) for the
-grid targets block by block: a dense table of x, built and dropped a block
-of samples at a time, brackets each target, and a vectorized Newton
-iteration (slope from the curve velocity, bisection when a step leaves its
-bracket) refines every node to the float that fits best. A table sample
+grid targets in one pass over a dense table of x: each block of the table
+brackets the targets it covers, and a vectorized Newton iteration (slope
+from the curve velocity, bisection when a step leaves its bracket) refines
+them to the floats that fit best before the block is dropped. A table sample
 that is not finite, a target outside the tabulated window, or a node that
 does not converge raises ValueError. Every curve then gives gamma and
 gamma' at a node from its own position and velocity there, so no patch
@@ -111,6 +111,8 @@ def uniform_grid(lo: float, hi: float, n: int) -> tuple[np.ndarray, float]:
     lo, hi = float(lo), float(hi)
     if not hi > lo:
         raise ValueError("grid span is empty")
+    if hi - lo == math.inf:
+        raise ValueError(f"grid span [{lo!r}, {hi!r}] is not finite")
     want = (hi - lo) / (n - 1)
     _, e = math.frexp(want)
     scale = math.ldexp(1.0, e - 33)
@@ -181,12 +183,13 @@ class BoundaryPatch:
         """Raise ValueError if a patch invariant is violated.
 
         The checks run in a fixed order, and the first one that fails names
-        the fault: non-finite x1, gamma, gamma' or mu, in that order; mu <= 0;
-        h <= 0; a grid that is not uniform; then, if `max_slope` is given, a
-        bound that is not a positive finite number, and |gamma'| above it with
-        no slack. Both conversions call it once, before they convert.
+        the fault: non-finite frame_angle, x1, gamma, gamma' or mu, in that
+        order; mu <= 0; h <= 0; a grid that is not uniform; then, if
+        `max_slope` is given, a bound that is not a positive finite number, and
+        |gamma'| above it with no slack. Both conversions call it once, before
+        they convert.
         """
-        for name in ("x1", "gamma", "gamma_prime", "mu"):
+        for name in ("frame_angle", "x1", "gamma", "gamma_prime", "mu"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"patch field {name} contains non-finite values")
         if not self.mu.min() > 0:
@@ -521,54 +524,22 @@ def _build_patch(curve, frame, t_a, t_b, n_nodes, mu, orientation, max_slope):
 def _invert_monotone(fn, dfn, t_lo, t_hi, targets):
     """Solve fn(t) = target for every target; fn must increase on [t_lo, t_hi].
 
-    The targets must ascend, as a uniform grid does. A dense table of fn at
-    max(1024, 8 n) times, those of np.linspace(t_lo, t_hi), is built
-    traces._BLOCK_NODES samples at a time: each block is checked, fills in
-    the bracket, the samples either side, of each target up to its last
-    value, and is dropped. Newton steps with slope dfn then run on each
-    block of targets (`blockwise`); a node whose step would leave its
-    bracket, or would not halve the previous step, is bisected instead. A
-    node is done once the move it makes is below 4 eps max(1, |t|): a
-    Newton step at roundoff, or a bracket that has shrunk to that width
+    The targets must ascend, as a uniform grid does. One pass streams a
+    dense table of fn at max(1024, 8 n) times, those of np.linspace(t_lo,
+    t_hi), in blocks of traces._BLOCK_NODES intervals, each block's last
+    sample opening the next. A block is refused at once if a sample is not
+    finite; while the table still increases, each block brackets the
+    targets it covers (none below the table) and Newton steps with slope
+    dfn refine them before the block is dropped. A node whose step would
+    leave its bracket, or would not halve the previous step, is bisected
+    instead. A node is done once the move it makes is below 4 eps max(1, |t|):
+    a Newton step at roundoff, or a bracket that has shrunk to that width
     where fn is noisy. The move is still taken, and the result is whichever
-    of it and its two neighbouring floats fits best. Raises ValueError, in
-    this order, for a table sample that is not finite, a table that does
-    not increase, targets outside the tabulated range and nodes not
-    converged after _INVERT_MAX_STEPS steps.
+    of it and its two neighbouring floats fits best. After the pass, raises
+    ValueError, in this order, for a table that does not increase, targets
+    outside it and nodes not converged after _INVERT_MAX_STEPS steps.
     """
     g = np.asarray(targets, dtype=float)
-    brackets = tuple(np.empty(g.shape) for _ in range(4))  # lo, hi, f_lo, f_hi per target
-    num = max(1024, 8 * g.size)
-    dt = (t_hi - t_lo) / (num - 1)  # the sample times are np.linspace's, bit for bit
-    finite = increasing = True
-    t_prev = f_prev = np.empty(0)
-    j = 0  # the targets before g[j] are bracketed
-    for i in range(0, num, traces._BLOCK_NODES):
-        tb = np.arange(i, min(i + traces._BLOCK_NODES, num), dtype=float) * dt + t_lo
-        if i + tb.size == num:
-            tb[-1] = t_hi
-        fb = np.asarray(fn(tb), dtype=float)
-        if not i:
-            f_first = fb[0]
-        # the previous block's last sample brackets the targets below this block's first
-        tb, fb = np.concatenate((t_prev, tb)), np.concatenate((f_prev, fb))
-        finite = finite and np.isfinite(fb).all()
-        increasing = increasing and not np.any(np.diff(fb) <= 0)
-        # fb[k - 1] < g <= fb[k], as a search of the whole table places g;
-        # a first block of one sample brackets nothing
-        end = int(np.searchsorted(g, fb[-1], side="right")) if fb.size > 1 else j
-        k = np.clip(np.searchsorted(fb, g[j:end]), 1, fb.size - 1)
-        for out, v in zip(brackets, (tb[k - 1], tb[k], fb[k - 1], fb[k])):
-            out[j:end] = v
-        j, t_prev, f_prev = end, tb[-1:], fb[-1:]
-    if not finite:
-        raise ValueError("curve samples are not finite")
-    if not increasing:
-        raise ValueError("local abscissa is not monotone over the patch window")
-    outside = int(np.count_nonzero((g < f_first) | (g > f_prev[0])))
-    if outside:
-        raise ValueError(f"{outside} of {g.size} node abscissae fall outside the "
-                         "patch window's local abscissa range")
 
     def solve(g, lo, hi, f_lo, f_hi):
         """The block's nodes, and how many of them did not converge."""
@@ -597,8 +568,35 @@ def _invert_monotone(fn, dfn, t_lo, t_hi, targets):
                 return np.take_along_axis(near, np.argmin(miss, axis=0)[None], axis=0)[0], 0
         return t, np.count_nonzero(~done)
 
-    t, missed = blockwise(solve, g, *brackets)
-    missed = int(np.sum(missed))
+    t = np.empty(g.shape)
+    num = max(1024, 8 * g.size)
+    dt = (t_hi - t_lo) / (num - 1)  # the sample times are np.linspace's, bit for bit
+    increasing, missed = True, 0
+    for i in range(0, num - 1, traces._BLOCK_NODES):
+        tb = np.arange(i, min(i + traces._BLOCK_NODES, num - 1) + 1, dtype=float) * dt + t_lo
+        if i + tb.size == num:
+            tb[-1] = t_hi
+        fb = np.asarray(fn(tb), dtype=float)
+        if not np.isfinite(fb).all():
+            raise ValueError("curve samples are not finite")
+        # Newton never runs past a tie, where its start point would divide by zero
+        increasing = increasing and not np.any(np.diff(fb) <= 0)
+        if not i:  # g[:j] lie below the table and never reach Newton
+            f_first, j = fb[0], int(np.searchsorted(g, fb[0]))
+        if increasing:
+            # fb[k - 1] < g <= fb[k], as a search of the whole table places g
+            end = int(np.searchsorted(g, fb[-1], side="right"))
+            if end > j:
+                k = np.clip(np.searchsorted(fb, g[j:end]), 1, fb.size - 1)
+                t[j:end], block_missed = solve(g[j:end], tb[k - 1], tb[k], fb[k - 1], fb[k])
+                missed += block_missed
+            j = end
+    if not increasing:
+        raise ValueError("local abscissa is not monotone over the patch window")
+    outside = int(np.searchsorted(g, f_first)) + g.size - j  # below the table, then above it
+    if outside:
+        raise ValueError(f"{outside} of {g.size} node abscissae fall outside the "
+                         "patch window's local abscissa range")
     if missed:
         raise ValueError(f"curve inversion did not converge at {missed} "
                          f"of {g.size} nodes within {_INVERT_MAX_STEPS} steps")

@@ -8,11 +8,11 @@ no one-sided formula is ever needed.
 `blockwise` cuts the node arrays into cache-sized blocks and spreads them
 over all available CPUs; no node depends on another, so the output does
 not depend on the block size or the CPU count. It runs the oracle, both
-conversions and transform.data_checks, graph_patch's samples and
-partition_curve's Newton solve. On the calling thread alone run
-BoundaryPatch.validate, whose whole-array passes are memory-bound (at 2^20
-nodes on a 2-vCPU VM, about 9 ms in blocks against 4.6 ms), the
-differences in transform.tolerance and partition_curve's table.
+conversions and transform.data_checks, and graph_patch's samples. On the
+calling thread alone run BoundaryPatch.validate, whose whole-array passes
+are memory-bound (at 2^20 nodes on a 2-vCPU VM, about 9 ms in blocks
+against 4.6 ms), the differences in transform.tolerance and
+partition_curve's table and Newton solve.
 """
 
 from __future__ import annotations

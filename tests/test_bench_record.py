@@ -1,5 +1,6 @@
 """scripts/bench_record.py: its parser on a canned run, its claim rule, and every committed BENCH file."""
 
+import argparse
 import importlib.util
 import json
 import re
@@ -56,6 +57,32 @@ def test_claim_rule(change, holds):
     assert bench_record.claim(summary, "generate_s.p50")["holds"] is holds
     higher = bench_record.summarize(_runs(parent, change), {"generate_s.p50": "higher"})
     assert bench_record.claim(higher, "generate_s.p50")["holds"] is False
+
+
+def test_record_runs_both_sides_from_paths_of_equal_length(monkeypatch, tmp_path):
+    # peak RSS moves with the length of the source path, so the two checkouts must not differ in it
+    bench = {"command": ["python3", "perfbench/run.py"], "run_seconds": 25,
+             "end_to_end": [{"name": "generate_s.p50", "better": "lower"}]}
+
+    def git(repo, *args):
+        return json.dumps(bench) if args[0] == "show" else "0" * 40 if args[0] == "rev-parse" else ""
+
+    checkouts = []
+
+    def run_side(checkout, argv):
+        checkouts.append(checkout)
+        return bench_record.last_json(CANNED_RUN)
+
+    monkeypatch.setattr(bench_record, "git", git)
+    monkeypatch.setattr(bench_record, "run_side", run_side)
+    monkeypatch.setattr(bench_record.subprocess, "run", lambda *a, **k: None)  # worktree remove, prune
+    args = argparse.Namespace(repo=tmp_path, parent="HEAD~1", change="HEAD", workload="cli-large",
+                              seeds=[1, 2], claim=None)
+    done = bench_record.record(args)
+    assert [r["side"] for r in done["entry"]["runs"]] == ["parent", "change", "change", "parent"]
+    parent, change = checkouts[0], checkouts[1]
+    assert checkouts == [parent, change, change, parent] and parent != change
+    assert len(str(parent)) == len(str(change))
 
 
 BENCH_FILES = sorted(ROOT.glob("BENCH_*.json"))

@@ -635,19 +635,27 @@ def test_partition_does_not_depend_on_the_block_size(monkeypatch, name):
 @pytest.mark.parametrize("block", [7, 1 << 14, 1 << 30])
 @pytest.mark.parametrize("t_lo, t_hi, nodes", [(0.0, 1.0, 64), (0.2, 0.9, 1000), (0.3, 1.9, 4099)])
 def test_inversion_table_times_are_linspace(monkeypatch, block, t_lo, t_hi, nodes):
-    # the table's blocks are the first calls of fn, in order
+    # the table's blocks are fn's calls from _invert_monotone itself, in
+    # order; Newton's come from its nested solve
     monkeypatch.setattr(traces, "_BLOCK_NODES", block)
-    calls = []
+    table = []
 
     def fn(t):
-        calls.append(t.copy())
+        if _called_from_the_table():
+            table.append(t.copy())
         return t
 
     geometry._invert_monotone(fn, np.ones_like, t_lo, t_hi, np.linspace(t_lo, t_hi, nodes)[1:-1])
     want = np.linspace(t_lo, t_hi, max(1024, 8 * (nodes - 2)))
-    blocks = -(-want.size // block)
-    assert [c.size for c in calls[:blocks - 1]] == [block] * (blocks - 1)
-    assert np.concatenate(calls[:blocks]).tobytes() == want.tobytes()
+    # each block but the last spans `block` intervals and ends on the next one's first sample
+    assert [b.size for b in table[:-1]] == [block + 1] * (len(table) - 1)
+    assert all(a[-1] == b[0] for a, b in zip(table, table[1:]))
+    assert np.concatenate([table[0]] + [b[1:] for b in table[1:]]).tobytes() == want.tobytes()
+
+
+def _called_from_the_table():
+    """Whether fn's caller, two frames up, is _invert_monotone's table pass, not Newton."""
+    return sys._getframe(2).f_code.co_name == "_invert_monotone"
 
 
 # the 1024 sample times of a table on [0, 1] for up to 128 targets; with
@@ -690,6 +698,42 @@ def test_inversion_counts_targets_outside_the_table_in_any_block(monkeypatch, bl
     assert t.tolist() == [0.0, TABLE[7], 1.0]
 
 
+OUTSIDE = [-0.5, -1e-300, 0.0, 0.5, 1.0, np.nextafter(1.0, 2.0)]
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 30])
+@pytest.mark.parametrize("case", sorted(TABLE_FAULTS) + ["3 of 6 outside"])
+def test_inversion_runs_newton_only_on_a_sound_table_and_inside_it(monkeypatch, block, case):
+    # Newton (every dfn call) runs only while each table block seen so far is
+    # finite and increases, and only at t in the table's window [0, 1]: a
+    # target below or above the table would start Newton outside it
+    monkeypatch.setattr(traces, "_BLOCK_NODES", block)
+    fault, message = TABLE_FAULTS.get(case, (lambda t: t, "outside"))
+    message = {"not monotone": "^local abscissa is not monotone over the patch window$",
+               "not finite": "^curve samples are not finite$",
+               "outside": "^3 of 6 node abscissae fall outside"}[message]
+    table, sound, newton = [], [], []
+
+    def fn(t):
+        f = fault(t)
+        if _called_from_the_table():
+            table.append(f)
+        return f
+
+    def dfn(t):
+        sound.append(all(np.isfinite(f).all() and (np.diff(f) > 0).all() for f in table))
+        newton.append(t.copy())
+        return np.ones_like(t)
+
+    targets = OUTSIDE if case not in TABLE_FAULTS else np.linspace(-0.5, 1.5, 64)
+    with pytest.raises(ValueError, match=message):
+        geometry._invert_monotone(fn, dfn, 0.0, 1.0, targets)
+    assert all(sound)
+    assert all(0.0 <= t.min() and t.max() <= 1.0 for t in newton)
+    if block == 1 << 30 and case in TABLE_FAULTS:  # one block holds the whole table
+        assert not newton
+
+
 def test_partition_refuses_a_curve_not_finite_between_its_check_samples():
     # NaN only on t in (0.50001, 0.50023), between the partitioner's samples
     # at 2048/4096 and 2049/4096, but inside the node tables of the patches
@@ -726,11 +770,11 @@ def test_partition_refuses_a_curve_not_finite_at_a_node_alone(part):
 
 
 def test_partition_memory_is_bounded_by_the_table():
-    # the table is built and dropped a block at a time, so a 2^14-node
-    # Newton block and the four bracket arrays (1 MiB) set the peak:
-    # 5.47 MiB measured, bound 5% above it. The whole table and its sample
-    # times (4 MiB at 2^15 nodes) peaked at 5.8-6.3 MiB, and with Newton on
-    # every node at once at 12.5 MiB
+    # one pass streams the table in blocks of 2^14 intervals and runs Newton
+    # on each block's nodes (about 2^11) before dropping it: 2.76 MiB
+    # measured, bound 5% above it. Four per-node bracket arrays carried to a
+    # second Newton pass over 2^14-node blocks peaked at 5.47 MiB, the whole
+    # table held at once at 5.8-6.3 MiB
     curve = polynomial_graph([0.1, 0.3, -0.2, 0.25], -1.0, 1.0)
     tracemalloc.start()
     try:
@@ -738,4 +782,4 @@ def test_partition_memory_is_bounded_by_the_table():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 5.75 * 2**20
+    assert peak <= 2.89 * 2**20

@@ -349,6 +349,14 @@ REFUSALS = {
             lambda t: tuple(np.where(t == end, value, v) for v in geometry.circle(1.0).velocity(t)))),
         "curve samples are not finite") for end in (0.0, 1.0) for value in (np.nan, np.inf, -np.inf)},
     "empty span": (lambda: uniform_grid(1.0, 0.0, 4), "grid span is empty"),
+    "nan span": (lambda: uniform_grid(np.nan, 1.0, 16), "grid span is empty"),
+    # an infinite end, or a span that overflows, is named, not an OverflowError
+    "-inf span end": (lambda: uniform_grid(-np.inf, 1.0, 16), "grid span [-inf, 1.0] is not finite"),
+    "inf span end": (lambda: uniform_grid(0.0, np.inf, 16), "grid span [0.0, inf] is not finite"),
+    "overflowing span": (lambda: uniform_grid(-1e308, 1e308, 16),
+                         "grid span [-1e+308, 1e+308] is not finite"),
+    "graph patch overflowing span": (lambda: graph_patch(0.0, 0.0, -1e308, 1e308, 16),
+                                     "grid span [-1e+308, 1e+308] is not finite"),
     # the spacing 2^-1075 rounds to 0
     "span too small": (lambda: uniform_grid(0.0, 5e-324, 3),
                        "grid span too small for the requested node count"),
@@ -366,6 +374,11 @@ REFUSALS = {
     "patch orientation": (lambda: BoundaryPatch(0.0, np.arange(4.0), np.zeros(4), np.zeros(4),
                                                 np.ones(4), "left"),
                           "orientation must be one of ('below', 'above')"),
+    # a frame angle the writer and the rotations cannot take is named first
+    **{f"{value} frame angle": (
+        lambda value=value: BoundaryPatch(value, [np.inf, 1.0, 2.0, 3.0], np.zeros(4), np.zeros(4),
+                                          np.ones(4)).validate(),
+        "patch field frame_angle contains non-finite values") for value in (np.nan, np.inf)},
     # a non-finite value at either end of an array is named as such, not by a later check
     "inf at the first node": (lambda: BoundaryPatch(0.0, [np.inf, 1.0, 2.0, 3.0], np.zeros(4), np.zeros(4),
                                                     np.ones(4)).validate(),
