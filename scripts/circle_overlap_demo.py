@@ -20,7 +20,7 @@ from cauchyflow import (FLOWS, PRESSURES, VISCOSITIES, analytic_trace_slopes,
                         rotate_vector_trace, stress_to_dn)
 
 
-def window_interp(x_nodes, y_nodes, x, k=8):
+def window_interp(x_nodes, y_nodes, x, k=12):
     i = int(np.searchsorted(x_nodes, x))
     lo = max(0, min(i - k // 2, x_nodes.shape[0] - k))
     sl = slice(lo, lo + k)

@@ -6,16 +6,17 @@ Exit codes form a stable contract:
     2  usage error (argparse's usage text and one "error:" line, as for no
        command or --nodes x), unknown catalog name, or missing data arrays
     3  malformed input (file, curve spec, --x1-range, a parameter that parses
-       but cannot be used), an unwritable output, or a size too large for memory
+       but cannot be used), an unwritable output, a size too large for memory,
+       or `generate` data that fail its own data checks
     4  a data check above its tolerance (output still written; never
        from `convert stress-to-dn`, whose residual is always 0)
     5  invariant violation (positivity, grid uniformity, slope bound)
 
 `main` sends every ValueError (DatasetFormatError included) and MemoryError
 a command raises to exit 3 with one "error:" line, never a traceback. Local
-handlers map elsewhere: `generate` names the patch, `convert` sends a
-failed patch check to exit 5, and `verify` reports one as "patch
-invariants: FAIL" (exit 5) and a data check it cannot run as "skipped".
+handlers map elsewhere: `generate` names the patch and removes what it wrote,
+`convert` sends a failed patch check to exit 5, and `verify` reports one as
+"patch invariants: FAIL" (exit 5) and a data check it cannot run as "skipped".
 """
 
 from __future__ import annotations
@@ -88,6 +89,10 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
+def _fails(value: float, tol: float) -> bool:
+    return not value <= tol  # a data check above its tolerance, or NaN
+
+
 def _numbered_paths(out_path: str, count: int) -> list[Path]:
     out = Path(out_path)
     if count == 1:
@@ -118,15 +123,26 @@ def _cmd_generate(args) -> int:
                   "viscosity": args.viscosity, "curve": args.curve, "max_slope": args.max_slope}
     paths = _numbered_paths(args.out, len(patches))
     csv_paths = _numbered_paths(args.csv, len(patches)) if args.csv else None
+    written = []
     for k, (patch, path) in enumerate(zip(patches, paths)):
         try:
             dn, stress, _ = manufactured.evaluate_traces(flow, pressure, viscosity, patch)
+            if patch.n >= transform.MODEL_NODES:  # as verify, which skips shorter patches
+                ratios = [value / tol if tol else np.inf for _, value, tol in
+                          transform.data_checks(patch, dn, stress.traction) if _fails(value, tol)]
+                if ratios:  # exact data fail only where the grid is too coarse
+                    raise ValueError(f"the data checks fail at {max(ratios):.3g} times their tolerance: "
+                                     "the grid does not resolve the flow; use more --nodes or a smaller curve")
             ds = dataio.dataset_from_traces(patch, dn=dn, stress=stress,
                                             provenance=provenance | {"patch_index": str(k)})
             dataio.write_dataset(path, ds)
+            written.append(path)
             if csv_paths:
                 dataio.write_csv(csv_paths[k], ds)
+                written.append(csv_paths[k])
         except ValueError as exc:  # DatasetFormatError included: non-finite values, write errors
+            for done in written:  # a refused run leaves no file
+                done.unlink(missing_ok=True)
             return _fail(EXIT_MALFORMED, f"patch {k}: {exc}")
         print(f"wrote {path} ({patch.n} nodes, data_kind=both)")
     return EXIT_OK
@@ -191,8 +207,8 @@ def _cmd_verify(args) -> int:
         print(f"consistency and cross-format checks: skipped ({exc})")
         return EXIT_OK
     for name, value, tol in checks:
-        print(f"{name} = {value:.17g} (tol {tol:.17g}): {'pass' if value <= tol else 'FAIL'}")
-    return EXIT_OK if all(value <= tol for _, value, tol in checks) else EXIT_RESIDUAL
+        print(f"{name} = {value:.17g} (tol {tol:.17g}): {'FAIL' if _fails(value, tol) else 'pass'}")
+    return EXIT_RESIDUAL if any(_fails(value, tol) for _, value, tol in checks) else EXIT_OK
 
 
 def _cmd_partition(args) -> int:

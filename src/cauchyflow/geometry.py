@@ -48,8 +48,8 @@ CURVE_KINDS = ("analytic-closed-form", "open")
 _CONE_SAFETY = 0.95
 _SAMPLES = 4096  # the partitioner samples the curve at t = k / _SAMPLES
 _CORNER_TOL = 0.35  # a larger tangent-angle step between samples is a corner
-_TURNS_TOO_FAST = ("max_slope is too small for this curve: its tangent turns past "
-                   "the slope cone between adjacent samples")
+_TOO_SHORT = ("max_slope or nodes_per_patch is too small for this curve: its windows are too "
+              "short to share the overlap and the patches' stencil margins")
 
 _EPS = float(np.finfo(float).eps)
 # Newton from a dense-table bracket converges in a few steps; the cap leaves
@@ -347,18 +347,20 @@ def partition_curve(curve: ParametricCurve, max_slope: float = 1.0,
                     mu=1.0) -> list[BoundaryPatch]:
     """Cover a curve with overlapping graph patches of bounded slope.
 
-    Every emitted patch satisfies |gamma'| <= max_slope after rotation to
-    its frame, consecutive patches overlap by at least overlap_fraction of
-    their arc length (never less than 0.05, so 0 yields 5%), and the patch
+    Open arcs and closed curves get one greedy cover from t = 0 (_greedy_windows):
+    every patch has |gamma'| <= max_slope in its frame, consecutive patches
+    (a closed curve's last and first too) share at least overlap_fraction of
+    the earlier one's arc (never less than 0.05, so 0 yields 5%), and the patch
     interiors cover the curve. A closed curve is "above" when its unwrapped
-    tangent angle turns counterclockwise and "below" when it turns
-    clockwise; open arcs are "below".
+    tangent angle turns counterclockwise and "below" when it turns clockwise;
+    open arcs are "below".
 
     Raises ValueError for invalid parameters, non-finite curve samples,
     irregular curves, curves too small to sample in floating point (where
     dt/ds = 1/|velocity| overflows), curves with corners, closed curves that
     fail the closure check or whose tangent does not turn exactly once, and a
-    max_slope too small for the curve's turn between tangent samples.
+    max_slope too small for the curve's turn between tangent samples or, with
+    nodes_per_patch, for windows that share the overlap and the margins.
     """
     max_slope = positive_finite("max_slope", max_slope)
     if not 0.0 <= overlap_fraction < 0.5:
@@ -402,30 +404,16 @@ def partition_curve(curve: ParametricCurve, max_slope: float = 1.0,
         # the interior lies left of a counterclockwise (left-turning) tangent
         orientation = "above" if turn > 0 else "below"
         s_ext = np.concatenate((s, s[1:] + arc_len))
-        phi_ext = np.concatenate((phi, phi[1:] + turn))
         tt_ext = np.concatenate((tt, tt[1:] + 1.0))
-        ends = _window_ends(phi_ext, budget, _SAMPLES + 1)
-        lstar = float(np.min(s_ext[ends] - s_ext[:_SAMPLES + 1]))
-        if lstar <= 0:
-            raise ValueError(_TURNS_TOO_FAST)
-        count = int(math.ceil(arc_len / ((1.0 - ovl) * lstar)))
-        stride = arc_len / count
-        length = stride / (1.0 - ovl)
-        windows = []
-        for k in range(count):
-            sa, sb = k * stride, k * stride + length
-            # from the last sample at or before sa to the second at or after sb
-            ja = int(np.searchsorted(s_ext, sa, side="right")) - 1
-            jb = int(np.searchsorted(s_ext, sb, side="left")) + 1
-            window_phi = phi_ext[ja:jb + 1]
-            windows.append((sa, sb, 0.5 * float(window_phi.max() + window_phi.min())))
+        windows = _greedy_windows(s_ext, (x + 1j * y)[:-1], np.concatenate((phi, phi[1:] + turn)),
+                                  budget, ovl, nodes_per_patch)
     else:
         orientation = "below"
         s_ext, tt_ext = s, tt
         if float(np.max(np.abs(phi))) <= cone:
             windows = [(0.0, arc_len, 0.0)]
         else:
-            windows = _greedy_open_windows(s, phi, budget, ovl)
+            windows = _greedy_windows(s, x + 1j * y, phi, budget, ovl, nodes_per_patch)
 
     patches = []
     for sa, sb, frame in windows:
@@ -475,24 +463,68 @@ def _window_ends(phi, budget, n_starts):
     return out
 
 
-def _greedy_open_windows(s, phi, budget, ovl):
-    """Forward cover of an open arc by maximal angle-feasible windows."""
+def _greedy_windows(s, z, phi, budget, ovl, nodes):
+    """Forward cover by windows from sample 0 until one reaches the last sample or, on a closed
+    curve's arc extended by one turn (positions z = x + iy, one turn's, read periodically), an
+    earlier one can follow the last one turn on; the windows before that one are dropped.
+
+    The first window is the longest from sample 0. Each next one starts where it still shares
+    `ovl` of the earlier one's arc, and its patch's stencil interior (all but MARGIN of `nodes`
+    nodes an end, read at the samples) must meet the earlier one's: it is the longest from the
+    last such start (by bisection), else the longest that fits from the earlier start's next sample.
+    """
     last = s.shape[0] - 1
-    ends = _window_ends(phi, budget, last + 1)
-    windows = []
-    a_idx = 0
-    while True:
-        k = int(ends[a_idx])
-        if k == a_idx:
-            raise ValueError(_TURNS_TOO_FAST)
-        window_phi = phi[a_idx:k + 1]
-        windows.append((float(s[a_idx]), float(s[k]),
-                        0.5 * float(window_phi.max() + window_phi.min())))
-        if k == last:
-            return windows
-        a_next = s[k] - ovl * (s[k] - s[a_idx])
-        nxt = int(np.searchsorted(s, a_next, side="right")) - 1
-        a_idx = min(max(nxt, a_idx + 1), last - 1)
+    if np.max(np.abs(np.diff(phi))) > budget:
+        raise ValueError("max_slope is too small for this curve: its tangent turns past "
+                         "the slope cone between adjacent samples")
+    ends = _window_ends(phi, budget, _SAMPLES + 1)
+
+    def end(j):
+        """The last sample of the longest window from j; a closed curve's repeat one turn on."""
+        return int(ends[j % _SAMPLES]) + j - j % _SAMPLES
+
+    def window(j, k):
+        """The window j..k as (arc start, arc end, frame angle), and its interior's end samples."""
+        frame = 0.5 * float(phi[j:k + 1].max() + phi[j:k + 1].min())
+        x1 = (z.take(np.arange(j, k + 1), mode="wrap") * np.exp(-1j * frame)).real  # increasing
+        d = MARGIN / (nodes - 1) * (x1[-1] - x1[0])
+        return ((float(s[j]), float(s[k]), frame), j + int(np.searchsorted(x1, x1[0] + d)),
+                j + int(np.searchsorted(x1, x1[-1] - d, side="right")) - 1)
+
+    def last_fit(lo, hi, fits):
+        """hi if it fits, else by bisection an x in (lo, hi) that fits, or lo."""
+        if hi > lo and fits(hi):
+            return hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+        return lo
+
+    a, k = 0, end(0)
+    win, first, inner = window(a, k)
+    windows, starts = [win], [(a, first)]
+    while k != last:
+        nxt = int(np.searchsorted(s, s[k] - ovl * (s[k] - s[a]), side="right")) - 1
+        for i, (ai, fi) in enumerate(starts):  # ascending: none on an open arc
+            if ai + _SAMPLES > nxt:
+                break
+            if ai + _SAMPLES > a and fi + _SAMPLES <= inner:
+                return windows[i:]
+        if nxt <= a:
+            raise ValueError(_TOO_SHORT)
+        j = last_fit(a, nxt, lambda j: window(j, end(j))[1] <= inner)
+        if j > a:
+            a, k = j, end(j)
+        else:
+            a += 1
+            k = last_fit(a, end(a), lambda k: window(a, k)[1] <= inner)
+        win, first, reach = window(a, k)
+        if k == a or reach <= inner:
+            raise ValueError(_TOO_SHORT)
+        windows.append(win)
+        starts.append((a, first))
+        inner = reach
+    return windows
 
 
 def _build_patch(curve, frame, t_a, t_b, n_nodes, mu, orientation, max_slope):

@@ -54,6 +54,8 @@ from .traces import MARGIN, ScalarTrace, VectorTrace, blockwise, stencil_neighbo
 # conversions themselves apply the stencil inside their blocks
 from .traces import tangential_derivative  # noqa: F401
 
+MODEL_NODES = 8  # the error model reads seventh differences of u
+
 
 @dataclass(frozen=True, eq=False)
 class GradientTrace:
@@ -194,8 +196,8 @@ def tolerance(patch: BoundaryPatch, dn: CauchyDN, traction: VectorTrace | None =
     mu through p and t, with G = 8 max(1, max mu). Below 8 nodes: ValueError,
     then one for any array that is not on the patch grid (_on_grid).
     """
-    if patch.n < 8:
-        raise ValueError(f"{patch.n} nodes, fewer than the 8 the error model needs")
+    if patch.n < MODEL_NODES:
+        raise ValueError(f"{patch.n} nodes, fewer than the {MODEL_NODES} the error model needs")
     traces = (dn.dnu.c1, dn.dnu.c2, dn.p) + (() if traction is None else (traction.c1, traction.c2))
     u1, u2, *read = _on_grid(patch, dn.u.c1, dn.u.c2, *traces)
     eps, h, u = float(np.finfo(float).eps), patch.h, (u1, u2)

@@ -7,7 +7,7 @@ import numpy as np
 
 from cauchyflow import (BoundaryPatch, DatasetFormatError, FrameRotation, graph_patch, normal_at,
                         theta, AnalyticFlow, AnalyticScalarField)
-from cauchyflow import dataio
+from cauchyflow import dataio, geometry
 
 
 # file contents no reader can parse, each with a phrase of the error it gives
@@ -63,6 +63,27 @@ def scan_window_ends(s, phi, budget, n_starts, cap):
         if lo[0] == j:
             lo.popleft()
     return out
+
+
+def greedy_open_windows(s, phi, budget, ovl):
+    """An open arc's forward cover by maximal windows, as (arc start, arc end, frame angle).
+
+    The open-arc routine geometry._greedy_windows replaced, kept as the
+    reference its open-arc covers must equal.
+    """
+    last = s.shape[0] - 1
+    ends = geometry._window_ends(phi, budget, last + 1)
+    windows = []
+    a_idx = 0
+    while True:
+        k = int(ends[a_idx])
+        window_phi = phi[a_idx:k + 1]
+        windows.append((float(s[a_idx]), float(s[k]),
+                        0.5 * float(window_phi.max() + window_phi.min())))
+        if k == last:
+            return windows
+        nxt = int(np.searchsorted(s, s[k] - ovl * (s[k] - s[a_idx]), side="right")) - 1
+        a_idx = min(max(nxt, a_idx + 1), last - 1)
 
 
 def flat_patch(n=68, lo=-1.0, hi=1.0, mu=1.0, orientation="below"):

@@ -122,8 +122,9 @@ def test_generate_oracle_overflow_is_one_error_line(tmp_path):
 
 
 def test_generate_on_huge_circle_warns_nothing(tmp_path):
-    # the partitioner's orientation test used to overflow at this radius
-    done = run_cli("generate", "--flow", "trig", "--pressure", "trig", "--viscosity", "unit",
+    # the partitioner's orientation test used to overflow at this radius; the
+    # couette flow is resolved on any grid, so generate writes every patch
+    done = run_cli("generate", "--flow", "couette", "--pressure", "trig", "--viscosity", "unit",
                    "--curve", "circle:1e200", "--nodes", 16, "--out", tmp_path / "x.json")
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
@@ -970,7 +971,6 @@ def test_partition_invalid_slope(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("spec, slope, why", [
-    ("circle:1", "1e-3", "a patch reaches |gamma'| = 0.00153"),
     ("circle:1", "1e-4", "its tangent turns past the slope cone between adjacent samples"),
     ("graph:poly:0,0,3", "1e-4", "its tangent turns past the slope cone between adjacent samples"),
 ])
@@ -979,6 +979,36 @@ def test_partition_max_slope_too_small_exits_3(tmp_path, capsys, spec, slope, wh
     assert run(["partition", "--curve", spec, "--max-slope", slope, "--nodes", 16, "--out", out]) == 3
     assert capsys.readouterr().err == f"error: --max-slope is too small for this curve: {why}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("spec, slope, nodes", [
+    ("circle:1", "1e-3", 16), ("circle:1", "1", 5), ("graph:poly:0,0,3", "1", 5)])
+def test_partition_refuses_windows_too_short_for_the_overlap(tmp_path, capsys, spec, slope, nodes):
+    # at slope 1e-3 the unit circle's windows are one sample interval long and
+    # could share only an end; a 5-node patch's stencil interior is one node
+    out = tmp_path / "p.json"
+    assert run(["partition", "--curve", spec, "--max-slope", slope, "--nodes", nodes,
+                "--out", out]) == 3
+    assert capsys.readouterr().err == (
+        "error: --max-slope or --nodes is too small for this curve: its windows are too short "
+        "to share the overlap and the patches' stencil margins\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("curve, nodes", [("circle:1e6", 16), ("circle:1e6", 4096),
+                                          ("ellipse:100,1", 16), ("ellipse:10,1", 16)])
+def test_generate_refuses_data_its_checks_fail(tmp_path, capsys, curve, nodes):
+    # the trig flow has fewer than 6 nodes per wavelength on these patches; on
+    # ellipse:10,1 patches 0-6 pass and are written, then removed; patch 7 is
+    # a 16-node flank patch at 1.5 times the tolerance
+    code = run(["generate", "--flow", "trig", "--pressure", "trig", "--viscosity", "variable",
+                "--curve", curve, "--nodes", nodes, "--out", tmp_path / "g.json",
+                "--csv", tmp_path / "g.csv"])
+    assert code == 3
+    assert re.fullmatch(r"error: patch \d+: the data checks fail at \S+ times their tolerance: "
+                        r"the grid does not resolve the flow; use more --nodes or a smaller curve\n",
+                        capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_pipeline_bitwise_stable(tmp_path):

@@ -12,7 +12,7 @@ from cauchyflow import (BoundaryPatch, FrameRotation, ParametricCurve,
                         normal_at, partition_curve, polynomial_graph,
                         rotate_vector_trace, theta, uniform_grid)
 from cauchyflow import traces
-from helpers import rotate_rows, rotation_matrix, scan_window_ends
+from helpers import greedy_open_windows, rotate_rows, rotation_matrix, scan_window_ends
 
 finite_slope = st.floats(-20, 20, allow_nan=False)
 EPS = np.finfo(float).eps
@@ -312,6 +312,27 @@ def test_window_ends_memory_is_linear():
     assert peak < 1e6
 
 
+OPEN_ARCS = {"graph:poly:0,0.3,-1.2,0.9": ARCS["graph:poly:0,0.3,-1.2,0.9"],
+             "cubic": polynomial_graph([0.1, 0.3, -0.2, 0.25], -1.0, 1.0),
+             "steep": polynomial_graph([0.0, 0.0, 2.0], -1.0, 1.0)}
+
+
+@pytest.mark.parametrize("overlap", [0.0, 0.2, 0.45])
+@pytest.mark.parametrize("max_slope", [0.1, 0.3, 1.0, 3.0])
+@pytest.mark.parametrize("name", OPEN_ARCS)
+def test_open_arcs_keep_their_greedy_windows(name, max_slope, overlap):
+    # closed curves share the open arcs' window routine; where the patches'
+    # stencil margins, 2 of 1023 node intervals an end, fit in the overlap,
+    # the open covers stay what they were, and so do their patches, bit for bit
+    curve = OPEN_ARCS[name]
+    s, phi, _, _ = sampled_arc(curve)
+    x, y = curve.position(np.linspace(0.0, 1.0, geometry._SAMPLES + 1))
+    budget = 2.0 * geometry._CONE_SAFETY * np.arctan(max_slope)
+    ovl = max(overlap, 0.05)
+    assert (geometry._greedy_windows(s, x + 1j * y, phi, budget, ovl, 1024)
+            == greedy_open_windows(s, phi, budget, ovl))
+
+
 def test_partition_steep_open_arc_multi_window():
     steep = polynomial_graph([0.0, 0.0, 2.0], -1.0, 1.0)  # slope spans [-4, 4]
     patches = partition_curve(steep, max_slope=1.0, nodes_per_patch=48)
@@ -354,25 +375,40 @@ def test_partition_coverage_random_parameters():
     assert covered.all()
 
 
-def test_partition_overlap_fraction_respected():
-    # consecutive windows of a closed partition share >= 20% of their arc;
-    # measured here through the parameter windows recovered from the grids
-    curve = circle(1.0)
-    patches = partition_curve(curve, overlap_fraction=0.2, nodes_per_patch=64)
-    spans = []
+CLOSED_COVERS = {"circle:1": (1.0, 1.0, 6), "ellipse:2,1": (2.0, 1.0, 7),
+                 "ellipse:10,1": (10.0, 1.0, 10), "ellipse:100,1": (100.0, 1.0, 16)}
+
+
+@pytest.mark.parametrize("nodes", [16, 64, 1024])
+@pytest.mark.parametrize("name", CLOSED_COVERS)
+def test_partition_overlap_fraction_respected(name, nodes):
+    # consecutive windows of a closed partition, the last and the first one
+    # turn on included, share >= 20% of the earlier one's arc, measured through
+    # the parameter windows recovered from the grids, and their stencil
+    # interiors meet, so the interiors cover the curve. Greedy windows from
+    # t = 0 that ignore the margins number 6, 7, 10 and 16; at 1024 nodes the
+    # margins cost no patch, and below at most as many again (a uniform
+    # stride of the shortest window gave ellipse:100,1 24,075)
+    a, b, most = CLOSED_COVERS[name]
+    curve = ellipse(a, b)
+    patches = partition_curve(curve, overlap_fraction=0.2, nodes_per_patch=nodes)
+    assert len(patches) <= (1 if nodes == 1024 else 2) * most
+    s, _, _, arc_len = sampled_arc(curve)
+    spans = []  # parameter t of each patch's end nodes and interior ends
     for p in patches:
-        c, s = np.cos(p.frame_angle), np.sin(p.frame_angle)
-        ang = np.arctan2(s * p.x1 + c * p.gamma, c * p.x1 - s * p.gamma)
-        ang = np.unwrap(ang)
-        spans.append((ang[0], ang[-1]))
-    for k in range(len(spans)):
-        a0, a1 = spans[k]
-        b0, b1 = spans[(k + 1) % len(spans)]
-        while b0 < a0:
-            b0 += 2 * np.pi
-            b1 += 2 * np.pi
-        overlap = a1 - b0
-        assert overlap >= 0.2 * min(a1 - a0, b1 - b0) - 1e-9
+        p.validate(max_slope=1.0)
+        assert p.n == nodes
+        x, y = p.nodes_global().T
+        t = np.unwrap(np.arctan2(y / b, x / a)) / (2 * np.pi)  # up to whole turns
+        lo = spans[-1][0] + (t[0] - spans[-1][0]) % 1.0 if spans else t[0] - np.floor(t[0] + 1e-9)
+        spans.append(lo + t[[0, traces.MARGIN, -1 - traces.MARGIN, -1]] - t[0])
+    spans.append(spans[0] + 1.0)
+    arcs = np.interp(spans, np.linspace(0.0, 2.0, s.shape[0]), s)
+    for (a0, _, _, a1), (b0, _, _, _), (_, _, i1, _), (_, j0, _, _) in zip(
+            arcs[:-1], arcs[1:], spans[:-1], spans[1:]):
+        assert a0 < b0
+        assert a1 - b0 >= 0.2 * (a1 - a0) - 1e-9 * arc_len
+        assert j0 <= i1 + 1e-12
 
 
 def test_partition_is_deterministic():
@@ -692,8 +728,9 @@ def test_inversion_counts_targets_outside_the_table_in_any_block(monkeypatch, bl
     with pytest.raises(ValueError, match="^3 of 6 node abscissae fall outside"):
         geometry._invert_monotone(lambda t: t, np.ones_like, 0.0, 1.0,
                                   [-0.5, -1e-300, 0.0, 0.5, 1.0, np.nextafter(1.0, 2.0)])
-    # the window's two ends are inside it; a first block of one sample
-    # leaves the first target to the next block's bracket
+    # the window's two ends are inside it; blocks count intervals and share
+    # their end samples, so with block 1 the first 2-sample block brackets
+    # the first target
     t = geometry._invert_monotone(lambda t: t, np.ones_like, 0.0, 1.0, [0.0, TABLE[7], 1.0])
     assert t.tolist() == [0.0, TABLE[7], 1.0]
 
@@ -749,6 +786,25 @@ def test_partition_refuses_a_curve_not_finite_between_its_check_samples():
     for nodes in (64, 1024):
         with pytest.raises(ValueError, match="^curve samples are not finite$"):
             partition_curve(curve, nodes_per_patch=nodes)
+
+
+def test_partition_refuses_a_patch_that_tilts_past_the_bound_between_its_samples():
+    # 1e-4 sin(4096 pi t)^2 and its slope vanish at every sample t = k / 4096,
+    # so the windows see the unit circle; between samples the wiggle tilts a
+    # patch's nodes past the bound
+    w = 4096 * np.pi
+
+    def position(t):
+        x, y = circle(1.0).position(t)
+        return x, y + 1e-4 * np.sin(w * np.asarray(t, dtype=float)) ** 2
+
+    def velocity(t):
+        vx, vy = circle(1.0).velocity(t)
+        return vx, vy + 1e-4 * w * np.sin(2 * w * np.asarray(t, dtype=float))
+
+    with pytest.raises(ValueError, match=r"^max_slope is too small for this curve: "
+                                         r"a patch reaches \|gamma'\| = 1\.23$"):
+        partition_curve(ParametricCurve(position, velocity), nodes_per_patch=64)
 
 
 @pytest.mark.parametrize("part", ["position", "velocity"])
