@@ -100,7 +100,8 @@ def uniform_grid(lo: float, hi: float, n: int) -> tuple[np.ndarray, float]:
     """Uniform grid of n nodes inside [lo, hi] with exactly equal spacing.
 
     Spacing and origin are snapped to a dyadic raster (granularity about
-    h * 2**-32) so every node is an exact integer multiple of the raster;
+    h * 2**-32, coarser where the grid lies beyond about 2**19 h from the
+    origin) so every node is an exact integer multiple of the raster;
     successive floating-point differences then equal h bit for bit. The
     snap moves each endpoint inward by less than one raster step.
     """
@@ -115,7 +116,7 @@ def uniform_grid(lo: float, hi: float, n: int) -> tuple[np.ndarray, float]:
         raise ValueError(f"grid span [{lo!r}, {hi!r}] is not finite")
     want = (hi - lo) / (n - 1)
     _, e = math.frexp(want)
-    scale = math.ldexp(1.0, e - 33)
+    scale = math.ldexp(1.0, max(e - 33, math.frexp(max(abs(lo), abs(hi)))[1] - 52))
     if scale == 0:  # a spacing below about 2**-1041 has no raster step
         raise ValueError("grid span too small for the requested node count")
     start = math.ceil(lo / scale) * scale
@@ -424,43 +425,17 @@ def partition_curve(curve: ParametricCurve, max_slope: float = 1.0,
     return patches
 
 
-def _window_ends(phi, budget, n_starts):
-    """Per start j < n_starts, the last sample k of the longest window from j.
+def _window_end(phi, budget, j):
+    """The last sample k of the longest window from j: the largest k with
+    max(phi[j..k]) - min(phi[j..k]) <= budget, a spread that only grows with k.
 
-    That is the largest k with max(phi[j..k]) - min(phi[j..k]) <= budget, a
-    test that only fails more as k grows. No arc-length cap is needed: on a
-    closed curve, samples one turn apart differ in angle by more than any budget.
-    Every start doubles its window from one sample while the window fits,
-    reading the extremes of w samples from a table per level, and where a
-    window of 2w samples fails it bisects k in [j + w - 1, j + 2w - 2]: the
-    extremes of j..k are those of two overlapping w-sample windows, j.. and
-    ..k. Only the tables of w and 2w samples are alive at once, O(n) floats.
+    The search stops one turn on, at k = j + _SAMPLES. That bound never binds: an open
+    arc has _SAMPLES + 1 samples, and on a closed curve's arc extended by one turn,
+    samples one turn apart differ in angle by more than pi, above every budget.
     """
-    n = phi.shape[0]
-    out = np.empty(n_starts, dtype=np.intp)
-    j = np.arange(n_starts)  # the starts whose window of w samples fits
-    hi = lo = phi  # hi[i], lo[i]: max and min of phi[i:i + w]
-    w = 1
-    while j.size:
-        grow = j + (2 * w - 1) < n
-        if grow.any():
-            hi2, lo2 = np.maximum(hi[:-w], hi[w:]), np.minimum(lo[:-w], lo[w:])
-            jg = j[grow]
-            grow[grow] = hi2[jg] - lo2[jg] <= budget
-        stop = j[~grow]
-        a, b = stop + (w - 1), np.minimum(stop + (2 * w - 1), n)  # k = a fits, k = b does not
-        hs, ls = hi[stop], lo[stop]
-        while (b - a > 1).any():
-            k = (a + b) // 2
-            r = k - (w - 1)
-            fits = np.maximum(hs, hi[r]) - np.minimum(ls, lo[r]) <= budget
-            a, b = np.where(fits, k, a), np.where(fits, b, k)
-        out[stop] = a
-        j = j[grow]
-        if j.size:
-            hi, lo = hi2, lo2
-        w *= 2
-    return out
+    rest = phi[j:j + _SAMPLES + 1]
+    spread = np.maximum.accumulate(rest) - np.minimum.accumulate(rest)
+    return j + int(np.searchsorted(spread, budget, side="right")) - 1
 
 
 def _greedy_windows(s, z, phi, budget, ovl, nodes):
@@ -477,11 +452,10 @@ def _greedy_windows(s, z, phi, budget, ovl, nodes):
     if np.max(np.abs(np.diff(phi))) > budget:
         raise ValueError("max_slope is too small for this curve: its tangent turns past "
                          "the slope cone between adjacent samples")
-    ends = _window_ends(phi, budget, _SAMPLES + 1)
 
     def end(j):
         """The last sample of the longest window from j; a closed curve's repeat one turn on."""
-        return int(ends[j % _SAMPLES]) + j - j % _SAMPLES
+        return _window_end(phi, budget, j % _SAMPLES) + j - j % _SAMPLES
 
     def window(j, k):
         """The window j..k as (arc start, arc end, frame angle), and its interior's end samples."""

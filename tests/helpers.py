@@ -7,7 +7,7 @@ import numpy as np
 
 from cauchyflow import (BoundaryPatch, DatasetFormatError, FrameRotation, graph_patch, normal_at,
                         theta, AnalyticFlow, AnalyticScalarField)
-from cauchyflow import dataio, geometry
+from cauchyflow import dataio
 
 
 # file contents no reader can parse, each with a phrase of the error it gives
@@ -29,8 +29,8 @@ def scan_window_ends(s, phi, budget, n_starts, cap):
     That is the largest k with max(phi[j..k]) - min(phi[j..k]) <= budget and
     s[k] - s[j] <= cap, found for all starts in one sliding scan.
 
-    The partitioner's deque scan before geometry._window_ends went to
-    array passes, kept as the reference it must equal.
+    The partitioner's one-time deque scan over all starts, kept as the
+    reference geometry._window_end must equal at every start.
     """
     hi: deque = deque()
     lo: deque = deque()
@@ -72,7 +72,7 @@ def greedy_open_windows(s, phi, budget, ovl):
     reference its open-arc covers must equal.
     """
     last = s.shape[0] - 1
-    ends = geometry._window_ends(phi, budget, last + 1)
+    ends = scan_window_ends(s, phi, budget, last + 1, np.inf)
     windows = []
     a_idx = 0
     while True:

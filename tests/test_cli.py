@@ -380,6 +380,20 @@ def test_verify_generated_curved_dataset(tmp_path):
         assert run(["verify", part]) == 0, part.name
 
 
+def test_generate_on_a_far_off_tip_window_writes_uniform_grids(tmp_path):
+    # two tip windows of this cover span x1 in [-39.906, -39.894] in their
+    # frame: 1023 steps of 1.2e-5 near |x1| = 40, whose nodes stay exact
+    # multiples of the grid's raster
+    out = tmp_path / "tip.json"
+    code = run(["generate", "--flow", "couette", "--pressure", "zero", "--viscosity", "unit",
+                "--curve", "ellipse:100,1", "--max-slope", 0.5, "--nodes", 1024, "--out", out])
+    assert code == 0
+    parts = sorted(tmp_path.glob("tip-p*.json"))
+    assert len(parts) == 22
+    for part in parts:
+        assert run(["verify", part]) == 0, part.name
+
+
 def test_verify_zeroed_viscosity(tmp_path):
     src = generate_couette(tmp_path)
     doc = json.loads(src.read_text())

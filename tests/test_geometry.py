@@ -1,10 +1,11 @@
+import math
 import re
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from cauchyflow import (BoundaryPatch, FrameRotation, ParametricCurve,
@@ -92,6 +93,37 @@ def test_uniform_grid_spacing_is_bitwise_exact():
         assert x[0] >= lo and x[-1] <= hi
         # the snap stays within a tiny fraction of one spacing
         assert x[0] - lo <= 1e-8 * h and hi - x[-1] <= 1e-8 * h + h
+
+
+def grid_ends(mantissa, exponent, offset, n):
+    """(lo, hi) of a span of n - 1 steps of mantissa 2**exponent, from offset steps off the origin."""
+    want = math.ldexp(mantissa, exponent)
+    return offset * want, (offset + n - 1) * want
+
+
+@given(mantissa=st.floats(1, 2), exponent=st.integers(-300, 300), n=st.integers(2, 4096),
+       offset=st.floats(-2.0**19 + 4096, 2.0**19 - 4096))
+def test_uniform_grid_near_the_origin_keeps_its_raster(mantissa, exponent, n, offset):
+    # within 2**19 h of the origin the raster is h 2**-32, set by the spacing
+    # alone as below, so such a grid keeps these nodes bit for bit
+    lo, hi = grid_ends(mantissa, exponent, offset, n)
+    scale = math.ldexp(1.0, math.frexp((hi - lo) / (n - 1))[1] - 33)
+    start = math.ceil(lo / scale) * scale
+    h = math.floor((hi - start) / (n - 1) / scale) * scale
+    assume(max(abs(lo), abs(hi)) <= 2.0**19 * h)
+    x, got_h = uniform_grid(lo, hi, n)
+    assert got_h == h
+    assert np.array_equal(x, start + h * np.arange(n))
+
+
+@given(mantissa=st.floats(1, 2), exponent=st.integers(-300, 300), n=st.integers(2, 4096),
+       far=st.integers(19, 48), sign=st.sampled_from([-1.0, 1.0]), frac=st.floats(0.5, 1))
+def test_uniform_grid_far_from_the_origin_steps_by_h_exactly(mantissa, exponent, n, far,
+                                                             sign, frac):
+    lo, hi = grid_ends(mantissa, exponent, sign * frac * 2.0**far, n)
+    x, h = uniform_grid(lo, hi, n)
+    assert h > 0 and np.all(np.diff(x) == h)
+    assert lo <= x[0] and x[-1] <= hi
 
 
 def test_graph_patch_validates():
@@ -247,7 +279,7 @@ def test_window_ends_match_brute_force(phi, steps, budget, turn, closed):
     if closed:
         s, phi = extended_by_one_turn(s, phi, turn)
     want = brute_window_ends(s, phi, budget, n_starts)
-    assert geometry._window_ends(phi, budget, n_starts).tolist() == want
+    assert [geometry._window_end(phi, budget, j) for j in range(n_starts)] == want
 
 
 @given(phi=st.lists(st.floats(-3, 3), min_size=2, max_size=24),
@@ -257,7 +289,7 @@ def test_window_ends_match_brute_force(phi, steps, budget, turn, closed):
 def test_one_turn_bounds_every_window_below_the_arc_length(phi, steps, budget, turn, ccw):
     # partition_curve's closed curves turn once, pi < |turn| < 3 pi, and its
     # budget is below 0.95 pi: the angle test alone stops every window
-    # before it outgrows the arc length, so _window_ends takes no cap
+    # before it outgrows the arc length, so _window_end needs no arc-length cap
     turn = turn if ccw else -turn
     phi = np.array(phi)
     phi[-1] = phi[0] + turn
@@ -291,25 +323,25 @@ ARCS = {"circle:1e-3": circle(1e-3), "circle:1": circle(1.0), "circle:30": circl
 @pytest.mark.parametrize("name", ARCS)
 def test_window_ends_equal_the_deque_scan(name, max_slope, every_start):
     # the scan stops a closed curve's windows at the arc length; the search
-    # needs no such cap, and must still give the same ends
+    # stops them one turn on, and must still give the same ends
     s, phi, n_starts, cap = sampled_arc(ARCS[name])
     budget = 2.0 * geometry._CONE_SAFETY * np.arctan(max_slope)
     n_starts = s.shape[0] if every_start else n_starts
-    assert np.array_equal(geometry._window_ends(phi, budget, n_starts),
+    assert np.array_equal([geometry._window_end(phi, budget, j) for j in range(n_starts)],
                           scan_window_ends(s, phi, budget, n_starts, cap))
 
 
-def test_window_ends_memory_is_linear():
-    # two levels of max/min tables and the stopped starts' bisection: 676 kB
-    # measured on circle:1, where a full sparse table peaked at about 1.8 MB
-    _, phi, n_starts, _ = sampled_arc(circle(1.0))
+def test_partition_memory_stays_small():
+    # the window search reads one start's samples at a time: 0.66 MB traced
+    # on circle:1 at 64 nodes, where tables of every start's window end peaked at 1.20 MB
+    curve = circle(1.0)
     tracemalloc.start()
     try:
-        geometry._window_ends(phi, 2.0 * geometry._CONE_SAFETY * np.arctan(1.0), n_starts)
+        partition_curve(curve, nodes_per_patch=64)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1e6
+    assert peak < 0.75e6
 
 
 OPEN_ARCS = {"graph:poly:0,0.3,-1.2,0.9": ARCS["graph:poly:0,0.3,-1.2,0.9"],
