@@ -7,8 +7,9 @@ refusal's message, a sha256 over every patch's frame angle, orientation
 and arrays (x1, gamma, gamma', mu), and the best time of --repeat calls.
 Two checkouts that build the same covers print the same counts and
 digests, so comparing the outputs shows which partitions a change moved.
-The last line totals the times and names the slowest setting. Exits 1 if
-a patch of a built cover fails `validate(max_slope)`.
+The last line totals the times, names the slowest setting and counts the
+refusals and the patches that fail `validate(max_slope)`. Exits 1 if a
+setting is refused or a patch of a built cover fails `validate(max_slope)`.
 
 Usage: python scripts/partition_sweep.py [--curves SPEC ...] [--overlaps F ...] [--repeat 3]
 """
@@ -74,7 +75,7 @@ def main(argv=None) -> int:
     parser.add_argument("--repeat", type=int, default=3, help="calls per setting (best time)")
     args = parser.parse_args(argv)
 
-    total, slowest, failing = 0.0, (0.0, ""), 0
+    total, slowest, refused, failing = 0.0, (0.0, ""), 0, 0
     for spec, max_slope, overlap, nodes in itertools.product(args.curves, SLOPES, args.overlaps,
                                                              NODES):
         setting = f"{spec} max-slope {max_slope:g} overlap {overlap:g} nodes {nodes}"
@@ -83,10 +84,11 @@ def main(argv=None) -> int:
         print(f"{setting}: {line} {seconds:.4f} s" + (f" ({bad} fail validate)" if bad else ""))
         total += seconds
         slowest = max(slowest, (seconds, setting))
+        refused += line.startswith("refused: ")
         failing += bad
     print(f"total {total:.2f} s, slowest {slowest[0]:.4f} s ({slowest[1]}), "
-          f"{failing} patches fail validate")
-    return 1 if failing else 0
+          f"{refused} settings refused, {failing} patches fail validate")
+    return 1 if refused or failing else 0
 
 
 if __name__ == "__main__":

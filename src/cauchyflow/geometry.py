@@ -46,7 +46,7 @@ CURVE_KINDS = ("analytic-closed-form", "open")
 # fraction of the slope cone the partitioner actually budgets per patch,
 # leaving headroom for between-sample tangent excursions
 _CONE_SAFETY = 0.95
-_SAMPLES = 4096  # the partitioner samples the curve at t = k / _SAMPLES
+_SAMPLES = 4096  # the partitioner's samples of a curve number _SAMPLES + 1
 _CORNER_TOL = 0.35  # a larger tangent-angle step between samples is a corner
 _TOO_SHORT = ("max_slope or nodes_per_patch is too small for this curve: its windows are too "
               "short to share the overlap and the patches' stencil margins")
@@ -348,13 +348,12 @@ def partition_curve(curve: ParametricCurve, max_slope: float = 1.0,
                     mu=1.0) -> list[BoundaryPatch]:
     """Cover a curve with overlapping graph patches of bounded slope.
 
-    Open arcs and closed curves get one greedy cover from t = 0 (_greedy_windows):
-    every patch has |gamma'| <= max_slope in its frame, consecutive patches
-    (a closed curve's last and first too) share at least overlap_fraction of
-    the earlier one's arc (never less than 0.05, so 0 yields 5%), and the patch
-    interiors cover the curve. A closed curve is "above" when its unwrapped
-    tangent angle turns counterclockwise and "below" when it turns clockwise;
-    open arcs are "below".
+    Open arcs and closed curves get one greedy cover from t = 0 (_greedy_windows) over samples
+    spaced by arc length plus tangent turn: every patch has |gamma'| <= max_slope in its frame,
+    consecutive patches (a closed curve's last and first too) share at least overlap_fraction of
+    the earlier one's arc (never less than 0.05, so 0 yields 5%), and the patch interiors cover
+    the curve. A closed curve is "above" when its unwrapped tangent angle turns counterclockwise
+    and "below" when it turns clockwise; open arcs are "below".
 
     Raises ValueError for invalid parameters, non-finite curve samples,
     irregular curves, curves too small to sample in floating point (where
@@ -369,7 +368,45 @@ def partition_curve(curve: ParametricCurve, max_slope: float = 1.0,
     if nodes_per_patch < 2 * MARGIN + 1:
         raise ValueError("nodes_per_patch must be at least 5")
 
+    # the curve at uniform t, then again at equal steps of s / L + turned angle / total turn
+    # (of s / L where it does not turn), so a tight turn holds as many samples as a long run
     tt = np.linspace(0.0, 1.0, _SAMPLES + 1)
+    _, phi, s = _sample_curve(curve, tt)
+    turned = np.concatenate(([0.0], np.cumsum(np.abs(np.diff(phi)))))
+    u = s / s[-1] + (turned / turned[-1] if turned[-1] > 0 else 0.0)
+    tt = np.interp(np.linspace(0.0, u[-1], _SAMPLES + 1), u, tt)
+    z, phi, s = _sample_curve(curve, tt)
+
+    cone = math.atan(max_slope)
+    budget = 2.0 * _CONE_SAFETY * cone
+    ovl = max(float(overlap_fraction), 0.05)
+
+    # windows: (start sample, end sample, frame angle)
+    if curve.closed:
+        turn = float(phi[-1] - phi[0])
+        if not math.pi < abs(turn) < 3.0 * math.pi:
+            raise ValueError(f"closed curve is not simple: its tangent turns "
+                             f"{round(turn / (2.0 * math.pi))} times, not once")
+        # the interior lies left of a counterclockwise (left-turning) tangent
+        orientation = "above" if turn > 0 else "below"
+        s, phi = np.concatenate((s, s[1:] + s[-1])), np.concatenate((phi, phi[1:] + turn))
+        windows = _greedy_windows(s, z[:-1], phi, budget, ovl, nodes_per_patch)
+    else:
+        orientation = "below"
+        if float(np.max(np.abs(phi))) <= cone:
+            windows = [(0, _SAMPLES, 0.0)]
+        else:
+            windows = _greedy_windows(s, z, phi, budget, ovl, nodes_per_patch)
+
+    # a closed curve's sample j lies one turn on for each _SAMPLES past the table
+    return [_build_patch(curve, frame, *(float(tt[j % _SAMPLES] + j // _SAMPLES) for j in (a, k)),
+                         nodes_per_patch, mu, orientation, max_slope) for a, k, frame in windows]
+
+
+def _sample_curve(curve, tt):
+    """The curve at times tt as (x + iy, unwrapped tangent angle, arc length from tt[0]); raises
+    ValueError where a sample is not finite or regular, the curve is too small to sample in
+    floating point or, marked closed, does not close up, or the tangent turns past _CORNER_TOL."""
     with np.errstate(all="ignore"):  # an overflow is reported below, not warned
         x, y = (np.asarray(v, dtype=float) for v in curve.position(tt))
         vx, vy = (np.asarray(v, dtype=float) for v in curve.velocity(tt))
@@ -379,50 +416,15 @@ def partition_curve(curve: ParametricCurve, max_slope: float = 1.0,
     if np.min(speed) <= 1e-12 * np.max(speed):
         raise ValueError("curve is not regular: velocity vanishes at a sample node")
     extent = max(float(np.max(np.abs(x))), float(np.max(np.abs(y))))  # scale-relative, as above
-    if math.isinf(1.0 / float(np.min(speed))):
-        # arclength maps back to t through dt/ds = 1/speed, which overflows
+    if math.isinf(1.0 / float(np.min(speed))):  # dt/ds = 1 / speed overflows
         raise ValueError(f"curve of size {extent:.3g} is too small to sample in floating point")
     if curve.closed and math.hypot(x[0] - x[-1], y[0] - y[-1]) > 1e-12 * extent:
         raise ValueError("curve marked closed does not close up")
-
     phi = np.unwrap(np.arctan2(vy, vx))
     if np.max(np.abs(np.diff(phi))) > _CORNER_TOL:
         raise ValueError("corner detected: tangent direction jumps between adjacent samples")
-
     s = np.concatenate(([0.0], np.cumsum(0.5 * (speed[1:] + speed[:-1]) * np.diff(tt))))
-    arc_len = float(s[-1])
-
-    cone = math.atan(max_slope)
-    budget = 2.0 * _CONE_SAFETY * cone
-    ovl = max(float(overlap_fraction), 0.05)
-
-    # windows: (arc start, arc end, frame angle)
-    if curve.closed:
-        turn = float(phi[-1] - phi[0])
-        if not math.pi < abs(turn) < 3.0 * math.pi:
-            raise ValueError(f"closed curve is not simple: its tangent turns "
-                             f"{round(turn / (2.0 * math.pi))} times, not once")
-        # the interior lies left of a counterclockwise (left-turning) tangent
-        orientation = "above" if turn > 0 else "below"
-        s_ext = np.concatenate((s, s[1:] + arc_len))
-        tt_ext = np.concatenate((tt, tt[1:] + 1.0))
-        windows = _greedy_windows(s_ext, (x + 1j * y)[:-1], np.concatenate((phi, phi[1:] + turn)),
-                                  budget, ovl, nodes_per_patch)
-    else:
-        orientation = "below"
-        s_ext, tt_ext = s, tt
-        if float(np.max(np.abs(phi))) <= cone:
-            windows = [(0.0, arc_len, 0.0)]
-        else:
-            windows = _greedy_windows(s, x + 1j * y, phi, budget, ovl, nodes_per_patch)
-
-    patches = []
-    for sa, sb, frame in windows:
-        t_a = float(np.interp(sa, s_ext, tt_ext))
-        t_b = float(np.interp(sb, s_ext, tt_ext))
-        patches.append(_build_patch(curve, frame, t_a, t_b, nodes_per_patch, mu,
-                                    orientation, max_slope))
-    return patches
+    return x + 1j * y, phi, s
 
 
 def _window_end(phi, budget, j):
@@ -443,10 +445,10 @@ def _greedy_windows(s, z, phi, budget, ovl, nodes):
     curve's arc extended by one turn (positions z = x + iy, one turn's, read periodically), an
     earlier one can follow the last one turn on; the windows before that one are dropped.
 
-    The first window is the longest from sample 0. Each next one starts where it still shares
-    `ovl` of the earlier one's arc, and its patch's stencil interior (all but MARGIN of `nodes`
-    nodes an end, read at the samples) must meet the earlier one's: it is the longest from the
-    last such start (by bisection), else the longest that fits from the earlier start's next sample.
+    The first window is the longest from sample 0. Each next one starts, a sample past the earlier
+    start at least, at the last sample that shares `ovl` of the earlier one's arc and whose longest
+    window's patch stencil interior (all but MARGIN of `nodes` nodes an end, read at the samples)
+    meets the earlier one's, and ends at the last sample where its own still does (by bisection).
     """
     last = s.shape[0] - 1
     if np.max(np.abs(np.diff(phi))) > budget:
@@ -458,11 +460,11 @@ def _greedy_windows(s, z, phi, budget, ovl, nodes):
         return _window_end(phi, budget, j % _SAMPLES) + j - j % _SAMPLES
 
     def window(j, k):
-        """The window j..k as (arc start, arc end, frame angle), and its interior's end samples."""
+        """The window j..k as (start sample, end sample, frame angle), and its interior's ends."""
         frame = 0.5 * float(phi[j:k + 1].max() + phi[j:k + 1].min())
         x1 = (z.take(np.arange(j, k + 1), mode="wrap") * np.exp(-1j * frame)).real  # increasing
         d = MARGIN / (nodes - 1) * (x1[-1] - x1[0])
-        return ((float(s[j]), float(s[k]), frame), j + int(np.searchsorted(x1, x1[0] + d)),
+        return ((j, k, frame), j + int(np.searchsorted(x1, x1[0] + d)),
                 j + int(np.searchsorted(x1, x1[-1] - d, side="right")) - 1)
 
     def last_fit(lo, hi, fits):
@@ -486,12 +488,8 @@ def _greedy_windows(s, z, phi, budget, ovl, nodes):
                 return windows[i:]
         if nxt <= a:
             raise ValueError(_TOO_SHORT)
-        j = last_fit(a, nxt, lambda j: window(j, end(j))[1] <= inner)
-        if j > a:
-            a, k = j, end(j)
-        else:
-            a += 1
-            k = last_fit(a, end(a), lambda k: window(a, k)[1] <= inner)
+        a = max(a + 1, last_fit(a, nxt, lambda j: window(j, end(j))[1] <= inner))
+        k = last_fit(a, end(a), lambda k: window(a, k)[1] <= inner)
         win, first, reach = window(a, k)
         if k == a or reach <= inner:
             raise ValueError(_TOO_SHORT)

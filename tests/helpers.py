@@ -66,7 +66,7 @@ def scan_window_ends(s, phi, budget, n_starts, cap):
 
 
 def greedy_open_windows(s, phi, budget, ovl):
-    """An open arc's forward cover by maximal windows, as (arc start, arc end, frame angle).
+    """An open arc's forward cover by maximal windows, as (start sample, end sample, frame angle).
 
     The open-arc routine geometry._greedy_windows replaced, kept as the
     reference its open-arc covers must equal.
@@ -78,8 +78,7 @@ def greedy_open_windows(s, phi, budget, ovl):
     while True:
         k = int(ends[a_idx])
         window_phi = phi[a_idx:k + 1]
-        windows.append((float(s[a_idx]), float(s[k]),
-                        0.5 * float(window_phi.max() + window_phi.min())))
+        windows.append((a_idx, k, 0.5 * float(window_phi.max() + window_phi.min())))
         if k == last:
             return windows
         nxt = int(np.searchsorted(s, s[k] - ovl * (s[k] - s[a_idx]), side="right")) - 1

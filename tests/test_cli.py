@@ -381,17 +381,31 @@ def test_verify_generated_curved_dataset(tmp_path):
 
 
 def test_generate_on_a_far_off_tip_window_writes_uniform_grids(tmp_path):
-    # two tip windows of this cover span x1 in [-39.906, -39.894] in their
-    # frame: 1023 steps of 1.2e-5 near |x1| = 40, whose nodes stay exact
+    # a tip window of this cover spans x1 in [-42.627, -42.613] in its
+    # frame: 1023 steps of 1.4e-5 near |x1| = 43, whose nodes stay exact
     # multiples of the grid's raster
     out = tmp_path / "tip.json"
     code = run(["generate", "--flow", "couette", "--pressure", "zero", "--viscosity", "unit",
                 "--curve", "ellipse:100,1", "--max-slope", 0.5, "--nodes", 1024, "--out", out])
     assert code == 0
     parts = sorted(tmp_path.glob("tip-p*.json"))
-    assert len(parts) == 22
+    assert len(parts) == 20
     for part in parts:
         assert run(["verify", part]) == 0, part.name
+
+
+@pytest.mark.parametrize("max_slope, count", [(0.5, 34), (1.0, 30)])
+def test_partition_covers_the_tips_of_a_thin_ellipse_at_the_widest_overlap(tmp_path, max_slope,
+                                                                           count):
+    # sampled uniformly in t, the tips of ellipse:100,1 (|x| > 99) held 371
+    # of the partitioner's 4097 samples and its shortest windows a handful,
+    # too few for windows that share 45% and meet at their stencil interiors,
+    # and this was refused; spaced by arc length plus turn, the tips hold 1979
+    out = tmp_path / "thin.json"
+    assert run(["partition", "--curve", "ellipse:100,1", "--max-slope", max_slope,
+                "--overlap", 0.45, "--nodes", 1024, "--out", out]) == 0
+    patches = json.loads(out.read_text())["patches"]
+    assert len(patches) == count
 
 
 def test_verify_zeroed_viscosity(tmp_path):

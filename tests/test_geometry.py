@@ -2,6 +2,7 @@ import math
 import re
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -301,15 +302,21 @@ def test_one_turn_bounds_every_window_below_the_arc_length(phi, steps, budget, t
 
 
 def sampled_arc(curve):
-    """partition_curve's (s, phi, n_starts, cap): a closed curve's arc extended by one turn."""
-    tt = np.linspace(0.0, 1.0, geometry._SAMPLES + 1)
-    vx, vy = curve.velocity(tt)
-    speed = np.hypot(vx, vy)
-    phi = np.unwrap(np.arctan2(vy, vx))
-    s = np.concatenate(([0.0], np.cumsum(0.5 * (speed[1:] + speed[:-1]) * np.diff(tt))))
+    """partition_curve's (tt, z, s, phi, n_starts, cap), from the second of its two _sample_curve
+    passes: a closed curve's s and phi extended by one turn, cap its arc length."""
+    passes, sample = [], geometry._sample_curve
+
+    def spy(curve, tt):
+        passes.append((tt, *sample(curve, tt)))
+        return passes[-1][1:]
+
+    with mock.patch.object(geometry, "_sample_curve", spy):
+        partition_curve(curve)
+    assert len(passes) == 2
+    tt, z, phi, s = passes[1]
     if not curve.closed:
-        return s, phi, s.shape[0], np.inf
-    return (*extended_by_one_turn(s, phi, phi[-1] - phi[0]), s.shape[0], float(s[-1]))
+        return tt, z, s, phi, s.shape[0], np.inf
+    return tt, z, *extended_by_one_turn(s, phi, phi[-1] - phi[0]), s.shape[0], float(s[-1])
 
 
 ARCS = {"circle:1e-3": circle(1e-3), "circle:1": circle(1.0), "circle:30": circle(30.0),
@@ -324,7 +331,7 @@ ARCS = {"circle:1e-3": circle(1e-3), "circle:1": circle(1.0), "circle:30": circl
 def test_window_ends_equal_the_deque_scan(name, max_slope, every_start):
     # the scan stops a closed curve's windows at the arc length; the search
     # stops them one turn on, and must still give the same ends
-    s, phi, n_starts, cap = sampled_arc(ARCS[name])
+    _, _, s, phi, n_starts, cap = sampled_arc(ARCS[name])
     budget = 2.0 * geometry._CONE_SAFETY * np.arctan(max_slope)
     n_starts = s.shape[0] if every_start else n_starts
     assert np.array_equal([geometry._window_end(phi, budget, j) for j in range(n_starts)],
@@ -355,13 +362,12 @@ OPEN_ARCS = {"graph:poly:0,0.3,-1.2,0.9": ARCS["graph:poly:0,0.3,-1.2,0.9"],
 def test_open_arcs_keep_their_greedy_windows(name, max_slope, overlap):
     # closed curves share the open arcs' window routine; where the patches'
     # stencil margins, 2 of 1023 node intervals an end, fit in the overlap,
-    # the open covers stay what they were, and so do their patches, bit for bit
-    curve = OPEN_ARCS[name]
-    s, phi, _, _ = sampled_arc(curve)
-    x, y = curve.position(np.linspace(0.0, 1.0, geometry._SAMPLES + 1))
+    # an open arc's windows on the partitioner's samples are the plain greedy
+    # cover's, sample for sample
+    _, z, s, phi, _, _ = sampled_arc(OPEN_ARCS[name])
     budget = 2.0 * geometry._CONE_SAFETY * np.arctan(max_slope)
     ovl = max(overlap, 0.05)
-    assert (geometry._greedy_windows(s, x + 1j * y, phi, budget, ovl, 1024)
+    assert (geometry._greedy_windows(s, z, phi, budget, ovl, 1024)
             == greedy_open_windows(s, phi, budget, ovl))
 
 
@@ -425,7 +431,7 @@ def test_partition_overlap_fraction_respected(name, nodes):
     curve = ellipse(a, b)
     patches = partition_curve(curve, overlap_fraction=0.2, nodes_per_patch=nodes)
     assert len(patches) <= (1 if nodes == 1024 else 2) * most
-    s, _, _, arc_len = sampled_arc(curve)
+    tt, _, s, _, _, arc_len = sampled_arc(curve)
     spans = []  # parameter t of each patch's end nodes and interior ends
     for p in patches:
         p.validate(max_slope=1.0)
@@ -435,7 +441,7 @@ def test_partition_overlap_fraction_respected(name, nodes):
         lo = spans[-1][0] + (t[0] - spans[-1][0]) % 1.0 if spans else t[0] - np.floor(t[0] + 1e-9)
         spans.append(lo + t[[0, traces.MARGIN, -1 - traces.MARGIN, -1]] - t[0])
     spans.append(spans[0] + 1.0)
-    arcs = np.interp(spans, np.linspace(0.0, 2.0, s.shape[0]), s)
+    arcs = np.interp(spans, np.concatenate((tt, tt[1:] + 1.0)), s)
     for (a0, _, _, a1), (b0, _, _, _), (_, _, i1, _), (_, j0, _, _) in zip(
             arcs[:-1], arcs[1:], spans[:-1], spans[1:]):
         assert a0 < b0

@@ -44,20 +44,20 @@ def test_readme_library_example_runs():
 
 
 def test_partition_sweep_slice_builds_only_valid_patches():
-    # a slice of the sweep's grid: the script exits 1 if a patch of a built
-    # cover fails validate(max_slope), as ellipse:100,1's far-off tip windows
-    # at max-slope 0.5 and 1024 nodes did before their grids kept a raster
-    # that their |x1| allows
+    # a slice of the sweep's grid: the script exits 1 if a setting is refused,
+    # as ellipse:100,1's at max-slope 0.5 and 6 nodes were while the cover
+    # sampled t uniformly, or if a patch of a built cover fails
+    # validate(max_slope), as ellipse:100,1's far-off tip windows at max-slope
+    # 0.5 and 1024 nodes did before their grids kept a raster that their |x1| allows
     curves = ("circle:1e-3", "ellipse:2,1", "ellipse:100,1", "graph:poly:0,0,5",
               "graph:poly:0,1,-2,3")
     out = run_script("partition_sweep.py", "--curves", *curves, "--overlaps", "0", "0.2",
                      "--repeat", "1").splitlines()
     assert len(out) == 5 * 3 * 2 * 5 + 1
-    # a patch count and digest, or a refusal such as ellipse:100,1's at 6 nodes
-    covers = [re.fullmatch(r"(.*): (?:(\d+) patches [0-9a-f]{64}|refused: .*) \S+ s", line)
-              for line in out[:-1]]
+    # a patch count and digest on every setting, no refusal
+    covers = [re.fullmatch(r"(.*): (\d+) patches [0-9a-f]{64} \S+ s", line) for line in out[:-1]]
     assert all(covers), [line for line, cover in zip(out, covers) if not cover]
-    built = {cover.group(1): int(cover.group(2)) for cover in covers if cover.group(2)}
-    assert built["ellipse:100,1 max-slope 0.5 overlap 0 nodes 1024"] == 16
-    assert built["ellipse:100,1 max-slope 0.5 overlap 0.2 nodes 1024"] == 22
-    assert out[-1].endswith(" 0 patches fail validate")
+    built = {cover.group(1): int(cover.group(2)) for cover in covers}
+    assert built["ellipse:100,1 max-slope 0.5 overlap 0 nodes 1024"] == 14
+    assert built["ellipse:100,1 max-slope 0.5 overlap 0.2 nodes 1024"] == 20
+    assert out[-1].endswith(" 0 settings refused, 0 patches fail validate")
