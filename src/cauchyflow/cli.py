@@ -2,9 +2,9 @@
 
 Exit codes form a stable contract:
     0  success
-    1  standard output closed before everything was printed
+    1  standard output closed before everything was printed (`__main__.console`)
     2  usage error (argparse's usage text and one "error:" line, as for no
-       command or --nodes x), unknown catalog name, or missing data arrays
+       command, --nodes x or --flow nosuch) or missing data arrays
     3  malformed input (file, curve spec, --x1-range, a parameter that parses
        but cannot be used), an unwritable output, a size too large for memory,
        or `generate` data that fail its own data checks
@@ -22,8 +22,6 @@ handlers map elsewhere: `generate` names the patch and removes what it wrote,
 from __future__ import annotations
 
 import argparse
-import gc
-import os
 import sys
 import warnings
 from pathlib import Path
@@ -33,7 +31,7 @@ import numpy as np
 from . import dataio, geometry, manufactured, transform
 
 EXIT_OK = 0
-EXIT_UNKNOWN_NAME = 2
+EXIT_USAGE = 2
 EXIT_MALFORMED = 3
 EXIT_RESIDUAL = 4
 EXIT_INVARIANT = 5
@@ -109,15 +107,9 @@ def _check_limits(residual_tol, max_slope=None) -> None:
 
 
 def _cmd_generate(args) -> int:
-    flow = manufactured.FLOWS.get(args.flow)
-    if flow is None:
-        return _fail(EXIT_UNKNOWN_NAME, f"unknown flow {args.flow!r}")
-    pressure = manufactured.PRESSURES.get(args.pressure)
-    if pressure is None:
-        return _fail(EXIT_UNKNOWN_NAME, f"unknown pressure {args.pressure!r}")
-    viscosity = manufactured.VISCOSITIES.get(args.viscosity)
-    if viscosity is None:
-        return _fail(EXIT_UNKNOWN_NAME, f"unknown viscosity {args.viscosity!r}")
+    flow = manufactured.FLOWS[args.flow]
+    pressure = manufactured.PRESSURES[args.pressure]
+    viscosity = manufactured.VISCOSITIES[args.viscosity]
     patches = _curve_patches(args, viscosity.value)
     provenance = {"flow": args.flow, "pressure": args.pressure,
                   "viscosity": args.viscosity, "curve": args.curve, "max_slope": args.max_slope}
@@ -158,9 +150,9 @@ def _cmd_convert(args) -> int:
 
     to_dn = args.direction == "stress-to-dn"
     if to_dn and ds.data_kind == "dn":
-        return _fail(EXIT_UNKNOWN_NAME, "input has no traction arrays (t1, t2)")
+        return _fail(EXIT_USAGE, "input has no traction arrays (t1, t2)")
     if not to_dn and ds.data_kind == "stress":
-        return _fail(EXIT_UNKNOWN_NAME, "input has no (dnu1, dnu2, p) arrays")
+        return _fail(EXIT_USAGE, "input has no (dnu1, dnu2, p) arrays")
 
     tol = args.residual_tol
     if to_dn:  # traction data have no residual to bound
@@ -180,7 +172,7 @@ def _cmd_convert(args) -> int:
     print(f"wrote {args.output} ({out.patch.n} nodes, data_kind={out.data_kind})")
     print(f"max consistency residual = {residual:.17g}")
     print(f"residual tolerance = {tol:.17g}")
-    return EXIT_OK if residual <= tol else EXIT_RESIDUAL
+    return EXIT_RESIDUAL if _fails(residual, tol) else EXIT_OK
 
 
 def _cmd_verify(args) -> int:
@@ -238,9 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "[0, 0.5); values below 0.05 give 0.05")
 
     gen = sub.add_parser("generate", parents=[curve], help="write an analytic oracle dataset")
-    gen.add_argument("--flow", required=True, help=f"one of {sorted(manufactured.FLOWS)}")
-    gen.add_argument("--pressure", required=True, help=f"one of {sorted(manufactured.PRESSURES)}")
-    gen.add_argument("--viscosity", required=True, help=f"one of {sorted(manufactured.VISCOSITIES)}")
+    gen.add_argument("--flow", required=True, choices=sorted(manufactured.FLOWS))
+    gen.add_argument("--pressure", required=True, choices=sorted(manufactured.PRESSURES))
+    gen.add_argument("--viscosity", required=True, choices=sorted(manufactured.VISCOSITIES))
     gen.add_argument("--nodes", type=int, required=True, help="nodes per patch, margins included")
     gen.add_argument("--csv", default=None, help="also write a flat CSV export")
     gen.set_defaults(func=_cmd_generate)
@@ -284,17 +276,3 @@ def main(argv=None) -> int:
             return _fail(EXIT_MALFORMED, str(exc))
         except MemoryError as exc:  # e.g. a --nodes value whose arrays cannot be allocated
             return _fail(EXIT_MALFORMED, str(exc) or "out of memory")
-
-
-def console() -> None:
-    try:
-        code = main()
-        sys.stdout.flush()
-    except BrokenPipeError:  # stdout closed early: devnull takes the exit's flush, no traceback
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 1
-    # every output file is closed; frozen, the exit's full collections skip what numpy and the
-    # package left (about 20 ms). Streams still flush and atexit handlers run; only cyclic
-    # garbage goes unfinalized, for the OS to reclaim. main never freezes: it also runs in-process
-    gc.freeze()
-    sys.exit(code)

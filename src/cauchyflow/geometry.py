@@ -30,6 +30,7 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -360,7 +361,10 @@ def partition_curve(curve: ParametricCurve, max_slope: float = 1.0,
     dt/ds = 1/|velocity| overflows), curves with corners, closed curves that
     fail the closure check or whose tangent does not turn exactly once, and a
     max_slope too small for the curve's turn between tangent samples or, with
-    nodes_per_patch, for windows that share the overlap and the margins.
+    nodes_per_patch, for windows that share the overlap and the margins. Each
+    patch is returned only once BoundaryPatch.validate(max_slope) passes, whose
+    message names the fault: mu not positive and finite at every node, a grid
+    that is not uniform, or |gamma'| past the bound between the samples.
     """
     max_slope = positive_finite("max_slope", max_slope)
     if not 0.0 <= overlap_fraction < 0.5:
@@ -455,10 +459,12 @@ def _greedy_windows(s, z, phi, budget, ovl, nodes):
         raise ValueError("max_slope is too small for this curve: its tangent turns past "
                          "the slope cone between adjacent samples")
 
+    @functools.cache
     def end(j):
         """The last sample of the longest window from j; a closed curve's repeat one turn on."""
         return _window_end(phi, budget, j % _SAMPLES) + j - j % _SAMPLES
 
+    @functools.cache
     def window(j, k):
         """The window j..k as (start sample, end sample, frame angle), and its interior's ends."""
         frame = 0.5 * float(phi[j:k + 1].max() + phi[j:k + 1].min())
@@ -512,17 +518,14 @@ def _build_patch(curve, frame, t_a, t_b, n_nodes, mu, orientation, max_slope):
     _, gamma = position(t_nodes)
     wx, wy = velocity(t_nodes)
     gp = wy / wx
-
-    peak = float(np.max(np.abs(gp)))
-    if peak > max_slope:
-        raise ValueError(f"max_slope is too small for this curve: "
-                         f"a patch reaches |gamma'| = {peak:.3g}")
-    # a curve not finite at a node alone slips past the table's samples
+    # a curve not finite at a node alone slips past the table's samples; mu never sees such a node
     if not (np.isfinite(gamma).all() and np.isfinite(gp).all()):
         raise ValueError("curve samples are not finite")
 
     mu_vals = on_grid(mu(*rotation.rotate(x1, gamma)) if callable(mu) else mu, x1)
-    return BoundaryPatch(frame, x1, gamma, gp, mu_vals, orientation)
+    patch = BoundaryPatch(frame, x1, gamma, gp, mu_vals, orientation)
+    patch.validate(max_slope)
+    return patch
 
 
 def _invert_monotone(fn, dfn, t_lo, t_hi, targets):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from cauchyflow import read_dataset, write_csv, write_dataset, Dataset, graph_patch, normal_at
+from cauchyflow import __main__ as entry
 from cauchyflow import cli
 from cauchyflow.cli import main
 from helpers import UNREADABLE_FILES, flat_patch
@@ -55,15 +56,24 @@ def test_generate_flat_couette(tmp_path):
 
 
 def test_generate_unknown_names(tmp_path):
-    base = ["--pressure", "zero", "--viscosity", "unit",
-            "--curve", "graph:poly:0", "--nodes", 16, "--out", tmp_path / "x.json"]
-    assert run(["generate", "--flow", "xyz", *base]) == 2
-    assert run(["generate", "--flow", "couette", "--pressure", "nope",
-                "--viscosity", "unit", "--curve", "graph:poly:0",
-                "--nodes", 16, "--out", tmp_path / "x.json"]) == 2
-    assert run(["generate", "--flow", "couette", "--pressure", "zero",
-                "--viscosity", "nope", "--curve", "graph:poly:0",
-                "--nodes", 16, "--out", tmp_path / "x.json"]) == 2
+    # argparse refuses a name outside the catalog with its usage exit
+    base = ["--curve", "graph:poly:0", "--nodes", 16, "--out", tmp_path / "x.json"]
+    for names in (("xyz", "zero", "unit"), ("couette", "nope", "unit"), ("couette", "zero", "nope")):
+        flags = [v for pair in zip(("--flow", "--pressure", "--viscosity"), names) for v in pair]
+        with pytest.raises(SystemExit) as exc:
+            run(["generate", *flags, *base])
+        assert exc.value.code == 2
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_generate_unknown_flow_names_every_flow(tmp_path, capsys):
+    with pytest.raises(SystemExit):
+        run(["generate", "--flow", "nosuch", "--pressure", "zero", "--viscosity", "unit",
+             "--curve", "graph:poly:0", "--nodes", 16, "--out", tmp_path / "x.json"])
+    line, = [ln for ln in capsys.readouterr().err.splitlines() if "invalid choice" in ln]
+    # the quoting of the names differs between Python versions
+    assert "--flow" in line and "nosuch" in line
+    assert all(name in line for name in ("couette", "cubic", "rigid-rotation", "stagnation", "trig"))
 
 
 def test_generate_too_few_nodes(tmp_path, capsys):
@@ -1129,14 +1139,20 @@ def _record_freezes(monkeypatch, calls):
     monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
 
 
+def _record_entry(monkeypatch, calls, code):
+    """Record the collector's disable and freeze, and run a `cli.main` that returns `code`."""
+    _record_freezes(monkeypatch, calls)
+    monkeypatch.setattr(gc, "disable", lambda: calls.append("disable"))
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or code)
+
+
 def test_console_freezes_the_collector_after_main_then_exits_with_its_code(monkeypatch):
     calls = []
-    _record_freezes(monkeypatch, calls)
-    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 4)
+    _record_entry(monkeypatch, calls, 4)
     with pytest.raises(SystemExit) as exc:
-        cli.console()
+        entry.console()
     assert exc.value.code == 4
-    assert calls == ["main", "freeze"]
+    assert calls == ["disable", "main", "freeze"]
 
 
 def test_main_never_freezes_the_collector(tmp_path, monkeypatch):
@@ -1150,9 +1166,13 @@ def test_main_never_freezes_the_collector(tmp_path, monkeypatch):
 
 def test_module_entry_runs_through_console(monkeypatch):
     calls = []
-    monkeypatch.setattr(cli, "console", lambda: calls.append("console"))
-    runpy.run_module("cauchyflow", run_name="__main__")
-    assert calls == ["console"]
+    _record_entry(monkeypatch, calls, 0)
+    # runpy warns of a module it would run that is already imported, as `entry` is
+    monkeypatch.delitem(sys.modules, "cauchyflow.__main__")
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("cauchyflow", run_name="__main__")
+    assert exc.value.code == 0
+    assert calls == ["disable", "main", "freeze"]
 
 
 def test_a_cli_process_prints_and_exits_as_main_returns(tmp_path, capsys):
@@ -1208,17 +1228,20 @@ print(json.dumps([names, same, sorted(set(names) - set(dir(cauchyflow))), missin
     assert missing == "module 'cauchyflow' has no attribute 'nosuch'"
 
 
-# `python -m cauchyflow` with cli.console replaced by a recorder of the variable, of numpy and of
+# `python -m cauchyflow` with cli.main replaced by a recorder of the variable, of numpy and of
 # the collector
 ENTRY_PROBE = """
 import gc, json, os, runpy, sys, types
 import cauchyflow
 seen = []
 cli = types.ModuleType("cauchyflow.cli")
-cli.console = lambda: seen.append([os.environ.get("OPENBLAS_NUM_THREADS"), "numpy" in sys.modules,
-                                   gc.isenabled()])
+cli.main = lambda: seen.append([os.environ.get("OPENBLAS_NUM_THREADS"), "numpy" in sys.modules,
+                                gc.isenabled()]) or 0
 sys.modules["cauchyflow.cli"] = cauchyflow.cli = cli
-runpy.run_module("cauchyflow", run_name="__main__", alter_sys=True)
+try:
+    runpy.run_module("cauchyflow", run_name="__main__", alter_sys=True)
+except SystemExit:
+    pass
 print(json.dumps(seen))
 """
 

@@ -840,9 +840,14 @@ def test_partition_refuses_a_patch_that_tilts_past_the_bound_between_its_samples
         vx, vy = circle(1.0).velocity(t)
         return vx, vy + 1e-4 * w * np.sin(2 * w * np.asarray(t, dtype=float))
 
-    with pytest.raises(ValueError, match=r"^max_slope is too small for this curve: "
-                                         r"a patch reaches \|gamma'\| = 1\.23$"):
+    with pytest.raises(ValueError, match=r"^slope bound \|gamma'\| <= 1\.0 violated$"):
         partition_curve(ParametricCurve(position, velocity), nodes_per_patch=64)
+
+
+def test_partition_refuses_a_viscosity_that_is_not_positive_at_a_node():
+    # mu = x1 is negative on the left half of the circle
+    with pytest.raises(ValueError, match="^viscosity must be positive at every node$"):
+        partition_curve(circle(1.0), mu=lambda x, y: x)
 
 
 @pytest.mark.parametrize("part", ["position", "velocity"])
