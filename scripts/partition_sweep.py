@@ -7,7 +7,9 @@ refusal's message, a sha256 over every patch's frame angle, orientation
 and arrays (x1, gamma, gamma', mu), and the best time of --repeat calls.
 Two checkouts that build the same covers print the same counts and
 digests, so comparing the outputs shows which partitions a change moved.
-The last line totals the times, names the slowest setting and counts the
+The last line totals the times, names the slowest setting, gives one
+sha256 over every setting's line up to its time (so two checkouts build
+the same covers when their "covers" digests match) and counts the
 refusals and the patches that fail `validate(max_slope)`. Exits 1 if a
 setting is refused or a patch of a built cover fails `validate(max_slope)`.
 
@@ -76,18 +78,20 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     total, slowest, refused, failing = 0.0, (0.0, ""), 0, 0
+    covers = hashlib.sha256()
     for spec, max_slope, overlap, nodes in itertools.product(args.curves, SLOPES, args.overlaps,
                                                              NODES):
         setting = f"{spec} max-slope {max_slope:g} overlap {overlap:g} nodes {nodes}"
         line, seconds, bad = run_setting(parse_curve_spec(spec), max_slope, overlap, nodes,
                                          args.repeat)
         print(f"{setting}: {line} {seconds:.4f} s" + (f" ({bad} fail validate)" if bad else ""))
+        covers.update(f"{setting}: {line}\n".encode())
         total += seconds
         slowest = max(slowest, (seconds, setting))
         refused += line.startswith("refused: ")
         failing += bad
-    print(f"total {total:.2f} s, slowest {slowest[0]:.4f} s ({slowest[1]}), "
-          f"{refused} settings refused, {failing} patches fail validate")
+    print(f"total {total:.2f} s, slowest {slowest[0]:.4f} s ({slowest[1]}), covers "
+          f"{covers.hexdigest()}, {refused} settings refused, {failing} patches fail validate")
     return 1 if refused or failing else 0
 
 

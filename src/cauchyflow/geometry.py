@@ -11,17 +11,17 @@ Patch nodes are found by inverting the curve's local abscissa x(t) for the
 grid targets in one pass over a dense table of x: each block of the table
 brackets the targets it covers, and a vectorized Newton iteration (slope
 from the curve velocity, bisection when a step leaves its bracket) refines
-them to the floats that fit best before the block is dropped. A table sample
-that is not finite, a target outside the tabulated window, or a node that
-does not converge raises ValueError. Every curve then gives gamma and
-gamma' at a node from its own position and velocity there, so no patch
-differentiates gamma numerically.
+them to the floats that fit best before the block is dropped. The first
+fault in table order (a sample not finite or not above the one before it, a
+node not converged) raises ValueError, as does a target outside the table.
+Every curve then gives gamma and gamma' at a node from its own position and
+velocity there, so no patch differentiates gamma numerically.
 
 Conventions:
   * orientation "below" means the fluid domain lies locally under the
     graph, so the outward normal is (-gamma', 1)/theta; "above" negates it.
   * FrameRotation(a).rotate(v1, v2) maps local-frame components to the global
-    frame, .inverse().rotate back; every change of frame goes through it.
+    frame, .inverse().rotate back; every patch changes frame through it.
   * a closed curve's tangent must turn exactly once; when it turns
     counterclockwise the interior sits on the left of the tangent, which in
     a tangent-aligned local frame is the "above" side. Open arcs are
@@ -534,22 +534,23 @@ def _invert_monotone(fn, dfn, t_lo, t_hi, targets):
     The targets must ascend, as a uniform grid does. One pass streams a
     dense table of fn at max(1024, 8 n) times, those of np.linspace(t_lo,
     t_hi), in blocks of traces._BLOCK_NODES intervals, each block's last
-    sample opening the next. A block is refused at once if a sample is not
-    finite; while the table still increases, each block brackets the
-    targets it covers (none below the table) and Newton steps with slope
-    dfn refine them before the block is dropped. A node whose step would
-    leave its bracket, or would not halve the previous step, is bisected
-    instead. A node is done once the move it makes is below 4 eps max(1, |t|):
-    a Newton step at roundoff, or a bracket that has shrunk to that width
-    where fn is noisy. The move is still taken, and the result is whichever
-    of it and its two neighbouring floats fits best. After the pass, raises
-    ValueError, in this order, for a table that does not increase, targets
-    outside it and nodes not converged after _INVERT_MAX_STEPS steps.
+    sample opening the next. Each block in turn raises ValueError for its
+    first fault in table order: a break (a sample not above the one before
+    it) ahead of its first non-finite sample, else that sample. A sound
+    block brackets the targets it covers (none below the table) and Newton
+    steps with slope dfn refine them before the block is dropped; it raises
+    for nodes not converged after _INVERT_MAX_STEPS steps. A node whose step
+    would leave its bracket, or would not halve the previous step, is
+    bisected instead. A node is done once the move it makes is below 4 eps
+    max(1, |t|): a Newton step at roundoff, or a bracket that has shrunk to
+    that width where fn is noisy. The move is still taken, and the result is
+    whichever of it and its two neighbouring floats fits best. After the
+    pass, raises for targets outside the table.
     """
     g = np.asarray(targets, dtype=float)
 
     def solve(g, lo, hi, f_lo, f_hi):
-        """The block's nodes, and how many of them did not converge."""
+        """The block's nodes."""
         t = lo + (hi - lo) * ((g - f_lo) / (f_hi - f_lo))  # the start point interpolates linearly
         last_step = hi - lo
         done = np.zeros(g.shape, dtype=bool)
@@ -572,39 +573,35 @@ def _invert_monotone(fn, dfn, t_lo, t_hi, targets):
                 # can land one float off the best fit; keep the best neighbour
                 near = np.stack([t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf)])
                 miss = np.abs(np.asarray(fn(near.ravel()), dtype=float).reshape(near.shape) - g)
-                return np.take_along_axis(near, np.argmin(miss, axis=0)[None], axis=0)[0], 0
-        return t, np.count_nonzero(~done)
+                return np.take_along_axis(near, np.argmin(miss, axis=0)[None], axis=0)[0]
+        raise ValueError(f"curve inversion did not converge at {np.count_nonzero(~done)} "
+                         f"of {g.size} nodes within {_INVERT_MAX_STEPS} steps")
 
     t = np.empty(g.shape)
     num = max(1024, 8 * g.size)
     dt = (t_hi - t_lo) / (num - 1)  # the sample times are np.linspace's, bit for bit
-    increasing, missed = True, 0
     for i in range(0, num - 1, traces._BLOCK_NODES):
         tb = np.arange(i, min(i + traces._BLOCK_NODES, num - 1) + 1, dtype=float) * dt + t_lo
         if i + tb.size == num:
             tb[-1] = t_hi
         fb = np.asarray(fn(tb), dtype=float)
-        if not np.isfinite(fb).all():
-            raise ValueError("curve samples are not finite")
+        finite = np.isfinite(fb)
+        head = fb if finite.all() else fb[:np.argmin(finite)]  # up to the first non-finite sample
         # Newton never runs past a tie, where its start point would divide by zero
-        increasing = increasing and not np.any(np.diff(fb) <= 0)
+        if np.any(np.diff(head) <= 0):
+            raise ValueError("local abscissa is not monotone over the patch window")
+        if head.size < fb.size:
+            raise ValueError("curve samples are not finite")
         if not i:  # g[:j] lie below the table and never reach Newton
             f_first, j = fb[0], int(np.searchsorted(g, fb[0]))
-        if increasing:
-            # fb[k - 1] < g <= fb[k], as a search of the whole table places g
-            end = int(np.searchsorted(g, fb[-1], side="right"))
-            if end > j:
-                k = np.clip(np.searchsorted(fb, g[j:end]), 1, fb.size - 1)
-                t[j:end], block_missed = solve(g[j:end], tb[k - 1], tb[k], fb[k - 1], fb[k])
-                missed += block_missed
-            j = end
-    if not increasing:
-        raise ValueError("local abscissa is not monotone over the patch window")
+        # fb[k - 1] < g <= fb[k], as a search of the whole table places g
+        end = int(np.searchsorted(g, fb[-1], side="right"))
+        if end > j:
+            k = np.clip(np.searchsorted(fb, g[j:end]), 1, fb.size - 1)
+            t[j:end] = solve(g[j:end], tb[k - 1], tb[k], fb[k - 1], fb[k])
+        j = end
     outside = int(np.searchsorted(g, f_first)) + g.size - j  # below the table, then above it
     if outside:
         raise ValueError(f"{outside} of {g.size} node abscissae fall outside the "
                          "patch window's local abscissa range")
-    if missed:
-        raise ValueError(f"curve inversion did not converge at {missed} "
-                         f"of {g.size} nodes within {_INVERT_MAX_STEPS} steps")
     return t

@@ -95,11 +95,6 @@ def sine_patch(n=68, amplitude=0.3, lo=-1.0, hi=1.0, mu=1.0, orientation="below"
                        lo, hi, n, mu=mu, orientation=orientation)
 
 
-def test_patches(n=68, mu=1.0):
-    """The two standard shapes every conversion test runs on."""
-    return {"flat": flat_patch(n, mu=mu), "sine": sine_patch(n, mu=mu)}
-
-
 def traction_oracle(f1, f2, f3, p, gamma_prime, mu, orientation="below"):
     """Independent traction path: build sigma = 2 mu eps - p I, contract with nu.
 
@@ -148,14 +143,6 @@ def restrict(a, times=1):
 
 def max_abs_diff(*pairs):
     return max(float(np.max(np.abs(np.asarray(a) - np.asarray(b)))) for a, b in pairs)
-
-
-def dn_arrays(dn):
-    return dn.u.c1.values, dn.u.c2.values, dn.dnu.c1.values, dn.dnu.c2.values, dn.p.values
-
-
-def stress_arrays(st):
-    return st.u.c1.values, st.u.c2.values, st.traction.c1.values, st.traction.c2.values
 
 
 def local_poly_interp(x_nodes, y_nodes, x, k=8):

@@ -741,9 +741,9 @@ TABLE_FAULTS = {
     "flat at the end": (lambda t: np.minimum(t, TABLE[-2]), "not monotone"),
     "nan in the middle": (lambda t: np.where((t > 0.3) & (t < 0.7), np.nan, t), "not finite"),
     "inf at the end": (lambda t: np.where(t == 1.0, np.inf, t), "not finite"),
-    # a later non-finite sample is named before an earlier break
+    # the fault met first in table order is named, at every block size
     "break, then nan": (lambda t: np.where(t == TABLE[3], 0.0, np.where(t > 0.9, np.nan, t)),
-                        "not finite"),
+                        "not monotone"),
 }
 
 
@@ -758,6 +758,28 @@ def test_inversion_refuses_a_bad_table_in_any_block(monkeypatch, block, fault):
     targets = np.linspace(-0.5, 1.5, 64)
     with pytest.raises(ValueError, match=message):
         geometry._invert_monotone(fn, np.ones_like, 0.0, 1.0, targets)
+
+
+def test_inversion_reads_no_table_block_past_the_first_fault(monkeypatch):
+    # with 7-interval blocks the drop at sample 7 closes the first block,
+    # which is refused before Newton runs on it and before the next is read
+    monkeypatch.setattr(traces, "_BLOCK_NODES", 7)
+    fault, _ = TABLE_FAULTS["drop at the seam"]
+    table, newton = [], []
+
+    def fn(t):
+        if _called_from_the_table():
+            table.append(t.copy())
+        return fault(t)
+
+    def dfn(t):
+        newton.append(t.copy())
+        return np.ones_like(t)
+
+    with pytest.raises(ValueError, match="^local abscissa is not monotone over the patch window$"):
+        geometry._invert_monotone(fn, dfn, 0.0, 1.0, np.linspace(0.0, 1.0, 64))
+    assert [b.tobytes() for b in table] == [TABLE[:8].tobytes()]
+    assert not newton
 
 
 @pytest.mark.parametrize("block", [1, 7, 1 << 30])

@@ -1,6 +1,7 @@
 """Smoke tests: the example scripts and the README's library example run and report
 what they promise."""
 
+import hashlib
 import os
 import re
 import subprocess
@@ -61,3 +62,6 @@ def test_partition_sweep_slice_builds_only_valid_patches():
     assert built["ellipse:100,1 max-slope 0.5 overlap 0 nodes 1024"] == 14
     assert built["ellipse:100,1 max-slope 0.5 overlap 0.2 nodes 1024"] == 20
     assert out[-1].endswith(" 0 settings refused, 0 patches fail validate")
+    # the total line's digest is over each setting's line up to its time
+    text = "".join(re.fullmatch(r"(.*) \S+ s", line).group(1) + "\n" for line in out[:-1])
+    assert f", covers {hashlib.sha256(text.encode()).hexdigest()}, " in out[-1]
