@@ -19,10 +19,12 @@ dataset's data_kind, arrays and provenance (_check_provenance). The
 reader adds only the format's own rules: encoding, JSON syntax, number
 types and range, the top-level and patch key sets, format_version,
 data_kind, stored h.
-Reads stream too: the file is read through a window of text that drops
-what is parsed, and a number array is decoded to floats a window of text
-at a time, so a read holds one window's text and list beside the float
-arrays. A file that cannot be written or read raises DatasetFormatError.
+Reads stream too: a well-formed file is read through a window of text
+that drops what is parsed, and a number array is decoded to floats a
+window of text at a time, so a read holds one window's text and list
+beside the float arrays. A read that fails passes the file to one
+json.loads, which names the fault. A file that cannot be written or read
+raises DatasetFormatError.
 
 Dataset schema (format_version 1):
 
@@ -347,14 +349,16 @@ _SPACE = re.compile(r"[ \t\n\r]*").match  # JSON whitespace
 def _load_json(path) -> dict:
     """The JSON object in `path`, with format_version checked.
 
-    A failed parse runs again with the whole text in one window, so that a
-    fault is named as in the whole file: its line, column and char, and a
-    byte that is not UTF-8 ahead of any other fault.
+    A well-formed file is read through a _Window; a read that fails there,
+    on any fault, passes the file to _parse_whole.
     """
     try:
-        doc = _parse(path, _CHUNK_CHARS)
-    except DatasetFormatError:
-        doc = _parse(path, None)
+        with open(path, encoding="utf-8") as handle:
+            w = _Window(handle)
+            doc, end = _object(w, 0)
+            _mark(w, end, "")
+    except (OSError, ValueError, RecursionError):
+        doc = _parse_whole(path)
     if not isinstance(doc, dict):
         raise DatasetFormatError(f"{path} does not hold a JSON object")
     # type(), as in _floats: JSON true and 1.0 compare equal to the integer 1
@@ -363,49 +367,47 @@ def _load_json(path) -> dict:
     return doc
 
 
-def _parse(path, chunk):
-    """The JSON value in `path`, read through a _Window of `chunk` characters."""
+def _parse_whole(path):
+    """The JSON value of the text in `path` by json.loads, which names a fault as in the whole file.
+
+    A byte that is not UTF-8 comes ahead of any other fault, then JSON
+    syntax, then _floats on the number lists of the top level and "patch".
+    """
     try:
         with open(path, encoding="utf-8") as handle:
-            w = _Window(handle, chunk)
-            if w.text.startswith("\ufeff"):  # refused as json.loads refuses it
-                raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", w.text, 0)
-            doc, end = _value(w, _skip(w, 0))
-            end = _skip(w, end)
-            if end != len(w.text):
-                raise json.JSONDecodeError("Extra data", w.text, end)
+            doc = json.loads(handle.read(), parse_int=_parse_int, parse_constant=_reject_constant)
     except OSError as exc:
         raise DatasetFormatError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DatasetFormatError(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DatasetFormatError(f"invalid JSON in {path}: {exc}") from exc
-    except RecursionError:  # the decoder and _value recurse once per nesting level
+    except RecursionError:  # the decoder recurses once per nesting level
         raise DatasetFormatError(f"invalid JSON in {path}: nested too deeply") from None
+    for members in (doc, doc.get("patch")) if isinstance(doc, dict) else ():
+        for key, value in members.items() if isinstance(members, dict) else ():
+            if key in _NUMBER_ARRAYS and isinstance(value, list):
+                members[key] = _floats(value, key)
     return doc
 
 
 class _Window:
-    """The text of an open file that is read and not yet dropped; `eof` once it runs to the end.
+    """The text of an open file read and not yet dropped, and `eof`; an index into it holds until a `fill`."""
 
-    An index into `text` holds until the next `fill`. A chunk of None reads the whole file at once.
-    """
-
-    def __init__(self, handle, chunk):
-        self.handle, self.chunk = handle, chunk
-        self.text, self.eof = "", False
+    def __init__(self, handle):
+        self.handle, self.text, self.eof = handle, "", False
         self.fill(0)
 
     def fill(self, i) -> int:
-        """Drop text[:i], then read a chunk or len(text) - i characters, whichever is more.
+        """Drop text[:i], then read _CHUNK_CHARS or len(text) - i characters, whichever is more.
 
         So the window doubles while a value outgrows it, and a long value is
         decoded a logarithmic number of times. Returns 0, the new index of text[i].
         """
-        size = -1 if self.chunk is None else max(self.chunk, len(self.text) - i)
+        size = max(_CHUNK_CHARS, len(self.text) - i)
         rest, self.text = self.text[i:], ""  # the old text goes before more is read
         more = self.handle.read(size)  # fewer than `size` characters only at the end
-        self.text, self.eof = rest + more, size < 0 or len(more) < size
+        self.text, self.eof = rest + more, len(more) < size
         return 0
 
 
@@ -416,6 +418,14 @@ def _skip(w, i) -> int:
         i = w.fill(i)
         i = _SPACE(w.text, i).end()
     return i
+
+
+def _mark(w, i, *marks):
+    """(mark, index) of the first non-space at or after w.text[i], one of `marks` ("" for the file's end)."""
+    i = _skip(w, i)
+    if w.text[i:i + 1] not in marks:
+        raise ValueError(f"expected one of {marks} at a window's index {i}")
+    return w.text[i:i + 1], i
 
 
 def _decode(w, i):
@@ -433,26 +443,31 @@ def _decode(w, i):
         i = w.fill(i)
 
 
-def _value(w, i, key=None):
-    """(value, end) of the JSON value at w.text[i], the member `key` of its object.
+def _object(w, i):
+    """(dict, end) of the JSON object at the first non-space at or after w.text[i], read a member at a time.
 
-    The top-level object, each "patch" object and each object in the
-    "patches" list are parsed here one member at a time, and a number array
-    is decoded a window at a time by _float_blocks. Every other value goes
-    to the decoder whole, and so does a number array when the window holds
-    the whole file, so that a fault is named where json.loads names it.
+    A list under a _NUMBER_ARRAYS key is decoded a window at a time by
+    _float_blocks, and an object under "patch" by _object; every other
+    value goes to the decoder whole. A repeated key keeps its last value,
+    as in json.loads.
     """
-    if key in (None, "patch") and w.text.startswith("{", i):
-        members, end = _items(w, i, "}", _member)
-        return dict(members), end  # a repeated key keeps its last value, as in json.loads
-    if key == "patches" and w.text.startswith("[", i):
-        return _items(w, i, "]", _value)
-    if key in _NUMBER_ARRAYS and w.text.startswith("[", i) and w.chunk is not None:
-        return _float_blocks(w, i, key)
-    value, end = _decode(w, i)
-    if key in _NUMBER_ARRAYS and isinstance(value, list):
-        value = _floats(value, key)
-    return value, end
+    members = {}
+    _, i = _mark(w, i, "{")
+    mark, i = _mark(w, i + 1, '"', "}")
+    while mark == '"':
+        key, i = _decode(w, i)
+        _, i = _mark(w, i, ":")
+        i = _skip(w, i + 1)
+        if key == "patch" and w.text.startswith("{", i):
+            members[key], i = _object(w, i)
+        elif key in _NUMBER_ARRAYS and w.text.startswith("[", i):
+            members[key], i = _float_blocks(w, i, key)
+        else:
+            members[key], i = _decode(w, i)
+        mark, i = _mark(w, i, ",", "}")
+        if mark == ",":
+            mark, i = _mark(w, i + 1, '"')
+    return members, i + 1
 
 
 def _float_blocks(w, i, key):
@@ -463,54 +478,23 @@ def _float_blocks(w, i, key):
     becomes floats before the window drops its text and reads on, so a read
     holds one window of text and one block's list, never the array's. A
     block that is not a list of numbers raises, empty blocks between commas
-    included, and the whole-text parse then names the fault.
+    included.
     """
     blocks = []
     i += 1
     while True:
         close = w.text.find("]", i)
         cut = close if close >= 0 else w.text.rfind(",", i)
-        if cut < 0:  # not one whole value in the window yet
-            if w.eof:
-                raise json.JSONDecodeError("Expecting ',' delimiter", w.text, len(w.text))
+        if cut < 0 and not w.eof:  # not one whole value in the window yet
             i = w.fill(i)
             continue
-        values = _DECODER.raw_decode("[" + w.text[i:cut] + "]")[0]
-        if not values and (blocks or close < 0):  # "[,", ",,", ",]"
-            raise json.JSONDecodeError("Expecting value", w.text, cut)
+        values = _DECODER.raw_decode("[" + w.text[i:cut] + "]")[0] if cut >= 0 else []
+        if not values and (blocks or close < 0):  # "[,", ",,", ",]", or no "]" before the file ends
+            raise ValueError("a number array holds an empty item or is not closed")
         blocks.append(_floats(values, key))
         if close >= 0:
             return np.concatenate(blocks) if len(blocks) > 1 else blocks[0], close + 1
         i = w.fill(cut + 1)
-
-
-def _member(w, i):
-    """((key, value), end) of the object member at w.text[i]."""
-    if not w.text.startswith('"', i):
-        raise json.JSONDecodeError("Expecting property name enclosed in double quotes", w.text, i)
-    key, i = _decode(w, i)
-    i = _skip(w, i)
-    if not w.text.startswith(":", i):
-        raise json.JSONDecodeError("Expecting ':' delimiter", w.text, i)
-    value, end = _value(w, _skip(w, i + 1), key)
-    return (key, value), end
-
-
-def _items(w, i, close, parse):
-    """(items, end) of the object or array opened at w.text[i], each item read by parse(w, start)."""
-    items = []
-    i = _skip(w, i + 1)
-    if w.text.startswith(close, i):
-        return items, i + 1
-    while True:
-        item, i = parse(w, i)
-        items.append(item)
-        i = _skip(w, i)
-        if w.text.startswith(close, i):
-            return items, i + 1
-        if not w.text.startswith(",", i):
-            raise json.JSONDecodeError("Expecting ',' delimiter", w.text, i)
-        i = _skip(w, i + 1)
 
 
 def _floats(values, key) -> np.ndarray:
@@ -528,7 +512,7 @@ def _floats(values, key) -> np.ndarray:
 
 
 def _number_array(doc, key):
-    arr = doc.get(key)  # _value made every number array a float array
+    arr = doc.get(key)  # _load_json made every number array a float array
     if not isinstance(arr, np.ndarray):
         raise DatasetFormatError(f"field {key!r} must be a numeric array")
     return arr

@@ -16,10 +16,15 @@ UNREADABLE_FILES = {"not-utf8": (b"\xff\xfe\x00garbage", "not UTF-8 text"),
 
 
 def read_patch_set(path) -> list[BoundaryPatch]:
+    """The patches of a patch-set file; the reader leaves the number lists under "patches" as lists."""
     doc = dataio._load_json(path)
     items = doc.get("patches")
     if not isinstance(items, list) or not items:
         raise DatasetFormatError("patch-set document must carry a non-empty patch list")
+    for item in items:
+        for key, value in item.items() if isinstance(item, dict) else ():
+            if key in dataio._NUMBER_ARRAYS and isinstance(value, list):
+                item[key] = dataio._floats(value, key)
     return [dataio._patch_from_doc(item) for item in items]
 
 

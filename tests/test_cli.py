@@ -526,6 +526,18 @@ def test_verify_checks_short_patch_with_an_explicit_tolerance(tmp_path, capsys):
     assert re.search(r"cross-format max deviation = \S+ \(tol 1\): pass", printed)
 
 
+def test_verify_refuses_a_patch_the_stencil_cannot_differentiate(tmp_path, capsys):
+    # only the error model's 8-node rule skips the checks; with a tolerance
+    # given, a 4-node patch is refused as convert refuses it
+    src = tmp_path / "short.json"
+    z = np.zeros(4)
+    write_dataset(src, Dataset(patch=flat_patch(4), data_kind="dn", u1=z, u2=z, dnu1=z, dnu2=z, p=z))
+    capsys.readouterr()
+    assert run(["verify", src, "--residual-tol", "1"]) == 3
+    assert capsys.readouterr() == ("patch invariants: pass\n",
+                                   "error: patch too short for stencil differentiation\n")
+
+
 def test_convert_below_eight_nodes_needs_an_explicit_tolerance(tmp_path, capsys):
     src = generate_trig(tmp_path, "graph:poly:0,0.1", 7)
     args = ["convert", "dn-to-stress", "--in", src, "--out", tmp_path / "out.json"]

@@ -509,15 +509,16 @@ def test_every_prefix_is_refused(tmp_path, kind):
 
 
 def _small_window(monkeypatch, chunk) -> list:
-    """Read through windows of `chunk` characters; the list gathers the window of each parse.
+    """Read through windows of `chunk` characters; the list holds `chunk`, then None per whole-text parse.
 
-    A failed windowed parse runs again on the whole text (window None),
-    which would hide a fault of the windowed parse from a test of results.
+    A failed windowed read passes the file to the whole-text parse, which
+    would hide a fault of the windowed read from a test of results; so the
+    list stays [chunk] only while the whole-text parse never runs.
     """
-    parses = []
-    parse = dataio._parse
+    parses = [chunk]
+    parse = dataio._parse_whole
     monkeypatch.setattr(dataio, "_CHUNK_CHARS", chunk)
-    monkeypatch.setattr(dataio, "_parse", lambda path, size: parses.append(size) or parse(path, size))
+    monkeypatch.setattr(dataio, "_parse_whole", lambda path: parses.append(None) or parse(path))
     return parses
 
 
@@ -692,6 +693,28 @@ def test_late_faults_read_as_in_the_whole_file(tmp_path, monkeypatch, capsys, fa
     bad.write_bytes(_late_fault(good.read_bytes(), fault))
     assert main(["verify", str(bad)]) == 3
     assert capsys.readouterr().err == LATE_FAULT_ERRORS[fault].format(path=bad) + "\n"
+
+
+@pytest.mark.parametrize("chunk", [7, dataio._CHUNK_CHARS])
+@pytest.mark.parametrize("second", ["truncated", "trailing object"])
+def test_json_syntax_is_named_ahead_of_a_number_type(tmp_path, monkeypatch, capsys, second, chunk):
+    # a true in u1 and a syntax fault after it: the syntax fault is named, as
+    # json.loads names it in the whole text
+    monkeypatch.setattr(dataio, "_CHUNK_CHARS", chunk)
+    path = tmp_path / "good.json"
+    write_dataset(path, _arithmetic_dataset(64))
+    text = re.sub(r'("u1": \[)[^,]*', r"\1true", path.read_text(), count=1)
+    text = text[:-40] if second == "truncated" else text + "{}"
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    with pytest.raises(json.JSONDecodeError) as whole:
+        json.loads(text)
+    want = f"invalid JSON in {bad}: {whole.value}"
+    with pytest.raises(DatasetFormatError) as exc:
+        read_dataset(bad)
+    assert str(exc.value) == want
+    assert main(["verify", str(bad)]) == 3
+    assert capsys.readouterr().err == f"error: {want}\n"
 
 
 def test_patch_set_round_trip(tmp_path):
