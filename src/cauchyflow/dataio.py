@@ -21,10 +21,13 @@ types and range, the top-level and patch key sets, format_version,
 data_kind, stored h.
 Reads stream too: a well-formed file is read through a window of text
 that drops what is parsed, and a number array is decoded to floats a
-window of text at a time, so a read holds one window's text and list
-beside the float arrays. A read that fails passes the file to one
-json.loads, which names the fault. A file that cannot be written or read
-raises DatasetFormatError.
+window of text at a time, so a read holds one window's text and its
+temporaries beside the float arrays. A window of _FAST_CHARS or more
+characters written as the writer writes it reads through one integer pass
+over its digits and a double-double product by powers of ten
+(_fast_floats); any other goes to json's raw_decode. A read that fails
+passes the file to one json.loads, which names the fault. A file that
+cannot be written or read raises DatasetFormatError.
 
 Dataset schema (format_version 1):
 
@@ -476,9 +479,10 @@ def _float_blocks(w, i, key):
     A block is what the window holds of the array: its values up to the
     window's last comma, or up to the "]" that closes the array. Each block
     becomes floats before the window drops its text and reads on, so a read
-    holds one window of text and one block's list, never the array's. A
-    block that is not a list of numbers raises, empty blocks between commas
-    included.
+    holds one window of text and one block's temporaries, never the array's.
+    A block of _FAST_CHARS or more characters goes to _fast_floats; one it
+    returns None for, and any shorter one, to raw_decode, which raises for a
+    block that is not a list of numbers, empty blocks between commas included.
     """
     blocks = []
     i += 1
@@ -488,13 +492,138 @@ def _float_blocks(w, i, key):
         if cut < 0 and not w.eof:  # not one whole value in the window yet
             i = w.fill(i)
             continue
-        values = _DECODER.raw_decode("[" + w.text[i:cut] + "]")[0] if cut >= 0 else []
-        if not values and (blocks or close < 0):  # "[,", ",,", ",]", or no "]" before the file ends
-            raise ValueError("a number array holds an empty item or is not closed")
-        blocks.append(_floats(values, key))
+        fast = _fast_floats(w.text[i:cut]) if cut - i >= _FAST_CHARS else None
+        if fast is None:
+            values = _DECODER.raw_decode("[" + w.text[i:cut] + "]")[0] if cut >= 0 else []
+            if not values and (blocks or close < 0):  # "[,", ",,", ",]", or no "]" before the file ends
+                raise ValueError("a number array holds an empty item or is not closed")
+            fast = _floats(values, key)
+        blocks.append(fast)
         if close >= 0:
             return np.concatenate(blocks) if len(blocks) > 1 else blocks[0], close + 1
         i = w.fill(cut + 1)
+
+
+@functools.cache  # per k, on first use
+def _ten(k):
+    """(hi, lo): 10^k rounded to a double, and the rest rounded, both from exact integers."""
+    num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+    hi = num / den  # int / int rounds once
+    m, d = hi.as_integer_ratio()
+    return hi, (num * d - m * den) / (den * d)
+
+
+@functools.cache  # built on first use, so a process that reads no long block pays nothing
+def _grammar():
+    """_fast_floats' byte tables: the class of each byte (0 ",", 1 " ", 2 "-" of a mantissa, 3 "+" or "-"
+    of an exponent, 4 ".", 5 "e" or "E", 6 any other), and the g digits class b may follow class a with:
+    least[0oab] <= min(g, 5) <= most[0oab]."""
+    least, most = bytearray([6]) * 256, bytearray(256)
+    # ", ", " -" and "e+"; an exponent's 1 to 4 digits; a mantissa's digit runs
+    for pairs, low, high in (((0o01, 0o12, 0o53), 0, 0), ((0o50, 0o30), 1, 4),
+                             ((0o14, 0o15, 0o10, 0o24, 0o25, 0o20, 0o45, 0o40), 1, 5)):
+        for pair in pairs:
+            least[pair], most[pair] = low, high
+    classes = bytes(min(b", -+.eE".find(c), 5) if c in b", -+.eE" else 6 for c in range(256))
+    return classes, bytes(least), bytes(most)
+
+
+_TEN_MIN, _TEN_MAX = -275, 290  # the k of _fast_floats' proof
+_FAST_CHARS = 10_000  # characters in the shortest block _fast_floats reads; raw_decode is faster below
+
+
+def _fast_floats(text):
+    """The floats of `text`, JSON numbers each followed by ", " but the last, or None.
+
+    None unless each "," is followed by one space, no other byte but
+    ",  -+.eE" and digits appears, each token is a JSON number with at most 4
+    exponent digits, and its digits without the point make N < 10^18: so
+    np.fromstring reads digit runs only, and the count and bound catch its
+    leniencies. A token is N 10^k. For _TEN_MIN <= k <= _TEN_MAX every
+    quantity is a normal double, N = Nh + Nl exactly (|Nl| <= 2^-53 Nh), and
+    10^k = hi + lo + d (_ten; |lo| <= 2^-53 hi, |d| <= 2^-106 hi). Dekker's
+    product gives Nh hi = p + e exactly, t = (Nh lo + Nl hi) + e, and
+    |N 10^k - (p + t)| < 10 2^-106 p (three roundings of terms under 2^-52 p,
+    and the dropped Nl lo and N d). r = p + t rounds once; res = (p - r) + t
+    is N 10^k - r within 2^-101 r, so r is correctly rounded where |res| +
+    2^-100 r is at most half the gap below r, which is never above the gap
+    above. Any other token, with k out of range or near a midpoint (an exact
+    tie), is float(token). The sign comes last, so -0 reads as -0.0; a value
+    that is not finite gives None.
+    """
+    if not text.isascii():
+        return None
+    lead = 1 if text.startswith(" ") else 2  # a token is each ", " .. ","
+    b = (", "[:lead] + text + ",").encode()
+    classes, least, most = _grammar()
+    u = np.frombuffer(b, np.uint8)
+    at = np.flatnonzero(np.subtract(u, 48, dtype=np.uint8) > 9).astype(np.int32)  # the non-digits
+    cls = np.frombuffer(bytearray(u.take(at)).translate(classes), np.uint8)
+    exp = np.flatnonzero(cls == 5)
+    cls[exp[cls.take(exp + 1) == 2] + 1] = 3  # an exponent's "-"
+    runs = np.subtract(at[1:], at[:-1], dtype=np.int32)
+    np.minimum(runs, 6, out=runs)
+    runs = runs.astype(np.uint8) - np.uint8(1)  # min(g, 5) of the g digits between
+    pairs = (cls[:-1] * np.uint8(8) + cls[1:]).tobytes()
+    if not ((runs >= np.frombuffer(pairs.translate(least), np.uint8))
+            & (runs <= np.frombuffer(pairs.translate(most), np.uint8))).all():
+        return None
+    del runs, pairs  # each del keeps a 64 Ki-character block's read within the traced-memory bound
+    # the grammar holds, so each token's non-digits are ", ", then "-", "." and "e" if it has them
+    j = np.flatnonzero(cls == 0)
+    commas = at.take(j) - lead
+    j = j[:-1] + 2
+    neg = cls.take(j) == 2
+    j += neg  # the non-digit after the integer digits
+    start = at.take(j - 1)
+    if ((at.take(j) - start > 2) & (u.take(start + 1) == 48)).any():  # a leading zero
+        return None
+    del start
+    point = cls.take(j) == 4
+    k = np.where(point, at.take(j) - at.take(j + point) + 1, 0)  # minus the fraction's digits
+    exp = np.flatnonzero(cls.take(j + point) == 5)  # the tokens with an exponent
+    del at, cls, j, point, u
+    digits = b.translate(bytes.maketrans(b"eE", b",,"), b".")
+    del b
+    digits = np.fromstring(digits[2:-1], dtype=np.int64, sep=",")
+    if digits.size != k.size + exp.size:
+        return None
+    if exp.size:
+        slots = exp + np.arange(1, exp.size + 1)
+        k[exp] += digits[slots]
+        digits = np.delete(digits, slots)
+    if not ((digits < 10 ** 18) & (digits > -10 ** 18)).all():  # before abs: -2^63 stays negative
+        return None
+    ok = (k >= _TEN_MIN) & (k <= _TEN_MAX)
+    k = np.where(ok, k, 0) - _TEN_MIN
+    table = np.zeros((2, _TEN_MAX - _TEN_MIN + 1))
+    for i in np.flatnonzero(np.bincount(k)).tolist():
+        table[:, i] = _ten(i + _TEN_MIN)
+    hi, lo = table[0].take(k), table[1].take(k)
+    del k
+    nh = np.abs(digits, out=digits).astype(float)
+    digits -= nh.astype(np.int64)  # Nl
+    t = nh * lo
+    t += digits * hi
+    p = nh * hi
+    del digits, lo
+    ah, al = _split(nh)
+    del nh
+    bh, bl = _split(hi)
+    del hi
+    e = ah * bh - p  # Dekker's e, one exact step at a time
+    e += ah * bl
+    e += al * bh
+    e += al * bl
+    del ah, al, bh, bl
+    t += e
+    r = p + t
+    res = (p - r) + t
+    ok &= np.abs(res) + r * 2.0 ** -100 <= (r - np.nextafter(r, 0)) * 0.5
+    np.negative(r, out=r, where=neg)
+    rest = np.flatnonzero(~ok)
+    r[rest] = [float(text[commas[j] + 2:commas[j + 1]]) for j in rest.tolist()]
+    return r if np.isfinite(r[rest]).all() else None
 
 
 def _floats(values, key) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import math
 from collections import deque
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -220,3 +221,33 @@ def percent_g17(values):
     One %-template per block, kept as the reference the array passes must equal byte for byte.
     """
     return ", ".join(["%.17g"] * values.size) % tuple(values.tolist())
+
+
+def _exact_frame(gamma_prime, orientation):
+    """geometry._frame's (c, w, nu1, nu2) in Decimal: c = 1/sqrt(1 + gamma'^2), w = c gamma'."""
+    c = 1 / (1 + gamma_prime * gamma_prime).sqrt()
+    w = c * gamma_prime
+    return (c, w, w, -c) if orientation == "above" else (c, w, -w, c)
+
+
+def exact_dn_from_stress(gamma_prime, orientation, mu, gpr, hpr, t1, t2):
+    """transform._dn_from_stress at one node in 80-digit Decimal: (dnu1, dnu2, p)."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        gamma_prime, mu, gpr, hpr, t1, t2 = map(Decimal, (gamma_prime, mu, gpr, hpr, t1, t2))
+        c, w, nu1, nu2 = _exact_frame(gamma_prime, orientation)
+        ta = c * (c * gpr + w * hpr)
+        k = (c * t1 + w * t2) / mu - c * (nu1 * gpr + nu2 * hpr)
+        return k * c - ta * nu1, k * w - ta * nu2, -2 * mu * ta - nu1 * t1 - nu2 * t2
+
+
+def exact_stress_from_dn(gamma_prime, orientation, mu, gpr, hpr, n1, n2, p):
+    """transform._stress_from_dn at one node in 80-digit Decimal: (t1, t2, tau.a + nu.dnu)."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        gamma_prime, mu, gpr, hpr, n1, n2, p = map(Decimal, (gamma_prime, mu, gpr, hpr, n1, n2, p))
+        c, w, nu1, nu2 = _exact_frame(gamma_prime, orientation)
+        na = c * (nu1 * gpr + nu2 * hpr)
+        nn = nu1 * n1 + nu2 * n2
+        q = mu * nn - p
+        return mu * (n1 + na * c) + q * nu1, mu * (n2 + na * w) + q * nu2, c * (c * gpr + w * hpr) + nn

@@ -1,4 +1,5 @@
-"""dataio._fmt_g17 writes a float block's text byte for byte as the %-template does."""
+"""dataio._fmt_g17 writes a float block's text byte for byte as the %-template does,
+and dataio._fast_floats reads that text back bit for bit."""
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ BLOCK = dataio._ARRAY_VALUES
 
 
 def assert_same_text(values):
-    """Each block of `values` formats as percent_g17 formats it; the count of values checked."""
+    """Each block of `values` formats as percent_g17 formats it and reads back bit for bit; the count of values checked."""
     values = np.asarray(values, dtype=float)
     for i in range(0, values.size, BLOCK):
         block = values[i:i + BLOCK]
@@ -19,6 +20,8 @@ def assert_same_text(values):
         if got != want:
             bad = [(a, b) for a, b in zip(got.split(", "), want.split(", ")) if a != b]
             raise AssertionError(f"{len(bad)} values differ, first {bad[:3]}")
+        back = dataio._fast_floats(got)
+        assert back is not None and back.tobytes() == block.tobytes()
     return values.size
 
 
