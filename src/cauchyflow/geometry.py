@@ -8,12 +8,9 @@ a dyadic raster, which makes consecutive node differences bitwise equal to
 the stored spacing.
 
 Patch nodes are found by inverting the curve's local abscissa x(t) for the
-grid targets in one pass over a dense table of x: each block of the table
-brackets the targets it covers, and a vectorized Newton iteration (slope
-from the curve velocity, bisection when a step leaves its bracket) refines
-them to the floats that fit best before the block is dropped. The first
-fault in table order (a sample not finite or not above the one before it, a
-node not converged) raises ValueError, as does a target outside the table.
+grid targets: the cover's own samples of the patch window bracket them, and
+a vectorized Newton iteration (slope from the curve velocity, bisection when
+a step leaves its bracket) refines them to the floats that fit best.
 Every curve then gives gamma and gamma' at a node from its own position and
 velocity there, so no patch differentiates gamma numerically.
 
@@ -38,7 +35,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import traces
 from .traces import MARGIN, VectorTrace, blockwise
 
 ORIENTATIONS = ("below", "above")
@@ -53,10 +49,11 @@ _TOO_SHORT = ("max_slope or nodes_per_patch is too small for this curve: its win
               "short to share the overlap and the patches' stencil margins")
 
 _EPS = float(np.finfo(float).eps)
-# Newton from a dense-table bracket converges in a few steps; the cap leaves
-# room for the bisections a noisy or flat abscissa forces (a bracket of
-# 1e-5 halves to roundoff in about 40)
+# Newton from a bracket between two cover samples converges in a few steps; the cap leaves room
+# for the bisections a noisy or flat abscissa forces (a bracket of 1/4096 halves to roundoff in 40)
 _INVERT_MAX_STEPS = 100
+# nodes Newton refines at a time: with 2^14, a 2^15-node partition peaks at 4.6 MiB, not 2.8
+_SOLVE_NODES = 1 << 11
 _STEP_SLICE = 1 << 16  # grid steps validate differences at a time
 
 
@@ -121,7 +118,7 @@ def uniform_grid(lo: float, hi: float, n: int) -> tuple[np.ndarray, float]:
     if scale == 0:  # a spacing below about 2**-1041 has no raster step
         raise ValueError("grid span too small for the requested node count")
     start = math.ceil(lo / scale) * scale
-    h = math.floor((hi - start) / (n - 1) / scale) * scale
+    h = math.floor((hi - start) / scale) // (n - 1) * scale  # a subnormal quotient would round up
     if h <= 0:
         raise ValueError("grid span too small for the requested node count")
     x = start + h * np.arange(n)
@@ -393,7 +390,8 @@ def partition_curve(curve: ParametricCurve, max_slope: float = 1.0,
                              f"{round(turn / (2.0 * math.pi))} times, not once")
         # the interior lies left of a counterclockwise (left-turning) tangent
         orientation = "above" if turn > 0 else "below"
-        s, phi = np.concatenate((s, s[1:] + s[-1])), np.concatenate((phi, phi[1:] + turn))
+        # the arc runs on one turn past its seam: sample j + _SAMPLES is sample j one turn on
+        s, phi, tt = (np.concatenate((v, v[1:] + d)) for v, d in ((s, s[-1]), (phi, turn), (tt, 1.0)))
         windows = _greedy_windows(s, z[:-1], phi, budget, ovl, nodes_per_patch)
     else:
         orientation = "below"
@@ -402,9 +400,8 @@ def partition_curve(curve: ParametricCurve, max_slope: float = 1.0,
         else:
             windows = _greedy_windows(s, z, phi, budget, ovl, nodes_per_patch)
 
-    # a closed curve's sample j lies one turn on for each _SAMPLES past the table
-    return [_build_patch(curve, frame, *(float(tt[j % _SAMPLES] + j // _SAMPLES) for j in (a, k)),
-                         nodes_per_patch, mu, orientation, max_slope) for a, k, frame in windows]
+    return [_build_patch(curve, frame, tt[a:k + 1], nodes_per_patch, mu, orientation, max_slope)
+            for a, k, frame in windows]
 
 
 def _sample_curve(curve, tt):
@@ -505,7 +502,7 @@ def _greedy_windows(s, z, phi, budget, ovl, nodes):
     return windows
 
 
-def _build_patch(curve, frame, t_a, t_b, n_nodes, mu, orientation, max_slope):
+def _build_patch(curve, frame, tb, n_nodes, mu, orientation, max_slope):
     rotation = FrameRotation(frame)
 
     def local(fn):
@@ -513,12 +510,13 @@ def _build_patch(curve, frame, t_a, t_b, n_nodes, mu, orientation, max_slope):
         return lambda t: rotation.inverse().rotate(*(np.asarray(v, dtype=float) for v in fn(t)))
 
     position, velocity = local(curve.position), local(curve.velocity)
-    x1, _ = uniform_grid(float(position(t_a)[0]), float(position(t_b)[0]), n_nodes)
-    t_nodes = _invert_monotone(lambda t: position(t)[0], lambda t: velocity(t)[0], t_a, t_b, x1)
+    fb = position(tb)[0]
+    x1, _ = uniform_grid(fb[0], fb[-1], n_nodes)
+    t_nodes = _invert_monotone(lambda t: position(t)[0], lambda t: velocity(t)[0], tb, fb, x1)
     _, gamma = position(t_nodes)
     wx, wy = velocity(t_nodes)
     gp = wy / wx
-    # a curve not finite at a node alone slips past the table's samples; mu never sees such a node
+    # a curve not finite at a node alone slips past the cover's samples; mu never sees such a node
     if not (np.isfinite(gamma).all() and np.isfinite(gp).all()):
         raise ValueError("curve samples are not finite")
 
@@ -528,30 +526,31 @@ def _build_patch(curve, frame, t_a, t_b, n_nodes, mu, orientation, max_slope):
     return patch
 
 
-def _invert_monotone(fn, dfn, t_lo, t_hi, targets):
-    """Solve fn(t) = target for every target; fn must increase on [t_lo, t_hi].
+def _invert_monotone(fn, dfn, tb, fb, targets):
+    """Solve fn(t) = target for every target, given the table fb = fn(tb) at ascending times tb.
 
-    The targets must ascend, as a uniform grid does. One pass streams a
-    dense table of fn at max(1024, 8 n) times, those of np.linspace(t_lo,
-    t_hi), in blocks of traces._BLOCK_NODES intervals, each block's last
-    sample opening the next. Each block in turn raises ValueError for its
-    first fault in table order: a break (a sample not above the one before
-    it) ahead of its first non-finite sample, else that sample. A sound
-    block brackets the targets it covers (none below the table) and Newton
-    steps with slope dfn refine them before the block is dropped; it raises
-    for nodes not converged after _INVERT_MAX_STEPS steps. A node whose step
-    would leave its bracket, or would not halve the previous step, is
-    bisected instead. A node is done once the move it makes is below 4 eps
-    max(1, |t|): a Newton step at roundoff, or a bracket that has shrunk to
-    that width where fn is noisy. The move is still taken, and the result is
-    whichever of it and its two neighbouring floats fits best. After the
-    pass, raises for targets outside the table.
+    Raises ValueError if fb does not increase (a NaN counts as a break), then for targets outside
+    [fb[0], fb[-1]]. Newton steps with slope dfn refine _SOLVE_NODES targets at a time from their
+    brackets in the table, bisecting a node whose step would leave its bracket or not halve the
+    last one, and raise for nodes not converged in _INVERT_MAX_STEPS steps. A node is done once its
+    Newton step or its move is at most 4 eps max(1, |t|): a step at roundoff, or a bracket shrunk
+    to that width where fn is noisy. The move is still taken, and the result is whichever of it
+    and its two neighbouring floats fits best.
     """
-    g = np.asarray(targets, dtype=float)
-
-    def solve(g, lo, hi, f_lo, f_hi):
-        """The block's nodes."""
-        t = lo + (hi - lo) * ((g - f_lo) / (f_hi - f_lo))  # the start point interpolates linearly
+    targets = np.asarray(targets, dtype=float)
+    # Newton never runs past a tie, where its start point would divide by zero
+    if not np.all(np.diff(fb) > 0):
+        raise ValueError("local abscissa is not monotone over the patch window")
+    outside = np.count_nonzero(~((fb[0] <= targets) & (targets <= fb[-1])))  # NaN too
+    if outside:
+        raise ValueError(f"{outside} of {targets.size} node abscissae fall outside the "
+                         "patch window's local abscissa range")
+    nodes = np.empty(targets.size)
+    for i in range(0, targets.size, _SOLVE_NODES):
+        g = targets[i:i + _SOLVE_NODES]
+        k = np.clip(np.searchsorted(fb, g), 1, fb.size - 1)  # fb[k - 1] < g <= fb[k]
+        lo, hi = tb[k - 1], tb[k]
+        t = lo + (hi - lo) * ((g - fb[k - 1]) / (fb[k] - fb[k - 1]))  # linear start points
         last_step = hi - lo
         done = np.zeros(g.shape, dtype=bool)
         for _ in range(_INVERT_MAX_STEPS):
@@ -565,43 +564,18 @@ def _invert_monotone(fn, dfn, t_lo, t_hi, targets):
                                             & (np.abs(step) <= 0.5 * last_step))
             t_next = np.where(keep, newton, 0.5 * (lo + hi))
             last_step = np.abs(t_next - t)
-            converged = last_step <= tol
+            # a step below tol can round to a move above it, and t would cycle between two floats
+            converged = (last_step <= tol) | (np.abs(step) <= tol)
             t = np.where(done, t, t_next)
             done |= converged
             if done.all():
-                # the last step rests on a residual that carries roundoff, so it
-                # can land one float off the best fit; keep the best neighbour
-                near = np.stack([t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf)])
-                miss = np.abs(np.asarray(fn(near.ravel()), dtype=float).reshape(near.shape) - g)
-                return np.take_along_axis(near, np.argmin(miss, axis=0)[None], axis=0)[0]
-        raise ValueError(f"curve inversion did not converge at {np.count_nonzero(~done)} "
-                         f"of {g.size} nodes within {_INVERT_MAX_STEPS} steps")
-
-    t = np.empty(g.shape)
-    num = max(1024, 8 * g.size)
-    dt = (t_hi - t_lo) / (num - 1)  # the sample times are np.linspace's, bit for bit
-    for i in range(0, num - 1, traces._BLOCK_NODES):
-        tb = np.arange(i, min(i + traces._BLOCK_NODES, num - 1) + 1, dtype=float) * dt + t_lo
-        if i + tb.size == num:
-            tb[-1] = t_hi
-        fb = np.asarray(fn(tb), dtype=float)
-        finite = np.isfinite(fb)
-        head = fb if finite.all() else fb[:np.argmin(finite)]  # up to the first non-finite sample
-        # Newton never runs past a tie, where its start point would divide by zero
-        if np.any(np.diff(head) <= 0):
-            raise ValueError("local abscissa is not monotone over the patch window")
-        if head.size < fb.size:
-            raise ValueError("curve samples are not finite")
-        if not i:  # g[:j] lie below the table and never reach Newton
-            f_first, j = fb[0], int(np.searchsorted(g, fb[0]))
-        # fb[k - 1] < g <= fb[k], as a search of the whole table places g
-        end = int(np.searchsorted(g, fb[-1], side="right"))
-        if end > j:
-            k = np.clip(np.searchsorted(fb, g[j:end]), 1, fb.size - 1)
-            t[j:end] = solve(g[j:end], tb[k - 1], tb[k], fb[k - 1], fb[k])
-        j = end
-    outside = int(np.searchsorted(g, f_first)) + g.size - j  # below the table, then above it
-    if outside:
-        raise ValueError(f"{outside} of {g.size} node abscissae fall outside the "
-                         "patch window's local abscissa range")
-    return t
+                break
+        else:
+            raise ValueError(f"curve inversion did not converge at {np.count_nonzero(~done)} "
+                             f"of {g.size} nodes within {_INVERT_MAX_STEPS} steps")
+        # the last step rests on a residual that carries roundoff, so it can
+        # land one float off the best fit; keep the best neighbour
+        near = np.stack([t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf)])
+        miss = np.abs(np.asarray(fn(near.ravel()), dtype=float).reshape(near.shape) - g)
+        nodes[i:i + _SOLVE_NODES] = np.take_along_axis(near, miss.argmin(axis=0)[None], axis=0)[0]
+    return nodes

@@ -866,6 +866,12 @@ def test_curve_below_float_resolution_exits_3(tmp_path, capsys, command, radius)
 @pytest.mark.parametrize("radius", ["1e-309", "3e-309"])
 def test_smallest_sampleable_circles_partition(tmp_path, command, radius):
     assert partition_or_generate(command, f"circle:{radius}", tmp_path / "p.json") == 0
+    # more nodes bring Newton steps that round from below the tolerance to a
+    # move above it, where t could cycle between two floats
+    if command == "partition":
+        for nodes in (1024, 4096):
+            argv = ["partition", "--curve", f"circle:{radius}", "--nodes", nodes, "--out", tmp_path / "p.json"]
+            assert run(argv) == 0
 
 
 def steep_line_dataset(orientation, slope=1e6, nodes=33):

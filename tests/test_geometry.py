@@ -102,19 +102,23 @@ def grid_ends(mantissa, exponent, offset, n):
     return offset * want, (offset + n - 1) * want
 
 
-@given(mantissa=st.floats(1, 2), exponent=st.integers(-300, 300), n=st.integers(2, 4096),
-       offset=st.floats(-2.0**19 + 4096, 2.0**19 - 4096))
+# subnormal spacings from 2**-1042 up, where the raster step is 2**-1074 and
+# more: a spacing rounded before the raster floor would overshoot hi
+@given(mantissa=st.floats(1, 2),
+       exponent=st.one_of(st.integers(-300, 300), st.integers(-1042, -1023)),
+       n=st.integers(2, 4096), offset=st.floats(-2.0**19 + 4096, 2.0**19 - 4096))
 def test_uniform_grid_near_the_origin_keeps_its_raster(mantissa, exponent, n, offset):
     # within 2**19 h of the origin the raster is h 2**-32, set by the spacing
     # alone as below, so such a grid keeps these nodes bit for bit
     lo, hi = grid_ends(mantissa, exponent, offset, n)
     scale = math.ldexp(1.0, math.frexp((hi - lo) / (n - 1))[1] - 33)
     start = math.ceil(lo / scale) * scale
-    h = math.floor((hi - start) / (n - 1) / scale) * scale
+    h = math.floor((hi - start) / scale) // (n - 1) * scale
     assume(max(abs(lo), abs(hi)) <= 2.0**19 * h)
     x, got_h = uniform_grid(lo, hi, n)
     assert got_h == h
     assert np.array_equal(x, start + h * np.arange(n))
+    assert lo <= x[0] and x[-1] <= hi
 
 
 @given(mantissa=st.floats(1, 2), exponent=st.integers(-300, 300), n=st.integers(2, 4096),
@@ -252,7 +256,7 @@ def test_partition_tilted_line_one_rotated_patch():
     tt = np.linspace(0.0, 1.0, 4097)
     phi = np.unwrap(np.arctan2(*line.velocity(tt)[::-1]))
     frame = 0.5 * float(phi.max() + phi.min())
-    want = geometry._build_patch(line, frame, 0.0, 1.0, 32, 1.0, "below", 1.0)
+    want = geometry._build_patch(line, frame, tt, 32, 1.0, "below", 1.0)
     assert patch.frame_angle == want.frame_angle and patch.orientation == want.orientation
     for name in ("x1", "gamma", "gamma_prime", "mu"):
         assert np.array_equal(getattr(patch, name), getattr(want, name)), name
@@ -644,8 +648,8 @@ def test_node_inversion_accuracy(monkeypatch, name, nodes):
     solves = []
     invert = geometry._invert_monotone
 
-    def recording(fn, dfn, t_lo, t_hi, targets):
-        t = invert(fn, dfn, t_lo, t_hi, targets)
+    def recording(fn, dfn, tb, fb, targets):
+        t = invert(fn, dfn, tb, fb, targets)
         solves.append((fn, dfn, np.asarray(targets), t))
         return t
 
@@ -669,15 +673,20 @@ def test_node_inversion_accuracy(monkeypatch, name, nodes):
             assert getattr(pa, field).tobytes() == getattr(pb, field).tobytes()
 
 
+# a window's cover sample times across a closed curve's seam, t = 1
+TABLE = np.linspace(0.5, 1.5, 17)
+OUTSIDE = [-0.5, np.nextafter(0.5, 0.0), 0.5, 1.0, 1.5, np.nextafter(1.5, 2.0)]
+
+
 def test_inversion_rejects_target_outside_window():
     with pytest.raises(ValueError, match="1 of 3"):
-        geometry._invert_monotone(lambda t: t, np.ones_like, 0.0, 1.0, [0.25, 0.5, 1.5])
+        geometry._invert_monotone(lambda t: t, np.ones_like, TABLE, TABLE, [0.75, 1.0, 1.75])
 
 
 def test_inversion_raises_when_not_converged(monkeypatch):
     monkeypatch.setattr(geometry, "_INVERT_MAX_STEPS", 1)
     with pytest.raises(ValueError, match="did not converge at 2 of 2"):
-        geometry._invert_monotone(np.exp, np.exp, 0.0, 1.0, np.exp([0.3, 0.6]))
+        geometry._invert_monotone(np.exp, np.exp, TABLE, np.exp(TABLE), np.exp([0.8, 1.1]))
 
 
 BLOCKED_CURVES = {
@@ -690,13 +699,13 @@ BLOCKED_CURVES = {
 
 @pytest.mark.parametrize("name", sorted(BLOCKED_CURVES))
 def test_partition_does_not_depend_on_the_block_size(monkeypatch, name):
-    # 7-node blocks cut the table and the targets at odd offsets; at 2^15
-    # nodes both end in a one-node block. A block longer than the table
-    # builds it in one piece
+    # 7-node solve blocks cut the targets at odd offsets; at 2^15 nodes
+    # they end in a one-node block. A block longer than the patch solves
+    # it in one piece
     make, nodes = BLOCKED_CURVES[name]
     want = partition_curve(make(), nodes_per_patch=nodes)
     for block in (7, 1 << 30):
-        monkeypatch.setattr(traces, "_BLOCK_NODES", block)
+        monkeypatch.setattr(geometry, "_SOLVE_NODES", block)
         got = partition_curve(make(), nodes_per_patch=nodes)
         assert len(got) == len(want)
         for pa, pb in zip(got, want):
@@ -705,136 +714,62 @@ def test_partition_does_not_depend_on_the_block_size(monkeypatch, name):
                 assert getattr(pa, field).tobytes() == getattr(pb, field).tobytes()
 
 
-# on [0.2, 0.9] the last sample time is t_hi, not t_lo + (num - 1) * step
-@pytest.mark.parametrize("block", [7, 1 << 14, 1 << 30])
-@pytest.mark.parametrize("t_lo, t_hi, nodes", [(0.0, 1.0, 64), (0.2, 0.9, 1000), (0.3, 1.9, 4099)])
-def test_inversion_table_times_are_linspace(monkeypatch, block, t_lo, t_hi, nodes):
-    # the table's blocks are fn's calls from _invert_monotone itself, in
-    # order; Newton's come from its nested solve
-    monkeypatch.setattr(traces, "_BLOCK_NODES", block)
-    table = []
-
-    def fn(t):
-        if _called_from_the_table():
-            table.append(t.copy())
-        return t
-
-    geometry._invert_monotone(fn, np.ones_like, t_lo, t_hi, np.linspace(t_lo, t_hi, nodes)[1:-1])
-    want = np.linspace(t_lo, t_hi, max(1024, 8 * (nodes - 2)))
-    # each block but the last spans `block` intervals and ends on the next one's first sample
-    assert [b.size for b in table[:-1]] == [block + 1] * (len(table) - 1)
-    assert all(a[-1] == b[0] for a, b in zip(table, table[1:]))
-    assert np.concatenate([table[0]] + [b[1:] for b in table[1:]]).tobytes() == want.tobytes()
-
-
-def _called_from_the_table():
-    """Whether fn's caller, two frames up, is _invert_monotone's table pass, not Newton."""
-    return sys._getframe(2).f_code.co_name == "_invert_monotone"
-
-
-# the 1024 sample times of a table on [0, 1] for up to 128 targets; with
-# 7-sample blocks, sample 7 opens the second block
-TABLE = np.linspace(0.0, 1.0, 1024)
-TABLE_FAULTS = {
-    "drop at the seam": (lambda t: np.where(t >= TABLE[7], t - 1.0, t), "not monotone"),
-    "tie at the seam": (lambda t: np.where(t == TABLE[7], TABLE[6], t), "not monotone"),
-    "flat at the end": (lambda t: np.minimum(t, TABLE[-2]), "not monotone"),
-    "nan in the middle": (lambda t: np.where((t > 0.3) & (t < 0.7), np.nan, t), "not finite"),
-    "inf at the end": (lambda t: np.where(t == 1.0, np.inf, t), "not finite"),
-    # the fault met first in table order is named, at every block size
-    "break, then nan": (lambda t: np.where(t == TABLE[3], 0.0, np.where(t > 0.9, np.nan, t)),
-                        "not monotone"),
+# local abscissae that do not increase over TABLE; a NaN counts as a break
+BAD_TABLES = {
+    "drop at the seam": lambda t: np.where(t >= 1.0, t - 1.0, t),
+    "tie at the seam": lambda t: np.where(t == 1.0, TABLE[7], t),
+    "flat at the end": lambda t: np.minimum(t, TABLE[-2]),
+    "nan in the middle": lambda t: np.where((t > 0.8) & (t < 1.2), np.nan, t),
+    "break, then nan": lambda t: np.where(t == TABLE[3], TABLE[2], np.where(t > 1.4, np.nan, t)),
 }
 
 
 @pytest.mark.parametrize("block", [7, 1 << 30])
-@pytest.mark.parametrize("fault", sorted(TABLE_FAULTS))
+@pytest.mark.parametrize("fault", sorted(BAD_TABLES))
 def test_inversion_refuses_a_bad_table_in_any_block(monkeypatch, block, fault):
-    monkeypatch.setattr(traces, "_BLOCK_NODES", block)
-    fn, message = TABLE_FAULTS[fault]
-    message = {"not monotone": "^local abscissa is not monotone over the patch window$",
-               "not finite": "^curve samples are not finite$"}[message]
-    # targets outside the window too: the table's faults are named first
-    targets = np.linspace(-0.5, 1.5, 64)
-    with pytest.raises(ValueError, match=message):
-        geometry._invert_monotone(fn, np.ones_like, 0.0, 1.0, targets)
-
-
-def test_inversion_reads_no_table_block_past_the_first_fault(monkeypatch):
-    # with 7-interval blocks the drop at sample 7 closes the first block,
-    # which is refused before Newton runs on it and before the next is read
-    monkeypatch.setattr(traces, "_BLOCK_NODES", 7)
-    fault, _ = TABLE_FAULTS["drop at the seam"]
-    table, newton = [], []
-
-    def fn(t):
-        if _called_from_the_table():
-            table.append(t.copy())
-        return fault(t)
-
-    def dfn(t):
-        newton.append(t.copy())
-        return np.ones_like(t)
-
+    monkeypatch.setattr(geometry, "_SOLVE_NODES", block)
+    fn = BAD_TABLES[fault]
+    # targets outside the window too: the table's fault is named first
     with pytest.raises(ValueError, match="^local abscissa is not monotone over the patch window$"):
-        geometry._invert_monotone(fn, dfn, 0.0, 1.0, np.linspace(0.0, 1.0, 64))
-    assert [b.tobytes() for b in table] == [TABLE[:8].tobytes()]
-    assert not newton
+        geometry._invert_monotone(fn, np.ones_like, TABLE, fn(TABLE), np.linspace(0.0, 2.0, 64))
 
 
 @pytest.mark.parametrize("block", [1, 7, 1 << 30])
 def test_inversion_counts_targets_outside_the_table_in_any_block(monkeypatch, block):
-    monkeypatch.setattr(traces, "_BLOCK_NODES", block)
+    monkeypatch.setattr(geometry, "_SOLVE_NODES", block)
     with pytest.raises(ValueError, match="^3 of 6 node abscissae fall outside"):
-        geometry._invert_monotone(lambda t: t, np.ones_like, 0.0, 1.0,
-                                  [-0.5, -1e-300, 0.0, 0.5, 1.0, np.nextafter(1.0, 2.0)])
-    # the window's two ends are inside it; blocks count intervals and share
-    # their end samples, so with block 1 the first 2-sample block brackets
-    # the first target
-    t = geometry._invert_monotone(lambda t: t, np.ones_like, 0.0, 1.0, [0.0, TABLE[7], 1.0])
-    assert t.tolist() == [0.0, TABLE[7], 1.0]
-
-
-OUTSIDE = [-0.5, -1e-300, 0.0, 0.5, 1.0, np.nextafter(1.0, 2.0)]
+        geometry._invert_monotone(lambda t: t, np.ones_like, TABLE, TABLE, OUTSIDE)
+    with pytest.raises(ValueError, match="^1 of 2 node abscissae fall outside"):
+        geometry._invert_monotone(lambda t: t, np.ones_like, TABLE, TABLE, [1.0, np.nan])
+    # the window's two ends are inside it
+    t = geometry._invert_monotone(lambda t: t, np.ones_like, TABLE, TABLE, [0.5, TABLE[7], 1.5])
+    assert t.tolist() == [0.5, TABLE[7], 1.5]
 
 
 @pytest.mark.parametrize("block", [1, 7, 1 << 30])
-@pytest.mark.parametrize("case", sorted(TABLE_FAULTS) + ["3 of 6 outside"])
+@pytest.mark.parametrize("case", sorted(BAD_TABLES) + ["3 of 6 outside"])
 def test_inversion_runs_newton_only_on_a_sound_table_and_inside_it(monkeypatch, block, case):
-    # Newton (every dfn call) runs only while each table block seen so far is
-    # finite and increases, and only at t in the table's window [0, 1]: a
-    # target below or above the table would start Newton outside it
-    monkeypatch.setattr(traces, "_BLOCK_NODES", block)
-    fault, message = TABLE_FAULTS.get(case, (lambda t: t, "outside"))
-    message = {"not monotone": "^local abscissa is not monotone over the patch window$",
-               "not finite": "^curve samples are not finite$",
-               "outside": "^3 of 6 node abscissae fall outside"}[message]
-    table, sound, newton = [], [], []
-
-    def fn(t):
-        f = fault(t)
-        if _called_from_the_table():
-            table.append(f)
-        return f
+    # a refused table or target runs no Newton (no dfn call) in any solve
+    # block; on a sound one every Newton step stays inside the table
+    monkeypatch.setattr(geometry, "_SOLVE_NODES", block)
+    fn = BAD_TABLES.get(case, lambda t: t)
+    message = "^3 of 6 node abscissae" if case not in BAD_TABLES else "^local abscissa is not monotone"
+    newton = []
 
     def dfn(t):
-        sound.append(all(np.isfinite(f).all() and (np.diff(f) > 0).all() for f in table))
         newton.append(t.copy())
-        return np.ones_like(t)
+        return np.cos(t)
 
-    targets = OUTSIDE if case not in TABLE_FAULTS else np.linspace(-0.5, 1.5, 64)
     with pytest.raises(ValueError, match=message):
-        geometry._invert_monotone(fn, dfn, 0.0, 1.0, targets)
-    assert all(sound)
-    assert all(0.0 <= t.min() and t.max() <= 1.0 for t in newton)
-    if block == 1 << 30 and case in TABLE_FAULTS:  # one block holds the whole table
-        assert not newton
+        geometry._invert_monotone(fn, dfn, TABLE, fn(TABLE), OUTSIDE)
+    assert not newton
+    geometry._invert_monotone(np.sin, dfn, TABLE, np.sin(TABLE), np.sin(np.linspace(0.5, 1.5, 50)))
+    assert all(TABLE[0] <= t.min() and t.max() <= TABLE[-1] for t in newton)
 
 
 def test_partition_refuses_a_curve_not_finite_between_its_check_samples():
     # NaN only on t in (0.50001, 0.50023), between the partitioner's samples
-    # at 2048/4096 and 2049/4096, but inside the node tables of the patches
-    # that cover it
+    # at 2048/4096 and 2049/4096; at 1024 nodes a patch node falls in it
     base = circle(1.0)
 
     def position(t):
@@ -843,9 +778,8 @@ def test_partition_refuses_a_curve_not_finite_between_its_check_samples():
         return tuple(np.where(hole, np.nan, v) for v in base.position(t))
 
     curve = ParametricCurve(position, base.velocity)
-    for nodes in (64, 1024):
-        with pytest.raises(ValueError, match="^curve samples are not finite$"):
-            partition_curve(curve, nodes_per_patch=nodes)
+    with pytest.raises(ValueError, match="^curve samples are not finite$"):
+        partition_curve(curve, nodes_per_patch=1024)
 
 
 def test_partition_refuses_a_patch_that_tilts_past_the_bound_between_its_samples():
@@ -891,11 +825,10 @@ def test_partition_refuses_a_curve_not_finite_at_a_node_alone(part):
 
 
 def test_partition_memory_is_bounded_by_the_table():
-    # one pass streams the table in blocks of 2^14 intervals and runs Newton
-    # on each block's nodes (about 2^11) before dropping it: 2.76 MiB
-    # measured, bound 5% above it. Four per-node bracket arrays carried to a
-    # second Newton pass over 2^14-node blocks peaked at 5.47 MiB, the whole
-    # table held at once at 5.8-6.3 MiB
+    # Newton runs on 2^11 nodes at a time, bracketed among the cover's
+    # samples: 2.83 MiB measured. The bound is 5% above the 2.76 MiB of a
+    # second table of 8 samples a node, streamed in blocks. 2^14-node solve
+    # blocks peaked at 4.62 MiB, that table held at once at 5.8-6.3 MiB
     curve = polynomial_graph([0.1, 0.3, -0.2, 0.25], -1.0, 1.0)
     tracemalloc.start()
     try:

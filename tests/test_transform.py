@@ -424,7 +424,8 @@ REFUSALS = {
     "curve kind": (lambda: ParametricCurve(np.sin, np.cos, kind="bogus"),
                    "kind must be one of ('analytic-closed-form', 'open')"),
     "non-monotone abscissa": (lambda: geometry._invert_monotone(lambda t: -t, lambda t: -np.ones_like(t),
-                                                                0.0, 1.0, np.array([-0.5])),
+                                                                np.linspace(0.0, 1.0, 5),
+                                                                -np.linspace(0.0, 1.0, 5), np.array([-0.5])),
                               "local abscissa is not monotone over the patch window"),
     "matrix shape": (lambda: determinant(np.zeros((3, 3))), "expected trailing shape (4, 4)"),
     "system viscosity": (lambda: assemble_system(0.0, 0.0), "viscosity must be positive"),
