@@ -23,11 +23,11 @@ Reads stream too: a well-formed file is read through a window of text
 that drops what is parsed, and a number array is decoded to floats a
 window of text at a time, so a read holds one window's text and its
 temporaries beside the float arrays. A window of _FAST_CHARS or more
-characters written as the writer writes it reads through one integer pass
-over its digits and a double-double product by powers of ten
-(_fast_floats); any other goes to json's raw_decode. A read that fails
-passes the file to one json.loads, which names the fault. A file that
-cannot be written or read raises DatasetFormatError.
+characters written as the writer writes it, every value proven, reads
+through one integer pass over its digits and a double-double product by
+powers of ten (_fast_floats); any other goes whole to json's raw_decode.
+A read that fails passes the file to one json.loads, which names the
+fault. A file that cannot be written or read raises DatasetFormatError.
 
 Dataset schema (format_version 1):
 
@@ -145,9 +145,12 @@ class Dataset:
 def dataset_from_traces(patch: BoundaryPatch, dn: CauchyDN | None = None,
                         stress: CauchyStress | None = None,
                         provenance: dict | None = None) -> Dataset:
-    """Bundle in-memory boundary data on the patch grid (_on_grid) into a Dataset of the right kind."""
+    """Bundle boundary data on the patch grid (_on_grid) into a Dataset of the right kind; dn.u must equal stress.u."""
     if dn is None and stress is None:
         raise ValueError("need at least one of dn or stress data")
+    if dn is not None and stress is not None and not all(np.array_equal(
+            a.values, b.values, equal_nan=True) for a, b in ((dn.u.c1, stress.u.c1), (dn.u.c2, stress.u.c2))):
+        raise ValueError("dn and stress data must carry the same velocity u")
     u = (dn or stress).u
     traces = {"u1": u.c1, "u2": u.c2}
     if dn is not None:
@@ -186,6 +189,17 @@ def _split(a):
     t = a * 134217729.0  # 2**27 + 1
     hi = t - (t - a)
     return hi, a - hi
+
+
+def _product(a, b):
+    """Dekker's product (p, e): p = a b rounded and p + e = a b exactly, where no step overflows or underflows."""
+    p = a * b
+    (ah, al), (bh, bl) = _split(a), _split(b)
+    e = ah * bh - p  # in place, one exact step at a time: fewer temporaries than one expression
+    e += ah * bl
+    e += al * bh
+    e += al * bl
+    return p, e
 
 
 @functools.cache  # built on first use, so a process that formats no long block pays nothing
@@ -235,10 +249,7 @@ def _digits17(a):
     """
     x = np.floor(np.log10(np.where(a > 0, a, 1.0)))
     ok = (a > 0) & (x >= -6) & (x <= 16)
-    a1, b = np.where(ok, a, 1.0), _TEN.take(np.where(ok, 16 - x, 0).astype(np.intp))
-    p = a1 * b
-    (ah, al), (bh, bl) = _split(a1), _split(b)
-    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl  # p + e = a1 b exactly
+    p, e = _product(np.where(ok, a, 1.0), _TEN.take(np.where(ok, 16 - x, 0).astype(np.intp)))
     r = np.rint(e)
     n = p.astype(np.int64) + r.astype(np.int64)
     # 17 digits, and N = 10^16 only if a 10^q >= 10^16
@@ -539,17 +550,17 @@ def _fast_floats(text):
     ",  -+.eE" and digits appears, each token is a JSON number with at most 4
     exponent digits, and its digits without the point make N < 10^18: so
     np.fromstring reads digit runs only, and the count and bound catch its
-    leniencies. A token is N 10^k. For _TEN_MIN <= k <= _TEN_MAX every
-    quantity is a normal double, N = Nh + Nl exactly (|Nl| <= 2^-53 Nh), and
-    10^k = hi + lo + d (_ten; |lo| <= 2^-53 hi, |d| <= 2^-106 hi). Dekker's
-    product gives Nh hi = p + e exactly, t = (Nh lo + Nl hi) + e, and
-    |N 10^k - (p + t)| < 10 2^-106 p (three roundings of terms under 2^-52 p,
-    and the dropped Nl lo and N d). r = p + t rounds once; res = (p - r) + t
-    is N 10^k - r within 2^-101 r, so r is correctly rounded where |res| +
-    2^-100 r is at most half the gap below r, which is never above the gap
-    above. Any other token, with k out of range or near a midpoint (an exact
-    tie), is float(token). The sign comes last, so -0 reads as -0.0; a value
-    that is not finite gives None.
+    leniencies. A token is N 10^k, and None unless _TEN_MIN <= k <= _TEN_MAX
+    for every token. There every quantity is a normal double, N 10^k < 10^308
+    is finite, N = Nh + Nl exactly (|Nl| <= 2^-53 Nh), and 10^k = hi + lo + d
+    (_ten; |lo| <= 2^-53 hi, |d| <= 2^-106 hi). Dekker's product gives
+    Nh hi = p + e exactly, t = (Nh lo + Nl hi) + e, and |N 10^k - (p + t)| <
+    10 2^-106 p (three roundings of terms under 2^-52 p, and the dropped Nl lo
+    and N d). r = p + t rounds once; res = (p - r) + t is N 10^k - r within
+    2^-101 r, so r is correctly rounded where |res| + 2^-100 r is at most half
+    the gap below r, which is never above the gap above; None unless that
+    holds for every token (an exact tie fails it). The sign comes last, so -0
+    reads as -0.0.
     """
     if not text.isascii():
         return None
@@ -570,9 +581,7 @@ def _fast_floats(text):
         return None
     del runs, pairs  # each del keeps a 64 Ki-character block's read within the traced-memory bound
     # the grammar holds, so each token's non-digits are ", ", then "-", "." and "e" if it has them
-    j = np.flatnonzero(cls == 0)
-    commas = at.take(j) - lead
-    j = j[:-1] + 2
+    j = np.flatnonzero(cls == 0)[:-1] + 2
     neg = cls.take(j) == 2
     j += neg  # the non-digit after the integer digits
     start = at.take(j - 1)
@@ -592,38 +601,27 @@ def _fast_floats(text):
         slots = exp + np.arange(1, exp.size + 1)
         k[exp] += digits[slots]
         digits = np.delete(digits, slots)
-    if not ((digits < 10 ** 18) & (digits > -10 ** 18)).all():  # before abs: -2^63 stays negative
-        return None
-    ok = (k >= _TEN_MIN) & (k <= _TEN_MAX)
-    k = np.where(ok, k, 0) - _TEN_MIN
+    if not ((digits < 10 ** 18) & (digits > -10 ** 18) & (k >= _TEN_MIN) & (k <= _TEN_MAX)).all():
+        return None  # the N bound before abs: -2^63 stays negative
+    k -= _TEN_MIN
     table = np.zeros((2, _TEN_MAX - _TEN_MIN + 1))
     for i in np.flatnonzero(np.bincount(k)).tolist():
         table[:, i] = _ten(i + _TEN_MIN)
     hi, lo = table[0].take(k), table[1].take(k)
-    del k
+    del k, table
     nh = np.abs(digits, out=digits).astype(float)
     digits -= nh.astype(np.int64)  # Nl
     t = nh * lo
     t += digits * hi
-    p = nh * hi
     del digits, lo
-    ah, al = _split(nh)
-    del nh
-    bh, bl = _split(hi)
-    del hi
-    e = ah * bh - p  # Dekker's e, one exact step at a time
-    e += ah * bl
-    e += al * bh
-    e += al * bl
-    del ah, al, bh, bl
+    p, e = _product(nh, hi)
+    del nh, hi
     t += e
     r = p + t
     res = (p - r) + t
-    ok &= np.abs(res) + r * 2.0 ** -100 <= (r - np.nextafter(r, 0)) * 0.5
-    np.negative(r, out=r, where=neg)
-    rest = np.flatnonzero(~ok)
-    r[rest] = [float(text[commas[j] + 2:commas[j + 1]]) for j in rest.tolist()]
-    return r if np.isfinite(r[rest]).all() else None
+    if not (np.abs(res) + r * 2.0 ** -100 <= (r - np.nextafter(r, 0)) * 0.5).all():
+        return None
+    return np.negative(r, out=r, where=neg)
 
 
 def _floats(values, key) -> np.ndarray:
@@ -678,6 +676,8 @@ def read_dataset(path) -> Dataset:
 
 def write_patch_set(path, patches) -> None:
     patches = list(patches)  # checked first, then written
+    if not patches:
+        raise DatasetFormatError("a patch set needs at least one patch")
     _check_finite(*(v for patch in patches for v in _patch_values(patch)))
 
     def chunks():

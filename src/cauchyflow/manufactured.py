@@ -215,10 +215,7 @@ def evaluate_traces(flow: AnalyticFlow, pressure: AnalyticScalarField,
             # t = mu (J nu + J^T nu) - p nu, with J^T nu = (f1 nu1 + f2 nu2, f3 nu1 - f1 nu2)
             t1 = mu_vals * (d1 + f1nu1 + f2 * nu2) - p_vals * nu1
             t2 = mu_vals * (d2 + f3 * nu1 - f1nu2) - p_vals * nu2
-        # unrotated, a field may hand back a node array itself (couette's u1 is
-        # x2), which one block would return as the output: copy it
-        values = tuple(v.copy() if np.may_share_memory(v, x1) or np.may_share_memory(v, gamma) else v
-                       for v in (u1, u2, d1, d2, p_vals, t1, t2, f1, f2, f3))
+        values = (u1, u2, d1, d2, p_vals, t1, t2, f1, f2, f3)
         for name, v in zip(_ORACLE_OUTPUTS, values):
             if not np.isfinite(v).all():
                 # the wording of the writer, which refuses the same values

@@ -11,8 +11,8 @@ not depend on the block size or the CPU count. It runs the oracle, both
 conversions and transform.data_checks, and graph_patch's samples. On the
 calling thread alone run BoundaryPatch.validate, whose whole-array passes
 are memory-bound (at 2^20 nodes on a 2-vCPU VM, about 9 ms in blocks
-against 4.6 ms), the differences in transform.tolerance and
-partition_curve's table and Newton solve.
+against 4.6 ms), the differences in transform.tolerance and the
+partitioner's node inversion, Newton solve included.
 """
 
 from __future__ import annotations
@@ -42,9 +42,9 @@ def blockwise(kernel, *arrays):
     into full-length outputs, and a scalar, such as the block's maximum of
     some quantity, into an array with one value per block; the outputs are
     returned as a tuple. The last block holds what is left, one node or more:
-    elementwise arithmetic rounds a node alike at any block length. A single
-    block is one direct call.
-    Otherwise the calling thread runs the first block and allocates the
+    elementwise arithmetic rounds a node alike at any block length. Every
+    output is a new array, at one block as at many, so none shares memory
+    with an input. The calling thread runs the first block and allocates the
     outputs (memory a worker thread allocates stays in that thread's malloc
     arena, where the caller's later allocations cannot reuse it). The other
     blocks run on min(available CPUs, blocks left) threads, the calling
@@ -55,8 +55,6 @@ def blockwise(kernel, *arrays):
     n = arrays[0].shape[0]
     bounds = list(range(0, n, _BLOCK_NODES)) + [n]
     blocks = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
-    if len(blocks) < 2:
-        return tuple(kernel(*arrays))
 
     def store(k, result):
         for out, node, value in zip(outputs, per_node, result):

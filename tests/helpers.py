@@ -223,6 +223,40 @@ def percent_g17(values):
     return ", ".join(["%.17g"] * values.size) % tuple(values.tolist())
 
 
+def read_block(text):
+    """(floats, fast) of a block of JSON number text read as the reader's block path reads it.
+
+    dataio._fast_floats, or raw_decode and _floats where it returns None; `fast` says which.
+    """
+    values = dataio._fast_floats(text)
+    if values is not None:
+        return values, True
+    return dataio._floats(dataio._DECODER.raw_decode("[" + text + "]")[0], "block"), False
+
+
+def in_proof(token):
+    """Whether a JSON number token N 10^k has the k of dataio._fast_floats' proof: its exponent minus its
+    fraction's digits."""
+    mantissa, _, exponent = token.lower().partition("e")
+    return dataio._TEN_MIN <= int(exponent or 0) - len(mantissa.partition(".")[2]) <= dataio._TEN_MAX
+
+
+def exact_tie(token):
+    """Whether a JSON number token N 10^k, N < 10^18, is a midpoint between two doubles.
+
+    A midpoint is m 2^j with m odd and below 2^54. For k > 25 the odd part of
+    N 10^k holds 5^k > 2^54, and for k < -25 a factor 5 stays in the
+    denominator, so only |k| <= 25 takes the exact test.
+    """
+    mantissa, _, exponent = token.lower().partition("e")
+    if abs(int(exponent or 0) - len(mantissa.partition(".")[2])) > 25:
+        return False
+    x, f = Decimal(token), float(token)
+    with localcontext() as exact:
+        exact.prec = 800  # a double's decimal expansion has at most 767 significant digits
+        return x != f and 2 * x == Decimal(f) + Decimal(math.nextafter(f, math.inf if x > f else -math.inf))
+
+
 def _exact_frame(gamma_prime, orientation):
     """geometry._frame's (c, w, nu1, nu2) in Decimal: c = 1/sqrt(1 + gamma'^2), w = c gamma'."""
     c = 1 / (1 + gamma_prime * gamma_prime).sqrt()

@@ -118,6 +118,33 @@ def test_graph_patch_does_not_depend_on_blocks(monkeypatch, workers, n):
             assert_bitwise(patch_arrays(got), patch_arrays(want))
 
 
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("n, blocks", [(BLOCK - 1, 1), (BLOCK, 1), (BLOCK + 1, 2), (3 * BLOCK + 7, 4)])
+def test_blockwise_outputs_are_new_arrays_and_scalars_come_one_per_block(monkeypatch, workers, n, blocks):
+    monkeypatch.setattr(traces, "_BLOCK_NODES", BLOCK)
+    monkeypatch.setattr(traces, "_WORKERS", workers)
+    a, b = np.arange(n, dtype=float), np.linspace(-1.0, 1.0, n)
+
+    def kernel(a, b):  # hands back its inputs themselves, a new array and a scalar
+        return a, b, a * b, float(a[-1])
+
+    outputs = blockwise(kernel, a, b)
+    assert not any(np.may_share_memory(out, given) for out in outputs for given in (a, b))
+    assert_bitwise(outputs[:3], (a, b, a * b))
+    assert outputs[3].tolist() == [float(min(k * BLOCK + BLOCK, n) - 1) for k in range(blocks)]
+
+
+@pytest.mark.parametrize("n", [64, (1 << 14) + 5])
+def test_graph_patch_shares_no_array_it_is_given(n):
+    # one block or two at the default block size: every patch array is a new one
+    x = uniform_grid(-1.0, 1.0, n)[0]
+    given = {"gamma": 0.1 * x * x, "gamma_prime": 0.2 * x, "mu": 1.0 + x * x}
+    patch = graph_patch(given["gamma"], given["gamma_prime"], -1.0, 1.0, n, mu=given["mu"])
+    for name, value in given.items():
+        assert np.array_equal(getattr(patch, name), value)
+        assert not np.may_share_memory(getattr(patch, name), value), name
+
+
 @pytest.mark.parametrize("length", [3 * BLOCK + 6, 3 * BLOCK + 8])
 @pytest.mark.parametrize("field", ["gamma", "gamma_prime", "mu"])
 def test_graph_patch_refuses_a_wrong_length_array_before_a_callable_runs(monkeypatch, field,

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cauchyflow import (BoundaryPatch, Dataset, DatasetFormatError, dataset_from_traces,
+from cauchyflow import (BoundaryPatch, Dataset, DatasetFormatError, VectorTrace, dataset_from_traces,
                         evaluate_traces, graph_patch, partition_curve, circle, read_dataset,
                         write_csv, write_dataset, write_patch_set, FLOWS, PRESSURES, VISCOSITIES)
 from cauchyflow import dataio
@@ -730,6 +730,33 @@ def test_patch_set_round_trip(tmp_path):
         assert a.orientation == b.orientation
         assert np.array_equal(a.x1, b.x1)
         assert np.array_equal(a.gamma_prime, b.gamma_prime)
+
+
+def test_an_empty_patch_set_is_refused_before_the_file_is_opened(tmp_path):
+    # a patch-set reader needs a non-empty patch list
+    for patches in ([], iter([])):
+        with pytest.raises(DatasetFormatError, match="^a patch set needs at least one patch$"):
+            write_patch_set(tmp_path / "empty.json", patches)
+        assert not (tmp_path / "empty.json").exists()
+
+
+def test_dn_and_stress_data_must_carry_the_same_velocity():
+    patch = sine_patch(16)
+    dn, stress, _ = evaluate_traces(FLOWS["trig"], PRESSURES["trig"], VISCOSITIES["unit"], patch)
+    u1, u2 = dn.u.c1.values, dn.u.c2.values
+
+    def with_u(a1, a2):
+        return dataclasses.replace(stress, u=VectorTrace.from_arrays(a1, a2, patch.h))
+
+    for a1, a2 in ((u1 + 1.0, u2), (u1, np.where(np.arange(16) == 15, np.nan, u2)), (-u1, u2)):
+        with pytest.raises(ValueError, match="^dn and stress data must carry the same velocity u$"):
+            dataset_from_traces(patch, dn=dn, stress=with_u(a1, a2))
+    ds = dataset_from_traces(patch, dn=dn, stress=with_u(u1.copy(), u2.copy()))  # equal, not the same arrays
+    assert ds.data_kind == "both" and np.array_equal(ds.u1, u1) and np.array_equal(ds.u2, u2)
+    nan = np.where(np.arange(16) == 3, np.nan, u1)  # NaN at the same node in both is equal
+    ds = dataset_from_traces(patch, dn=dataclasses.replace(dn, u=VectorTrace.from_arrays(nan, u2, patch.h)),
+                             stress=with_u(nan.copy(), u2))
+    assert np.array_equal(ds.u1, nan, equal_nan=True)
 
 
 def test_csv_export_columns(tmp_path):

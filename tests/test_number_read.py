@@ -1,5 +1,7 @@
 """dataio._fast_floats reads a block of JSON numbers bit for bit as float() reads each token, or returns None.
 
+It returns None for a block with a token it cannot prove: a k outside
+[_TEN_MIN, _TEN_MAX] or a value near a rounding midpoint (an exact tie).
 tests/test_number_text.py reads back everything it formats; this module adds
 the tokens the writer never prints and the blocks the fast path must refuse.
 """
@@ -12,17 +14,25 @@ import numpy as np
 import pytest
 
 from cauchyflow import Dataset, dataio, read_dataset, write_dataset
-from helpers import sine_patch
+from helpers import exact_tie, in_proof, read_block, sine_patch
 
 
-def assert_reads(tokens):
-    """_fast_floats of the tokens joined by ", " equals float() of each, bit for bit; the count read."""
-    got = dataio._fast_floats(", ".join(tokens))
-    assert got is not None
+def assert_reads(tokens, fast=True):
+    """The tokens joined by ", " read through the reader's block path as float() reads each, bit for bit:
+    through _fast_floats if `fast`, else through raw_decode, _fast_floats giving None; the count read."""
+    got, took_fast = read_block(", ".join(tokens))
+    assert took_fast == fast
     want = np.array([float(token) for token in tokens])
     bad = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
     assert bad.size == 0, [(tokens[i], got[i], want[i]) for i in bad[:3]]
     return len(tokens)
+
+
+def split(tokens):
+    """(the tokens _fast_floats proves, the others): those with a k outside [_TEN_MIN, _TEN_MAX] or an exact tie."""
+    proven = [in_proof(token) and not exact_tie(token) for token in tokens]
+    return ([token for token, ok in zip(tokens, proven) if ok],
+            [token for token, ok in zip(tokens, proven) if not ok])
 
 
 def test_fromstring_leniencies_the_fast_path_relies_on():
@@ -63,13 +73,18 @@ def test_eighteen_digit_mantissas_at_every_exponent():
     for n, k, at in zip(mantissas, ks, points):
         digits = str(n)
         tokens.append(f"{digits[:at] or '0'}{'.' + digits[at:] if at < 18 else ''}e{k + 18 - at}")
-    assert sum(assert_reads(tokens[i:i + 4096]) for i in range(0, len(tokens), 4096)) == 200_000
+    # k below _TEN_MIN, about a tenth of the tokens, sends a block to raw_decode, and so does an
+    # exact tie among the integers
+    proven, others = split(tokens)
+    assert sum(assert_reads(proven[i:i + 4096]) for i in range(0, len(proven), 4096)) > 179_000
+    assert sum(assert_reads(others[i:i + 4096], fast=False) for i in range(0, len(others), 4096)) > 20_000
 
 
 def test_exact_binary_ties_and_their_neighbours():
     # a midpoint between two doubles rounds half to even; here each is a
-    # decimal of at most 18 digits, so the product sees it, and sends it to float()
-    tokens = []
+    # decimal of at most 18 digits, so the product sees it, and a block that
+    # holds one goes to raw_decode; its neighbours read through the fast path
+    ties, neighbours = [], []
     rng = np.random.default_rng(4612)
     for j in range(51, 60):  # binades [2^j, 2^(j+1)), all below 10^18
         for m in rng.integers(0, 2 ** 52, 400).tolist():
@@ -78,10 +93,14 @@ def test_exact_binary_ties_and_their_neighbours():
             text = f"{whole}{['', '.25', '.5', '.75'][quarter]}"
             if len(text.replace(".", "")) <= 18:
                 last = int(text[-1])
-                tokens += [text, "-" + text, text[:-1] + str(last - 1 if last else 1)]  # and a neighbour
-    tokens += ["9007199254740993", "4503599627370496.5", "18014398509481986", "9.007199254740993e15",
-               "90071992547409930e-1", "-9007199254740993", "9007199254740995", "2251799813685248.25"]
-    assert assert_reads(tokens) > 10_000
+                ties += [text, "-" + text]
+                neighbours.append(text[:-1] + str(last - 1 if last else 1))
+    ties += ["9007199254740993", "4503599627370496.5", "18014398509481986", "9.007199254740993e15",
+             "90071992547409930e-1", "-9007199254740993", "9007199254740995", "2251799813685248.25"]
+    assert assert_reads(ties, fast=False) > 6000
+    assert assert_reads(neighbours) > 3000
+    for tie in ties:  # each tie alone sends a block of proven values to raw_decode
+        assert dataio._fast_floats(", ".join(neighbours[:20] + [tie])) is None, tie
 
 
 def test_values_next_to_the_exponent_limits_of_the_proof():
@@ -93,7 +112,11 @@ def test_values_next_to_the_exponent_limits_of_the_proof():
         for n in rng.integers(1, top, 2000, dtype=np.uint64).tolist():
             tokens += [f"{n}e{k}", f"-{n}e{k}", f"{n // 10}.{n % 10}e{k + 1}"]
     tokens += ["1e-275", "1e-276", "999999999999999999e290", "1e308", "17976931348623157e292"]
-    assert assert_reads(tokens) > 48_000
+    inside, outside = split(tokens)
+    assert assert_reads(inside) == 24_002
+    assert assert_reads(outside, fast=False) == 24_003
+    for token in outside[::500]:  # one k out of range sends a block of proven values to raw_decode
+        assert dataio._fast_floats(", ".join(inside[:20] + [token])) is None, token
 
 
 def test_subnormals_the_largest_doubles_zeros_integers_and_exponent_forms():
@@ -108,7 +131,11 @@ def test_subnormals_the_largest_doubles_zeros_integers_and_exponent_forms():
                "2.2250738585072009e-308", "1.7976931348623157e308", "0.000000000000000000000000000001",
                "1e-400", "-1e-400", "0e400"]
     tokens += [str(v) for v in rng.integers(-10 ** 17, 10 ** 17, 5000).tolist()]
-    assert assert_reads(tokens) > 9000
+    # the subnormals, the largest doubles, 1e-400 and 0e400 have a k out of the proof's range,
+    # and some integers beyond 2^53 are exact ties
+    proven, others = split(tokens)
+    assert assert_reads(proven) > 4000
+    assert assert_reads(others, fast=False) > 4000
     back = dataio._fast_floats(", ".join(["-0", "0", "-0e5", "-0.0"] * 100))
     assert np.signbit(back).tolist() == [True, False, True, True] * 100
 

@@ -1,18 +1,30 @@
 """dataio._fmt_g17 writes a float block's text byte for byte as the %-template does,
-and dataio._fast_floats reads that text back bit for bit."""
+and the reader's block path reads that text back bit for bit: dataio._fast_floats,
+or raw_decode for a block with a token outside its proof."""
 
 import numpy as np
 import pytest
 
 from cauchyflow import dataio
-from helpers import percent_g17
+from helpers import in_proof, percent_g17, read_block
 from test_dataio import AWKWARD
 
 BLOCK = dataio._ARRAY_VALUES
 
 
+def in_reach(values):
+    """Whether each value is 0 or from 1e-259 to 1e290, where its "%.17g" token has a k of _fast_floats' proof."""
+    a = np.abs(values)
+    return (a == 0) | ((a >= 1e-259) & (a < 1e290))
+
+
 def assert_same_text(values):
-    """Each block of `values` formats as percent_g17 formats it and reads back bit for bit; the count of values checked."""
+    """Each block of `values` formats as percent_g17 formats it and reads back bit for bit; the count of values checked.
+
+    The writer prints no token near a rounding midpoint, so a block goes to
+    raw_decode only for a token whose k is outside the proof's range: never
+    for a block of values in_reach.
+    """
     values = np.asarray(values, dtype=float)
     for i in range(0, values.size, BLOCK):
         block = values[i:i + BLOCK]
@@ -20,15 +32,20 @@ def assert_same_text(values):
         if got != want:
             bad = [(a, b) for a, b in zip(got.split(", "), want.split(", ")) if a != b]
             raise AssertionError(f"{len(bad)} values differ, first {bad[:3]}")
-        back = dataio._fast_floats(got)
-        assert back is not None and back.tobytes() == block.tobytes()
+        back, fast = read_block(got)
+        assert back.tobytes() == block.tobytes()
+        assert fast if in_reach(block).all() else fast or not all(map(in_proof, got.split(", ")))
     return values.size
 
 
 def test_random_bit_patterns():
     rng = np.random.default_rng(3701)
     values = rng.integers(0, 1 << 64, 400_000, dtype=np.uint64, endpoint=False).view(np.float64)
-    assert assert_same_text(values[np.isfinite(values)]) > 399_000
+    values = values[np.isfinite(values)]
+    # nearly every block holds a subnormal-range or huge value and reads through raw_decode;
+    # the values in reach alone read through _fast_floats
+    assert assert_same_text(values) > 399_000
+    assert assert_same_text(values[in_reach(values)][:100 * BLOCK]) == 100 * BLOCK
 
 
 @pytest.mark.parametrize("k", range(-40, 25))
@@ -66,7 +83,8 @@ def test_signed_zeros_subnormals_and_the_largest_doubles():
     tiny = np.nextafter(0.0, 1.0)
     values = np.array([0.0, -0.0, tiny, -tiny, 3 * tiny, np.finfo(float).tiny, np.nextafter(np.finfo(float).tiny, 0),
                        np.finfo(float).max, -np.finfo(float).max, *AWKWARD])
-    assert_same_text(np.resize(values, 4 * BLOCK))
+    assert_same_text(np.resize(values, 4 * BLOCK))  # through raw_decode
+    assert_same_text(np.resize(values[in_reach(values)], 4 * BLOCK))  # through _fast_floats
     assert dataio._fmt_g17(np.resize(values, BLOCK)).startswith("0, -0, 4.9406564584124654e-324, ")
 
 
