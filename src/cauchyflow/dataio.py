@@ -9,10 +9,10 @@ each number array is formatted _ARRAY_VALUES values at a time, and a CSV
 file _CSV_ROWS rows at a time, so a write holds one block's text. The
 bytes are always "%.17g"'s: a block of _VECTOR_VALUES or more values, not
 all integers and nearly all from 1e-6 to 1e17 (_g17_pays), takes its
-digits from exact products by powers of ten in array passes (_fmt_g17),
-any other block from "%.17g" itself. Data a
-write refuses, such as a non-finite value, are refused before the file
-is opened, so they create no file.
+digits from exact products by powers of ten and their text from a table
+of 4-digit groups, in array passes (_fmt_g17); any other block from
+"%.17g" itself. Data a write refuses, such as a non-finite value, are
+refused before the file is opened, so they create no file.
 BoundaryPatch and Dataset judge what they hold, for the writer and the
 reader alike: a patch's array lengths, orientation and node count; a
 dataset's data_kind, arrays and provenance (_check_provenance). The
@@ -74,7 +74,7 @@ _CSV_COLUMNS = ("x1", "gamma", "gamma_prime", "mu",
 _NUMBER_ARRAYS = frozenset(_PATCH_KEYS[3:] + _KIND_ARRAYS["both"])
 _DATASET_KEYS = ("format_version", "patch", "data_kind", *_KIND_ARRAYS["both"], "provenance")
 _CSV_ROWS = 1024  # CSV rows formatted per write
-_ARRAY_VALUES = 1024  # JSON array values formatted per write
+_ARRAY_VALUES = 1792  # JSON array values formatted per write
 _VECTOR_VALUES = 256  # values in the shortest block _fmt_g17 formats
 _CHUNK_CHARS = 1 << 16  # characters a read adds to its window, at least
 _PROVENANCE_DEPTH = 200  # containers in a provenance, itself included; far below any recursion limit
@@ -158,8 +158,8 @@ def dataset_from_traces(patch: BoundaryPatch, dn: CauchyDN | None = None,
     if stress is not None:
         traces |= {"t1": stress.traction.c1, "t2": stress.traction.c2}
     kind = "both" if dn is not None and stress is not None else ("dn" if dn is not None else "stress")
-    return Dataset(patch=patch, data_kind=kind, provenance=provenance,
-                   **dict(zip(traces, _on_grid(patch, *traces.values()))))
+    values = _on_grid(patch, *traces.values(), *(() if stress is None else (stress.u.c1, stress.u.c2)))
+    return Dataset(patch=patch, data_kind=kind, provenance=provenance, **dict(zip(traces, values)))
 
 
 def _check_finite(*values) -> None:
@@ -204,25 +204,30 @@ def _product(a, b):
 
 @functools.cache  # built on first use, so a process that formats no long block pays nothing
 def _g17_tables():
-    """_fmt_g17's pieces of a row, as little-endian uint16 character pairs, NUL where nothing prints.
+    """_fmt_g17's tables: a row's pieces of text, a 4-digit group's count of digits, a row's mask.
 
-    "00" .. "99" with a point after each digit; per X (-5 and 17 stand for
-    e-notation) and count of digits, the mask of the 17 digit slots that
-    print their digit (0xFF) or point (0x2E00); per X and sign, the sign and
-    "0.000"; per X, the exponent and ", ".
+    Each piece is four little-endian uint16 character pairs as one uint64,
+    NUL where nothing prints: from 0, the 4-digit groups 0000 .. 9999, a
+    point after each digit; from 10,000, per X (-5 and 17 stand for
+    e-notation), sign and first digit, the sign, "0.000" and the digit and
+    a point; from 10,460, per X, the exponent and ", ". A group's count runs
+    to its last nonzero digit. Per X and count of digits, the mask prints
+    each of the 17 digit slots' digit (0xFF) or point (0x2E00), and the rest.
     """
-    pairs = (np.indices((10, 10)).reshape(2, -1).T + 0x2E30).astype("<u2", order="C")
-    x = np.arange(-5, 18, dtype=np.int8)[:, None, None]
-    point = np.where((x >= -4) & (x <= 16), x, 0)  # the digit a point may follow
-    k, count = np.arange(17, dtype=np.int8), np.arange(18, dtype=np.int8)[:, None]
-    mask = ((k < np.maximum(count, point + 1)) * np.uint16(0xFF)
-            | ((k == point) & (count > point + 1)) * np.uint16(0x2E00))
-    head = b"".join((b"-" if neg else b"\0") + (b"0.000"[:1 - x] if -4 <= x < 0 else b"").ljust(5, b"\0")
-                    for x in range(-5, 18) for neg in (0, 1))
+    group = np.arange(10_000, dtype="<u2")
+    quads = group[:, None] // np.array([1000, 100, 10, 1], "<u2") % 10 + 0x2E30
+    last = 4 - sum((group % 10 ** k == 0).astype(np.int8) for k in range(1, 5))
+    head = b"".join((b"-" if neg else b"\0") + (b"0.000"[:1 - x] if -4 <= x < 0 else b"").ljust(5, b"\0") + b"%d." % d
+                    for x in range(-5, 18) for neg in (0, 1) for d in range(10))
     tail = b"".join((b"" if -4 <= x < 17 else b"e%+03d" % x).ljust(5, b"\0") + b", \0"
                     for x in range(-324, 309))
-    return (pairs.view("<u4").ravel(), mask.reshape(-1, 17).astype("<u2"),
-            np.frombuffer(head, "<u2").reshape(-1, 3), np.frombuffer(tail, "<u2").reshape(-1, 4))
+    x = np.arange(-5, 18, dtype=np.int8)[:, None, None]
+    point = np.where((x >= -4) & (x <= 16), x, 0)  # the digit a point may follow
+    k, count = np.arange(-3, 21, dtype=np.int8), np.arange(18, dtype=np.int8)[:, None]
+    mask = ((k < np.maximum(count, point + 1)) * np.uint16(0xFF)
+            | ((k == point) & (count > point + 1)) * np.uint16(0x2E00) | ((k < 0) | (k > 16)) * np.uint16(0xFFFF))
+    return (np.concatenate([quads.view("<u8").ravel(), np.frombuffer(head + tail, "<u8")]), last,
+            mask.astype("<u2").reshape(-1, 24).view("<u8"))
 
 
 _TEN = np.array([10 ** k for k in range(23)], dtype=float)  # each exact in a double
@@ -262,21 +267,30 @@ def _digits17(a):
 
 
 def _fmt_g17(v) -> str:
-    """", ".join(["%.17g"] * v.size) % tuple(v.tolist()) of finite `v`: rows of 48 bytes without their NULs."""
-    pairs, mask, head, tail = _g17_tables()
+    """", ".join(["%.17g"] * v.size) % tuple(v.tolist()) of finite `v`: rows of 48 bytes without their NULs.
+
+    A row is six entries of the text table: the head with N's first digit, N's
+    other 16 digits as four 4-digit groups, and the tail. The count of digits
+    comes from the last group, or from the other three if it is 0000.
+    """
+    text, last, mask = _g17_tables()
     n, x = _digits17(np.abs(v))
-    lead, n = np.divmod(n, 10 ** 16)
-    quads = np.stack(np.divmod(np.stack(np.divmod(n, 10 ** 8), axis=1).astype(np.uint32), 10 ** 4), axis=2)
-    row = np.empty((v.size, 24), "<u2")
-    slots = row[:, 3:20]
-    slots[:, 0] = lead + 0x2E30
-    slots[:, 1:] = pairs.take(np.stack(np.divmod(quads, 100), axis=3).reshape(-1, 8)).view("<u2")
-    count = (17 - (slots != 0x2E30)[:, ::-1].argmax(axis=1)) * (lead > 0)  # up to the last nonzero digit
+    row = np.empty((v.size, 6), np.intp)  # each row's entries of the text table, then its text
+    for group in range(4, 0, -1):
+        np.divmod(n, 10 ** 4, out=(n, row[:, group]))  # then n is the first digit
+    count = last.take(row[:, 4]) + np.int8(13)
+    rows = np.flatnonzero(count == 13)  # the last group is 0000: the count lies in another, or is 1
+    counts = last.take(row[rows, 1:4])
+    count[rows] = np.where(counts > 0, counts + np.array([1, 5, 9], np.int8), 1).max(axis=1)
     x5 = np.clip(x, -5, 17) + 5
-    slots &= mask.take(18 * x5 + count, axis=0)
-    row[:, :3] = head.take(2 * x5 + np.signbit(v), axis=0)
-    row[:, 20:] = tail.take(x + 324, axis=0)
-    return row.tobytes().translate(None, b"\0")[:-2].decode()
+    row[:, 0] = 20 * x5 + 10 * np.signbit(v) + n + 10_000
+    row[:, 5] = x + 10_784  # 10,460 + 324
+    x5 = 18 * x5 + count  # its row of the mask table
+    del n, x  # each temporary goes once it is used, so a block stays within the traced-memory bound
+    row = text.take(row)
+    row &= mask.take(x5, axis=0)
+    row = row.tobytes()
+    return row.translate(None, b"\0")[:-2].decode()
 
 
 def _array_chunks(indent, items):

@@ -252,12 +252,15 @@ def test_nonfinite_rejected_on_write(tmp_path):
 def test_dataset_write_streams_one_array_at_a_time(tmp_path):
     # a 2^15-node "both" file is about 7 MB; built as one string it took
     # about 22 MB of traced memory, one array at a time 2.16 MB. A block of
-    # 1024 values at a time (its digits, rows and text) peaks at 0.24 MB,
-    # 0.27 MB in the first long write, which builds _fmt_g17's tables
+    # 1792 values at a time (its digits, rows and text) peaks at 0.21 MB,
+    # 0.33 MB with _fmt_g17's tables, which the first long write of a
+    # process builds: the only write a generate or convert makes. Clearing
+    # them measures that write, whatever ran before
     n = 1 << 15
     rng = np.random.default_rng(0)
     arrays = {name: rng.standard_normal(n) for name in ("u1", "u2", "dnu1", "dnu2", "p", "t1", "t2")}
     ds = Dataset(patch=sine_patch(n), data_kind="both", provenance={"note": "fixture"}, **arrays)
+    dataio._g17_tables.cache_clear()
     tracemalloc.start()
     try:
         write_dataset(tmp_path / "big.json", ds)
@@ -281,8 +284,9 @@ def one_list(values):
     return ["[" + ", ".join(format(v, ".17g") for v in values.tolist()) + "]"]
 
 
-# 4096: the block before the writer formatted longer blocks in array passes
-@pytest.mark.parametrize("block", [7, dataio._ARRAY_VALUES, 4096])
+# 4096: the block before the writer formatted longer blocks in array passes;
+# 1024: the block before the writer took its digits from 4-digit groups
+@pytest.mark.parametrize("block", [7, 1024, dataio._ARRAY_VALUES, 4096])
 @pytest.mark.parametrize("n", [2, 6, 7, 8, 15, (1 << 15) + 1])
 def test_arrays_write_as_one_list_in_any_block(tmp_path, monkeypatch, block, n):
     values = np.resize(AWKWARD, n)
@@ -757,6 +761,15 @@ def test_dn_and_stress_data_must_carry_the_same_velocity():
     ds = dataset_from_traces(patch, dn=dataclasses.replace(dn, u=VectorTrace.from_arrays(nan, u2, patch.h)),
                              stress=with_u(nan.copy(), u2))
     assert np.array_equal(ds.u1, nan, equal_nan=True)
+
+
+def test_stress_velocity_off_the_patch_spacing_is_refused_beside_dn_data():
+    patch = sine_patch(16)
+    dn, stress, _ = evaluate_traces(FLOWS["trig"], PRESSURES["trig"], VISCOSITIES["unit"], patch)
+    off = dataclasses.replace(stress, u=VectorTrace.from_arrays(dn.u.c1.values, dn.u.c2.values, 5.0))
+    for data in ({"stress": off}, {"dn": dn, "stress": off}):
+        with pytest.raises(ValueError, match="^data grid spacing does not match the patch$"):
+            dataset_from_traces(patch, **data)
 
 
 def test_csv_export_columns(tmp_path):

@@ -79,6 +79,31 @@ def test_exact_ties_round_half_to_even():
     assert_same_text(values)
 
 
+def test_the_last_nonzero_digit_at_every_slot():
+    # "%.17g" mantissas whose last nonzero digit is each of their 17: each
+    # 4-digit group's ends, and last groups of 0000 behind nonzero ones; at
+    # every X of the fixed notation, its e-notation neighbours and two
+    # exponents out of the product's reach. A candidate may round to a
+    # double whose 17 digits gain others; a one-digit one may have none
+    rng = np.random.default_rng(3709)
+    exponents = (-100, -6, *range(-5, 18), 18, 100)
+    values, kept = [], []
+    for x in exponents:
+        for slot in range(17):
+            digits = rng.integers(0, 10, (200, slot + 1))
+            digits[:, [0, -1]] = rng.integers(1, 10, (200, 2))
+            for text in dict.fromkeys("".join(map(str, row)) for row in digits):
+                value = float(f"{text[0]}.{text[1:]}e{x}")
+                mantissa, exponent = ("%.16e" % value).split("e")
+                if mantissa.replace(".", "").rstrip("0") == text and int(exponent) == x and kept.count((x, slot)) < 2:
+                    values.append(value)
+                    kept.append((x, slot))
+    assert all(kept.count((x, slot)) == 2 for x in exponents for slot in range(1, 17))
+    assert {slot for x, slot in kept} == set(range(17))
+    values = np.array(values)
+    assert assert_same_text(np.concatenate([values, -values])) == 2 * len(kept)
+
+
 def test_signed_zeros_subnormals_and_the_largest_doubles():
     tiny = np.nextafter(0.0, 1.0)
     values = np.array([0.0, -0.0, tiny, -tiny, 3 * tiny, np.finfo(float).tiny, np.nextafter(np.finfo(float).tiny, 0),
